@@ -8,9 +8,8 @@ from .ifc_graph import (
     RelationRule,
     attach_properties,
     build_graph,
-    subgraph,
 )
-from .sgns import EmbeddingMatrix, TrainConfig, negative_sampler, train
+from .sgns import EmbeddingMatrix, TrainConfig, train
 from .space_grid import (
     DiscretizedSpace,
     Footprint,
@@ -40,7 +39,7 @@ from .temporal import (
     build_snapshots,
     flatten,
 )
-from .walks import AliasTable, WalkConfig, WalkCorpus, generate_walks, precompute_aliases, transition_distribution
+from .walks import AliasTable, WalkConfig, WalkCorpus, generate_walks, transition_distribution
 
 __version__ = "0.1.0"
 
@@ -83,13 +82,10 @@ __all__ = [
     "load_footprints",
     "locate_cell",
     "merge_into",
-    "negative_sampler",
     "parse_step",
     "parse_step_file",
-    "precompute_aliases",
     "predict_comfort",
     "serialize_step",
-    "subgraph",
     "train",
     "transition_distribution",
     "validate_references",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -83,8 +84,8 @@ class PropertyGraph:
             raise UnknownNodeError(f"edge endpoint {missing!r} is not a node")
         if u == v:
             raise ValueError(f"self-loop on {u!r} is not allowed")
-        if not (weight > 0):
-            raise ValueError(f"edge weight must be positive, got {weight}")
+        if not (0 < weight < math.inf):
+            raise ValueError(f"edge weight must be positive and finite, got {weight}")
         a, b = (u, v) if u < v else (v, u)
         edge = Edge(a, b, label, float(weight), dict(attributes or {}))
         index = len(self._edges)

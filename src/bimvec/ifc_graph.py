@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DanglingReferenceError
 from .graph import NodeId, PropertyGraph
@@ -261,8 +261,3 @@ def _scalar_value(value) -> object | None:
     if isinstance(value, (int, float, str)):
         return value
     return None
-
-
-def subgraph(graph: PropertyGraph, labels: Iterable[str]) -> PropertyGraph:
-    """Induced subgraph on nodes whose label is in ``labels``."""
-    return graph.subgraph(labels)

@@ -183,11 +183,6 @@ class NegativeSampler:
         return self.table.sample_many(rng, count)
 
 
-def negative_sampler(counts: Sequence[float], seed: int) -> NegativeSampler:
-    """Seeded sampler over per-index occurrence totals."""
-    return NegativeSampler(counts, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Loss and gradients
 # ---------------------------------------------------------------------------

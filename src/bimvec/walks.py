@@ -1,9 +1,18 @@
-"""Second-order biased random walks with O(1) alias-table sampling.
+"""Second-order biased random walks by rejection sampling.
 
 The bias rule for the step after (prev -> curr): a neighbor x of curr gets
 unnormalized weight w(curr,x)/p when x == prev, w(curr,x) when x is also a
 neighbor of prev, and w(curr,x)/q otherwise; the first step of a walk is
 plain weight-proportional. Setting p = q = 1 recovers first-order walks.
+
+Sampling follows KnightKing (Yang et al., SOSP 2019): a step draws x from
+the first-order alias table of curr and accepts it with probability
+bias(x) / max(1, 1/p, 1/q), where bias(x) is 1/p, 1 or 1/q as above. The
+only state is one alias table per node, so memory is O(E). A step takes at
+most max(1, 1/p, 1/q) / min(1, 1/p, 1/q) draws in expectation. p and q are
+held to [0.1, 10] so that this bound is at most 100 on any graph: with
+q -> 0, say, a step whose candidates all lie next to prev would be accepted
+with probability about q and could run for arbitrarily many draws.
 
 Determinism: every walk owns a PRNG substream derived by hashing
 (seed, start node, walk index) with SHA-256 and feeding the first 8 bytes
@@ -15,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,11 +33,16 @@ from typing import Sequence
 from .errors import IsolatedNodeError
 from .graph import NodeId, PropertyGraph
 
-logger = logging.getLogger(__name__)
+# Allowed range of the return (p) and in-out (q) parameters; it bounds the
+# expected number of rejection trials per step by P_Q_MAX / P_Q_MIN = 100.
+P_Q_MIN = 0.1
+P_Q_MAX = 10.0
 
-# Above this many precomputed table entries (sum of squared degrees) the
-# sampler falls back to computing step distributions on the fly.
-DEFAULT_MAX_ALIAS_ENTRIES = 2_000_000
+
+def _check_p_q(p: float, q: float) -> None:
+    if not (P_Q_MIN <= p <= P_Q_MAX and P_Q_MIN <= q <= P_Q_MAX):
+        raise ValueError(f"p and q must lie in [{P_Q_MIN}, {P_Q_MAX}], "
+                         f"got p={p}, q={q}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +54,7 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.p > 0 and self.q > 0):
-            raise ValueError("p and q must be positive")
+        _check_p_q(self.p, self.q)
         if self.walk_length < 1:
             raise ValueError("walk_length must be >= 1")
         if self.walks_per_node < 1:
@@ -64,9 +77,11 @@ class AliasTable:
         k = len(probabilities)
         if k == 0:
             raise ValueError("cannot build an alias table over zero outcomes")
+        if not all(math.isfinite(p) and p >= 0 for p in probabilities):
+            raise ValueError("probabilities must be finite and non-negative")
         total = float(sum(probabilities))
-        if total <= 0:
-            raise ValueError("probabilities must sum to a positive value")
+        if not (0 < total < math.inf):
+            raise ValueError("probabilities must sum to a finite positive value")
         scaled = [p * k / total for p in probabilities]
         prob = [0.0] * k
         alias = list(range(k))
@@ -157,88 +172,57 @@ def transition_distribution(
 
 
 class WalkSampler:
-    """Sampling state for one (graph, p, q) triple.
+    """Rejection sampler for one (graph, p, q) triple.
 
-    Precomputes a first-step table per node and, memory permitting, one
-    table per directed (prev, curr) incidence. When the total table size
-    (sum of squared degrees) exceeds ``max_alias_entries`` the per-incidence
-    tables are skipped and steps fall back to an on-the-fly cumulative scan
-    over the exact distribution.
+    Keeps, per node with neighbors, its sorted neighbors, a first-order alias
+    table over their weights, and the neighbor-weight dict used to test
+    whether a candidate is adjacent to the previous node. ``step`` draws a
+    candidate from the table of ``curr`` and accepts it with probability
+    bias / upper, upper = max(1, 1/p, 1/q); accepted draws then follow
+    ``transition_distribution`` exactly. A step takes at most
+    upper / min(1, 1/p, 1/q) <= 100 draws in expectation for p and q in
+    [0.1, 10]; at p = q = 1 it takes one draw and no second uniform.
     """
 
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        p: float,
-        q: float,
-        max_alias_entries: int = DEFAULT_MAX_ALIAS_ENTRIES,
-        precompute_edges: bool | None = None,
-    ):
+    def __init__(self, graph: PropertyGraph, p: float, q: float):
         if len(graph) == 0:
             raise ValueError("graph is empty")
-        self.graph = graph
-        self.p = float(p)
-        self.q = float(q)
-        self.node_tables: dict[NodeId, tuple[tuple[NodeId, ...], AliasTable]] = {}
-        degrees: dict[NodeId, int] = {}
+        _check_p_q(p, q)
+        self.inv_p = 1.0 / p
+        self.inv_q = 1.0 / q
+        self.upper = max(1.0, self.inv_p, self.inv_q)
+        self.tables: dict[
+            NodeId, tuple[tuple[NodeId, ...], AliasTable, dict[NodeId, float]]
+        ] = {}
         for node_id in graph.node_ids():
             weights = graph.neighbor_weights(node_id)
-            degrees[node_id] = len(weights)
-            if not weights:
-                continue
-            neighbors = tuple(sorted(weights))
-            table = AliasTable.build([weights[x] for x in neighbors])
-            self.node_tables[node_id] = (neighbors, table)
-
-        entries = sum(d * d for d in degrees.values())
-        if precompute_edges is None:
-            precompute_edges = entries <= max_alias_entries
-        self.precomputed = precompute_edges
-        self.edge_tables: dict[
-            tuple[NodeId, NodeId], tuple[tuple[NodeId, ...], AliasTable]
-        ] = {}
-        if precompute_edges:
-            for curr in graph.node_ids():
-                for prev in graph.neighbors(curr):
-                    dist = transition_distribution(graph, prev, curr, p, q)
-                    neighbors = tuple(x for x, _ in dist)
-                    table = AliasTable.build([pr for _, pr in dist])
-                    self.edge_tables[(prev, curr)] = (neighbors, table)
-        else:
-            logger.info(
-                "alias precomputation skipped (%d entries > cap %d); "
-                "sampling on the fly", entries, max_alias_entries,
-            )
+            if weights:
+                neighbors = tuple(sorted(weights))
+                table = AliasTable.build([weights[x] for x in neighbors])
+                self.tables[node_id] = (neighbors, table, weights)
 
     def has_neighbors(self, node_id: NodeId) -> bool:
-        return node_id in self.node_tables
+        return node_id in self.tables
 
     def first_step(self, curr: NodeId, rng) -> NodeId:
-        neighbors, table = self.node_tables[curr]
+        neighbors, table, _ = self.tables[curr]
         return neighbors[table.draw(rng)]
 
     def step(self, prev: NodeId, curr: NodeId, rng) -> NodeId:
-        if self.precomputed:
-            neighbors, table = self.edge_tables[(prev, curr)]
-            return neighbors[table.draw(rng)]
-        dist = transition_distribution(self.graph, prev, curr, self.p, self.q)
-        u = rng.random()
-        cumulative = 0.0
-        for node_id, probability in dist:
-            cumulative += probability
-            if u < cumulative:
-                return node_id
-        return dist[-1][0]
-
-
-def precompute_aliases(
-    graph: PropertyGraph,
-    p: float,
-    q: float,
-    max_alias_entries: int = DEFAULT_MAX_ALIAS_ENTRIES,
-) -> WalkSampler:
-    """Build the edge-indexed alias table collection for (graph, p, q)."""
-    return WalkSampler(graph, p, q, max_alias_entries=max_alias_entries)
+        neighbors, table, _ = self.tables[curr]
+        around_prev = self.tables[prev][2]
+        upper = self.upper
+        while True:
+            x = neighbors[table.draw(rng)]
+            if x == prev:
+                bias = self.inv_p
+            elif x in around_prev:
+                bias = 1.0
+            else:
+                bias = self.inv_q
+            # rng.random() * upper < upper always holds, so skip that draw.
+            if bias == upper or rng.random() * upper < bias:
+                return x
 
 
 # ---------------------------------------------------------------------------

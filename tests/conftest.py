@@ -136,6 +136,8 @@ SMALL_GRAPHS = [
     ]),
 ]
 
+P_Q_GRID = [(1.0, 1.0), (0.5, 2.0), (4.0, 0.25), (2.0, 0.5), (0.25, 4.0)]
+
 
 def graph_from_edges(nodes, edge_list) -> PropertyGraph:
     graph = PropertyGraph()

@@ -27,6 +27,7 @@ from bimvec.walks import (
 )
 
 from conftest import (
+    P_Q_GRID,
     SMALL_GRAPHS,
     build_two_space_graph,
     graph_from_edges,
@@ -35,9 +36,6 @@ from conftest import (
 from test_sgns import finite_difference, reference_loss
 from test_store import make_matrix
 from test_temporal import CELL_A, CELL_B, move_fixes, two_cell_base
-
-P_Q_GRID = [(1.0, 1.0), (0.5, 2.0), (4.0, 0.25), (2.0, 0.5), (0.25, 4.0)]
-
 
 # ---------------------------------------------------------------------------
 # criterion 1: transition oracle equivalence

@@ -319,6 +319,25 @@ def test_embed_dump_walks(runner, data_dir, tmp_path):
     assert set(walks[0].split()) <= node_ids
 
 
+def test_embed_inf_edge_weight_exits_3(runner, tmp_path):
+    graph_file = tmp_path / "graph.tsv"
+    graph_file.write_text("N\ta\tN\t{}\nN\tb\tN\t{}\n"
+                          "N\tc\tN\t{}\nE\ta\tb\tE\t1.0\t{}\n"
+                          "E\tb\tc\tE\tinf\t{}\n")
+    result = runner.invoke(main, ["embed", str(graph_file),
+                                  "--out", str(tmp_path / "emb")])
+    assert result.exit_code == 3, result.output
+    assert "finite" in result.output
+
+
+def test_embed_q_out_of_range_exits_3(runner, data_dir, tmp_path):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    result = runner.invoke(main, ["embed", str(graph_file), "--out",
+                                  str(tmp_path / "emb"), "--q", "0.05"])
+    assert result.exit_code == 3, result.output
+    assert "[0.1, 10.0]" in result.output
+
+
 def test_internal_invariant_maps_to_exit_4():
     from bimvec.cli import _command
     from bimvec.errors import InternalInvariantError

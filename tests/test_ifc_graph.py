@@ -12,7 +12,6 @@ from bimvec.ifc_graph import (
     DEFAULT_RELATION_RULES,
     attach_properties,
     build_graph,
-    subgraph,
 )
 from bimvec.step_parser import parse_step
 
@@ -149,19 +148,19 @@ def _triangle_with_labels() -> PropertyGraph:
 
 def test_subgraph_single_label():
     graph = _triangle_with_labels()
-    result = subgraph(graph, {"B"})
+    result = graph.subgraph({"B"})
     assert len(result) == 1
     assert result.edge_count == 0
 
 
 def test_subgraph_all_labels_is_identity():
     graph = _triangle_with_labels()
-    assert subgraph(graph, {"A", "B"}).equals(graph)
+    assert graph.subgraph({"A", "B"}).equals(graph)
 
 
 def test_subgraph_keeps_edges_with_both_endpoints():
     graph = _triangle_with_labels()
-    result = subgraph(graph, {"A"})
+    result = graph.subgraph({"A"})
     assert len(result) == 2
     assert [e.endpoints for e in result.edges()] == [("1", "2")]
 

@@ -12,7 +12,6 @@ from bimvec.sgns import (
     NegativeSampler,
     TrainConfig,
     initial_vectors,
-    negative_sampler,
     pair_loss_and_grads,
     train,
 )
@@ -83,21 +82,21 @@ def test_gradients_with_no_negatives():
 # ---------------------------------------------------------------------------
 
 def test_sampler_symmetric_counts():
-    sampler = negative_sampler([1, 1], seed=5)
+    sampler = NegativeSampler([1, 1], seed=5)
     draws = sampler.sample(100000)
     assert (draws == 0).mean() == pytest.approx(0.5, abs=0.01)
 
 
 def test_sampler_three_quarter_power():
     # 16^0.75 = 8, so probabilities are [1/9, 8/9]
-    sampler = negative_sampler([1, 16], seed=5)
+    sampler = NegativeSampler([1, 16], seed=5)
     draws = sampler.sample(100000)
     assert (draws == 0).mean() == pytest.approx(1 / 9, abs=0.01)
     assert (draws == 1).mean() == pytest.approx(8 / 9, abs=0.01)
 
 
 def test_sampler_never_draws_zero_count():
-    sampler = negative_sampler([0, 3], seed=5)
+    sampler = NegativeSampler([0, 3], seed=5)
     draws = sampler.sample(50000)
     assert not (draws == 0).any()
 

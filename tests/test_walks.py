@@ -1,5 +1,5 @@
 """Walk engine tests: bias rule against hand-derived values, alias table
-reconstruction, and corpus determinism."""
+reconstruction, rejection-sampler fidelity, and corpus determinism."""
 
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ from bimvec.walks import (
     WalkConfig,
     WalkSampler,
     generate_walks,
-    precompute_aliases,
     transition_distribution,
 )
 
-from conftest import SMALL_GRAPHS, graph_from_edges, make_path, make_triangle
+from conftest import P_Q_GRID, SMALL_GRAPHS, graph_from_edges, make_path, make_triangle
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +84,16 @@ def test_unit_p_q_reduces_to_first_order():
                 assert probability == pytest.approx(first_order[node], abs=1e-12)
 
 
+def test_add_edge_rejects_non_finite_weight():
+    graph = PropertyGraph()
+    graph.add_node("a", "N")
+    graph.add_node("b", "N")
+    for bad in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            graph.add_edge("a", "b", "E", bad)
+    assert graph.edge_count == 0
+
+
 def test_parallel_edges_sum_weights():
     graph = PropertyGraph()
     for name in "ab":
@@ -126,50 +135,37 @@ def test_alias_reconstruction_property(weights):
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_precomputed_tables_match_transition_distribution():
-    graph = make_triangle()
-    sampler = precompute_aliases(graph, 0.5, 2.0)
-    for (prev, curr), (neighbors, table) in sampler.edge_tables.items():
-        expected = dict(transition_distribution(graph, prev, curr, 0.5, 2.0))
-        reconstructed = table.outcome_probabilities()
-        for node, probability in zip(neighbors, reconstructed):
-            assert probability == pytest.approx(expected[node], abs=1e-12)
-    for curr, (neighbors, table) in sampler.node_tables.items():
-        expected = dict(transition_distribution(graph, None, curr, 0.5, 2.0))
-        for node, probability in zip(neighbors, table.outcome_probabilities()):
-            assert probability == pytest.approx(expected[node], abs=1e-12)
+def test_alias_rejects_non_finite_and_negative():
+    for bad in ([1.0, float("inf"), 2.0], [1.0, float("nan")], [1.0, -0.5, 2.0],
+                [1e308, 1e308]):
+        with pytest.raises(ValueError):
+            AliasTable.build(bad)
 
+
+# ---------------------------------------------------------------------------
+# WalkSampler
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,nodes,edge_list", SMALL_GRAPHS)
 def test_alias_sampling_close_to_exact_on_all_pairs(name, nodes, edge_list):
-    """Every (prev, curr) table: empirical vs exact within TV 0.02."""
-    import numpy as np
-
+    """Sampler draws for every first step and every (prev, curr) pair, at
+    every P_Q_GRID pair: empirical vs exact within TV 0.02."""
     graph = graph_from_edges(nodes, edge_list)
-    sampler = precompute_aliases(graph, 0.5, 2.0)
-    rng = np.random.default_rng(13)
-    draws = 100_000
-    tables = list(sampler.edge_tables.items())
-    tables += [((None, curr), entry) for curr, entry in sampler.node_tables.items()]
-    for (prev, curr), (neighbors, table) in tables:
-        exact = dict(transition_distribution(graph, prev, curr, 0.5, 2.0))
-        samples = table.sample_many(rng, draws)
-        counts = np.bincount(samples, minlength=len(neighbors))
-        tv = 0.5 * sum(
-            abs(counts[i] / draws - exact[node])
-            for i, node in enumerate(neighbors)
-        )
-        assert tv <= 0.02, (name, prev, curr, tv)
-
-
-def test_on_the_fly_fallback_matches_distribution():
-    graph = make_triangle()
-    sampler = WalkSampler(graph, 0.5, 2.0, max_alias_entries=0)
-    assert not sampler.precomputed
-    rng = random.Random(42)
-    draws = Counter(sampler.step("a", "b", rng) for _ in range(20000))
-    assert draws["a"] / 20000 == pytest.approx(2 / 3, abs=0.02)
-    assert draws["c"] / 20000 == pytest.approx(1 / 3, abs=0.02)
+    draws = 20_000
+    for p, q in P_Q_GRID:
+        sampler = WalkSampler(graph, p, q)
+        rng = random.Random(13)
+        for curr in graph.node_ids():
+            for prev in [None] + graph.neighbors(curr):
+                if prev is None:
+                    counts = Counter(sampler.first_step(curr, rng) for _ in range(draws))
+                else:
+                    counts = Counter(sampler.step(prev, curr, rng) for _ in range(draws))
+                exact = dict(transition_distribution(graph, prev, curr, p, q))
+                assert set(counts) <= set(exact), (name, p, q, prev, curr)
+                tv = 0.5 * sum(abs(counts[x] / draws - probability)
+                               for x, probability in exact.items())
+                assert tv <= 0.02, (name, p, q, prev, curr, tv)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +241,13 @@ def test_config_validation():
         WalkConfig(p=0.0)
     with pytest.raises(ValueError):
         WalkConfig(walk_length=0)
+
+
+def test_p_q_range():
+    for p, q in ((0.05, 1.0), (1.0, 20.0)):
+        with pytest.raises(ValueError, match=r"\[0\.1, 10\.0\]"):
+            WalkConfig(p=p, q=q)
+        with pytest.raises(ValueError, match=r"\[0\.1, 10\.0\]"):
+            WalkSampler(make_triangle(), p, q)
+    assert WalkConfig(p=0.1, q=10.0).q == 10.0
+    assert WalkConfig(p=10.0, q=0.1).p == 10.0
