@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -125,9 +126,42 @@ def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
 # ---------------------------------------------------------------------------
 
 def _load_sensor_manifest(path) -> tuple[list[dict], list[dict]]:
+    """Read ``{"sensors": [...], "anchors": [...]}``. Every entry must be an
+    object with its id key (``id`` or ``entity_id``), ``space_id`` and a
+    ``position`` of two finite numbers; ``radius``, if given, is finite too.
+    Positions come back as float tuples."""
     with open(path, "r", encoding="utf-8") as fp:
         manifest = json.load(fp)
-    return manifest.get("sensors", []), manifest.get("anchors", [])
+    if not isinstance(manifest, dict):
+        raise BimvecError(f"{path}: sensor manifest must be a JSON object")
+    sections = []
+    for section, id_key in (("sensors", "id"), ("anchors", "entity_id")):
+        records = manifest.get(section, [])
+        if not isinstance(records, list):
+            raise BimvecError(f"{path}: {section!r} must be a list")
+        for index, record in enumerate(records):
+            where = f"{path}: {section}[{index}]"
+            if not isinstance(record, dict):
+                raise BimvecError(f"{where} must be an object")
+            for key in (id_key, "space_id", "position"):
+                if key not in record:
+                    raise BimvecError(f"{where} has no {key!r}")
+            position = record["position"]
+            if not isinstance(position, list) or len(position) != 2:
+                raise BimvecError(f"{where}: position must be [x, y]")
+            record["position"] = tuple(
+                _finite(value, f"{where}: position") for value in position)
+            if "radius" in record:
+                _finite(record["radius"], f"{where}: radius")
+        sections.append(records)
+    return sections[0], sections[1]
+
+
+def _finite(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise BimvecError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @main.command("graph")
@@ -168,12 +202,12 @@ def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
             node_id = temporal.sensor_node_id(str(record["id"]))
             graph.add_node(node_id, SENSOR_LABEL, {
                 "space": space.space_node,
-                "x": float(record["position"][0]),
-                "y": float(record["position"][1]),
+                "x": record["position"][0],
+                "y": record["position"][1],
             })
             radius = _radius(record, cfg.sensor_radius, space.cell_size)
             space_grid.attach_fixed_node(
-                graph, space, node_id, tuple(record["position"]), radius,
+                graph, space, node_id, record["position"], radius,
                 strict=cfg.strict,
             )
         for record in anchors:
@@ -181,7 +215,7 @@ def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
             node_id = str(record["entity_id"])
             radius = _radius(record, cfg.sensor_radius, space.cell_size)
             space_grid.attach_fixed_node(
-                graph, space, node_id, tuple(record["position"]), radius,
+                graph, space, node_id, record["position"], radius,
                 strict=cfg.strict,
             )
 
@@ -293,7 +327,6 @@ def _load_temporal_store(store_dir) -> TemporalGraph:
 @click.option("--walk-seed", type=int, default=None)
 @click.option("--train-seed", type=int, default=None)
 @click.option("--workers", type=int, default=None)
-@click.option("--deterministic/--nondeterministic", default=None)
 @click.option("--dynamic-window/--fixed-window", default=None)
 @click.option("--dump-walks", is_flag=True, default=False)
 @click.pass_obj

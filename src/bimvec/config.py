@@ -41,7 +41,6 @@ class RunConfig:
     initial_lr: float = 0.025
     min_lr: float = 0.0001
     train_seed: int = 0
-    deterministic: bool = True
     dynamic_window: bool = True
     subsample_threshold: float = 0.0
     workers: int = 1
@@ -72,10 +71,8 @@ class RunConfig:
             initial_lr=self.initial_lr,
             min_lr=self.min_lr,
             seed=self.train_seed,
-            deterministic=self.deterministic,
             dynamic_window=self.dynamic_window,
             subsample_threshold=self.subsample_threshold,
-            workers=self.workers,
         )
 
     def relation_mapping(self) -> RelationMapping:

@@ -11,9 +11,8 @@ over total center-context pairs times epochs. The decay counter advances by
 each center's full-window pair count, so the schedule is identical whether
 dynamic window shrinking is on or off.
 
-Deterministic mode runs single-worker with seeded substreams and yields
-bit-identical embeddings for identical inputs; multi-worker mode updates
-shared vectors lock-free (races tolerated, statistically reproducible only).
+Training runs single-threaded, one seeded substream per (epoch, walk), and
+yields bit-identical embeddings for identical inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -51,16 +49,14 @@ class TrainConfig:
     initial_lr: float = 0.025
     min_lr: float = 0.0001
     seed: int = 0
-    deterministic: bool = True
     dynamic_window: bool = True
     subsample_threshold: float = 0.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.dimension < 1 or self.window < 1:
             raise ValueError("dimension and window must be >= 1")
-        if self.negatives < 1 or self.epochs < 1 or self.workers < 1:
-            raise ValueError("negatives, epochs and workers must be >= 1")
+        if self.negatives < 1 or self.epochs < 1:
+            raise ValueError("negatives and epochs must be >= 1")
         if not (self.initial_lr > 0) or self.min_lr < 0:
             raise ValueError("initial_lr must be > 0 and min_lr >= 0")
         if self.min_lr > self.initial_lr:
@@ -311,15 +307,8 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
             progress += full
         return loss_sum, pair_count
 
-    serial = cfg.deterministic or cfg.workers == 1
     for epoch in range(cfg.epochs):
-        if serial:
-            results = [train_walk(epoch, i) for i in range(len(walks))]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(
-                    lambda i: train_walk(epoch, i), range(len(walks)),
-                ))
+        results = [train_walk(epoch, i) for i in range(len(walks))]
         loss_total = sum(loss for loss, _ in results)
         pair_total = sum(pairs for _, pairs in results)
         matrix.epoch_losses.append(loss_total / max(pair_total, 1))

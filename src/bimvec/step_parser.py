@@ -7,6 +7,13 @@ typed values, nested aggregates, ``$`` and ``*`` markers) and reports
 positioned errors for anything it cannot read. ``\\X\\``/``\\S\\`` control
 directives inside strings are passed through verbatim.
 
+One compiled regex tokenizes the text as a stream. Filler between tokens is
+exactly space, tab, CR, LF and ``/* */`` comments; any other character there,
+such as a form feed or a non-ASCII letter, is an error. Outside strings and
+comments the tokens are ASCII: keywords ``[A-Za-z_][A-Za-z0-9_-]*`` and digits
+``0-9``. Tokens carry character offsets; the 1-based line and column of an
+error are computed from its offset only when the error is raised.
+
 Complex entity instances (``#id=(A(...) B(...));``) are not supported and
 raise a positioned :class:`~bimvec.errors.StepSyntaxError`.
 """
@@ -114,164 +121,76 @@ class StepModel:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Tokenizer
 # ---------------------------------------------------------------------------
 
-_KIND_EOF = "eof"
-_KIND_KEYWORD = "keyword"
-_KIND_STRING = "string"
-_KIND_ENUM = "enum"
-_KIND_INT = "int"
-_KIND_REAL = "real"
-_KIND_REF = "ref"
-_KIND_PUNCT = "punct"  # one of ( ) , ; = $ *
+# One alternative per token kind; ``error`` catches the first character of
+# anything else. The string pattern has no backtracking path that could close
+# a string early, so ``'ab''`` at end of input stays unterminated.
+_TOKEN_RE = re.compile(r"""
+    (?P<filler>(?:[ \t\r\n]|/\*.*?\*/)+)
+  | (?P<punct>[(),;=$*])
+  | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+  | (?P<ref>\#[0-9]+)
+  | (?P<enum>\.[A-Za-z0-9_]+\.)
+  | (?P<number>[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)
+  | (?P<keyword>[A-Za-z_][A-Za-z0-9_-]*)
+  | (?P<error>.)
+""", re.VERBOSE | re.DOTALL)
+
+_LEX_ERRORS = {
+    "'": "unterminated string",
+    "#": "expected digits after '#'",
+    ".": "malformed enumeration token",
+}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    column: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset, computed only when an
+    error is reported."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Lexer:
-    """Single-pass tokenizer with 1-based line/column tracking."""
+def _syntax_error(text: str, message: str, offset: int) -> StepSyntaxError:
+    return StepSyntaxError(message, *_position(text, offset))
 
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
-    def _error(self, message: str, line: int | None = None, col: int | None = None):
-        raise StepSyntaxError(
-            message, line if line is not None else self._line,
-            col if col is not None else self._col,
-        )
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._pos >= len(self._text):
-                return
-            if self._text[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
+def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
+    """Yield ``(kind, value, offset)`` for each token, then ``("eof", None,
+    len(text))``. A punctuation character is its own kind; keywords and
+    enumeration names are upper-cased and strings unescaped."""
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "filler":
+            continue
+        token = match.group()
+        offset = match.start()
+        if kind == "punct":
+            yield token, token, offset
+        elif kind == "keyword":
+            yield kind, token.upper(), offset
+        elif kind == "ref":
+            entity_id = int(token[1:])
+            if entity_id == 0:
+                raise _syntax_error(text, "entity id must be positive", offset)
+            yield kind, entity_id, offset
+        elif kind == "number":
+            if token[-1] in "eE+-":
+                raise _syntax_error(text, "malformed real exponent", offset)
+            if "." in token or "e" in token or "E" in token:
+                yield kind, float(token), offset
             else:
-                self._col += 1
-            self._pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self._pos + offset
-        return self._text[i] if i < len(self._text) else ""
-
-    def _skip_filler(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._text[self._pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._text[self._pos] == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    self._error("unterminated comment", start_line, start_col)
-            else:
-                return
-
-    def next_token(self) -> _Token:
-        self._skip_filler()
-        line, col = self._line, self._col
-        if self._pos >= len(self._text):
-            return _Token(_KIND_EOF, None, line, col)
-        ch = self._text[self._pos]
-
-        if ch in "(),;=$*":
-            self._advance()
-            return _Token(_KIND_PUNCT, ch, line, col)
-
-        if ch == "'":
-            return self._lex_string(line, col)
-
-        if ch == "#":
-            self._advance()
-            digits = self._take_while(str.isdigit)
-            if not digits:
-                self._error("expected digits after '#'", line, col)
-            entity_id = int(digits)
-            if entity_id <= 0:
-                self._error("entity id must be positive", line, col)
-            return _Token(_KIND_REF, entity_id, line, col)
-
-        if ch == ".":
-            self._advance()
-            name = self._take_while(lambda c: c.isalnum() or c == "_")
-            if not name or self._peek() != ".":
-                self._error("malformed enumeration token", line, col)
-            self._advance()
-            return _Token(_KIND_ENUM, name.upper(), line, col)
-
-        if ch.isdigit() or (ch in "+-" and self._peek(1).isdigit()):
-            return self._lex_number(line, col)
-
-        if ch.isalpha() or ch == "_":
-            word = self._take_while(lambda c: c.isalnum() or c in "_-")
-            return _Token(_KIND_KEYWORD, word.upper(), line, col)
-
-        self._error(f"unexpected character {ch!r}", line, col)
-        raise AssertionError("unreachable")
-
-    def _take_while(self, predicate) -> str:
-        start = self._pos
-        while self._pos < len(self._text) and predicate(self._text[self._pos]):
-            self._advance()
-        return self._text[start:self._pos]
-
-    def _lex_string(self, line: int, col: int) -> _Token:
-        # '' decodes to a single quote; backslash control directives pass
-        # through verbatim.
-        self._advance()
-        parts: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                self._error("unterminated string", line, col)
-            ch = self._text[self._pos]
-            if ch == "'":
-                if self._peek(1) == "'":
-                    parts.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return _Token(_KIND_STRING, "".join(parts), line, col)
-            parts.append(ch)
-            self._advance()
-
-    def _lex_number(self, line: int, col: int) -> _Token:
-        start = self._pos
-        if self._peek() in "+-":
-            self._advance()
-        self._take_while(str.isdigit)
-        is_real = False
-        if self._peek() == ".":
-            is_real = True
-            self._advance()
-            self._take_while(str.isdigit)
-        if self._peek() in "eE":
-            is_real = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            exponent = self._take_while(str.isdigit)
-            if not exponent:
-                self._error("malformed real exponent", line, col)
-        text = self._text[start:self._pos]
-        if is_real:
-            return _Token(_KIND_REAL, float(text), line, col)
-        return _Token(_KIND_INT, int(text), line, col)
+                yield kind, int(token), offset
+        elif kind == "string":
+            yield kind, token[1:-1].replace("''", "'"), offset
+        elif kind == "enum":
+            yield kind, token[1:-1].upper(), offset
+        elif text.startswith("/*", offset):
+            raise _syntax_error(text, "unterminated comment", offset)
+        else:
+            message = _LEX_ERRORS.get(token, f"unexpected character {token!r}")
+            raise _syntax_error(text, message, offset)
+    yield "eof", None, len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -279,195 +198,145 @@ class _Lexer:
 # ---------------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the token stream with one token of lookahead
+    (``_kind``, ``_value``, ``_offset``)."""
+
     def __init__(self, text: str):
-        self._lexer = _Lexer(text)
-        self._current = self._lexer.next_token()
+        self._text = text
+        self._tokens = _tokenize(text)
+        self._value = None
+        self._advance()
 
-    def _advance(self) -> _Token:
-        token = self._current
-        self._current = self._lexer.next_token()
-        return token
+    def _advance(self):
+        """Move to the next token and return the value of the current one."""
+        value = self._value
+        self._kind, self._value, self._offset = next(self._tokens)
+        return value
 
-    def _expect_punct(self, char: str) -> _Token:
-        token = self._current
-        if token.kind != _KIND_PUNCT or token.value != char:
-            raise StepSyntaxError(
-                f"expected {char!r}, found {self._describe(token)}",
-                token.line, token.column,
-            )
-        return self._advance()
+    def _error(self, message: str) -> StepSyntaxError:
+        return _syntax_error(self._text, message, self._offset)
 
-    def _expect_keyword(self, word: str) -> _Token:
-        token = self._current
-        if token.kind != _KIND_KEYWORD or token.value != word:
-            raise StepSyntaxError(
-                f"expected {word}, found {self._describe(token)}",
-                token.line, token.column,
-            )
-        return self._advance()
-
-    @staticmethod
-    def _describe(token: _Token) -> str:
-        if token.kind == _KIND_EOF:
+    def _describe(self) -> str:
+        if self._kind == "eof":
             return "end of input"
-        return repr(token.value)
+        return repr(self._value)
+
+    def _accept(self, keyword: str) -> bool:
+        """Consume ``KEYWORD;`` if the current token is ``keyword``."""
+        if self._kind != "keyword" or self._value != keyword:
+            return False
+        self._advance()
+        self._expect(";")
+        return True
+
+    def _expect(self, char: str) -> None:
+        if self._kind != char:
+            raise self._error(f"expected {char!r}, found {self._describe()}")
+        self._advance()
 
     def parse_file(self) -> StepModel:
-        first = self._current
-        if first.kind != _KIND_KEYWORD or first.value != "ISO-10303-21":
-            raise MalformedFileError(
-                "missing ISO-10303-21 sentinel at start of file"
-            )
-        self._advance()
-        self._expect_punct(";")
+        if not self._accept("ISO-10303-21"):
+            raise MalformedFileError("missing ISO-10303-21 sentinel at start of file")
 
         model = StepModel()
         saw_data = False
         while True:
-            token = self._current
-            if token.kind == _KIND_KEYWORD and token.value == "HEADER":
-                self._advance()
-                self._expect_punct(";")
+            if self._accept("HEADER"):
                 self._parse_header_section(model)
-            elif token.kind == _KIND_KEYWORD and token.value == "DATA":
-                self._advance()
-                self._expect_punct(";")
+            elif self._accept("DATA"):
                 self._parse_data_section(model)
                 saw_data = True
-            elif token.kind == _KIND_KEYWORD and token.value == "END-ISO-10303-21":
-                self._advance()
-                self._expect_punct(";")
+            elif self._accept("END-ISO-10303-21"):
                 break
-            elif token.kind == _KIND_EOF:
+            elif self._kind == "eof":
                 raise MalformedFileError("missing END-ISO-10303-21 sentinel")
             else:
-                raise StepSyntaxError(
-                    f"unexpected {self._describe(token)} at file level",
-                    token.line, token.column,
-                )
+                raise self._error(f"unexpected {self._describe()} at file level")
         if not saw_data:
             raise MalformedFileError("file has no DATA section")
-        trailing = self._current
-        if trailing.kind != _KIND_EOF:
-            raise StepSyntaxError(
-                f"unexpected {self._describe(trailing)} after end sentinel",
-                trailing.line, trailing.column,
-            )
+        if self._kind != "eof":
+            raise self._error(f"unexpected {self._describe()} after end sentinel")
         return model
 
     def _parse_header_section(self, model: StepModel) -> None:
-        while True:
-            token = self._current
-            if token.kind == _KIND_KEYWORD and token.value == "ENDSEC":
-                self._advance()
-                self._expect_punct(";")
-                return
-            if token.kind != _KIND_KEYWORD:
-                raise StepSyntaxError(
-                    f"expected header record, found {self._describe(token)}",
-                    token.line, token.column,
+        while not self._accept("ENDSEC"):
+            if self._kind != "keyword":
+                raise self._error(
+                    f"expected header record, found {self._describe()}"
                 )
-            keyword = self._advance().value
-            self._expect_punct("(")
+            keyword = self._advance()
+            self._expect("(")
             values = self._parse_value_list()
-            self._expect_punct(")")
-            self._expect_punct(";")
-            model.header[str(keyword)] = values
+            self._expect(")")
+            self._expect(";")
+            model.header[keyword] = values
 
     def _parse_data_section(self, model: StepModel) -> None:
-        while True:
-            token = self._current
-            if token.kind == _KIND_KEYWORD and token.value == "ENDSEC":
-                self._advance()
-                self._expect_punct(";")
-                return
-            if token.kind != _KIND_REF:
-                raise StepSyntaxError(
-                    f"expected '#' instance record, found {self._describe(token)}",
-                    token.line, token.column,
+        while not self._accept("ENDSEC"):
+            if self._kind != "ref":
+                raise self._error(
+                    f"expected '#' instance record, found {self._describe()}"
                 )
-            ref_token = self._advance()
-            entity_id = int(ref_token.value)
-            self._expect_punct("=")
-            type_token = self._current
-            if type_token.kind == _KIND_PUNCT and type_token.value == "(":
-                raise StepSyntaxError(
-                    "complex entity instances are not supported",
-                    type_token.line, type_token.column,
-                )
-            if type_token.kind != _KIND_KEYWORD:
-                raise StepSyntaxError(
-                    f"expected entity type, found {self._describe(type_token)}",
-                    type_token.line, type_token.column,
-                )
-            type_name = str(self._advance().value)
+            ref_offset = self._offset
+            entity_id = self._advance()
+            self._expect("=")
+            if self._kind == "(":
+                raise self._error("complex entity instances are not supported")
+            if self._kind != "keyword":
+                raise self._error(f"expected entity type, found {self._describe()}")
+            type_offset = self._offset
+            type_name = self._advance()
             if not _TYPE_NAME_RE.fullmatch(type_name):
-                raise StepSyntaxError(
-                    f"invalid entity type name {type_name!r}",
-                    type_token.line, type_token.column,
-                )
-            self._expect_punct("(")
+                raise _syntax_error(self._text,
+                                    f"invalid entity type name {type_name!r}",
+                                    type_offset)
+            self._expect("(")
             attributes = self._parse_value_list()
-            self._expect_punct(")")
-            self._expect_punct(";")
+            self._expect(")")
+            self._expect(";")
             if entity_id in model.entities:
+                line, column = _position(self._text, ref_offset)
                 raise DuplicateIdError(
                     f"duplicate entity id #{entity_id} "
-                    f"(line {ref_token.line}, column {ref_token.column})"
+                    f"(line {line}, column {column})"
                 )
             model.entities[entity_id] = StepEntity(entity_id, type_name, attributes)
 
     def _parse_value_list(self) -> list:
-        values: list = []
-        token = self._current
-        if token.kind == _KIND_PUNCT and token.value == ")":
-            return values
-        while True:
+        if self._kind == ")":
+            return []
+        values = [self._parse_value()]
+        while self._kind == ",":
+            self._advance()
             values.append(self._parse_value())
-            token = self._current
-            if token.kind == _KIND_PUNCT and token.value == ",":
-                self._advance()
-                continue
-            return values
+        return values
 
     def _parse_value(self) -> StepValue:
-        token = self._current
-        if token.kind == _KIND_INT:
-            self._advance()
-            return int(token.value)
-        if token.kind == _KIND_REAL:
-            self._advance()
-            return float(token.value)
-        if token.kind == _KIND_STRING:
-            self._advance()
-            return str(token.value)
-        if token.kind == _KIND_ENUM:
-            self._advance()
-            return EnumToken(str(token.value))
-        if token.kind == _KIND_REF:
-            self._advance()
-            return EntityRef(int(token.value))
-        if token.kind == _KIND_PUNCT and token.value == "$":
+        kind = self._kind
+        if kind == "number" or kind == "string":
+            return self._advance()
+        if kind == "ref":
+            return EntityRef(self._advance())
+        if kind == "enum":
+            return EnumToken(self._advance())
+        if kind == "$":
             self._advance()
             return None
-        if token.kind == _KIND_PUNCT and token.value == "*":
+        if kind == "*":
             self._advance()
             return DERIVED
-        if token.kind == _KIND_PUNCT and token.value == "(":
+        if kind == "(":
             self._advance()
             values = self._parse_value_list()
-            self._expect_punct(")")
+            self._expect(")")
             return values
-        if token.kind == _KIND_KEYWORD:
-            type_name = str(self._advance().value)
-            self._expect_punct("(")
+        if kind == "keyword":
+            type_name = self._advance()
+            self._expect("(")
             inner = self._parse_value()
-            self._expect_punct(")")
+            self._expect(")")
             return TypedValue(type_name, inner)
-        raise StepSyntaxError(
-            f"expected a value, found {self._describe(token)}",
-            token.line, token.column,
-        )
+        raise self._error(f"expected a value, found {self._describe()}")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class SensorReading:
             raise ValueError("timestamp must be non-negative")
         if not self.channel:
             raise ValueError("channel must be non-empty")
+        if not math.isfinite(self.value):
+            raise ValueError(f"reading value must be finite, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class OccupantFix:
     def __post_init__(self):
         if self.timestamp < 0:
             raise ValueError("timestamp must be non-negative")
+        if not all(math.isfinite(c) for c in self.position):
+            raise ValueError(f"fix position must be finite, got {self.position!r}")
         if self.feedback is not None and self.feedback not in FEEDBACK_ENCODING:
             raise ValueError(f"unknown feedback value {self.feedback!r}")
 
@@ -217,12 +221,6 @@ class TensorExport:
 
     manifest: dict
     records: list[tuple[int, int, int, float]]
-
-    def write_records_csv(self, fp) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["t", "i", "j", "w"])
-        for record in self.records:
-            writer.writerow([record[0], record[1], record[2], repr(record[3])])
 
 
 def adjacency_tensor(tg: TemporalGraph) -> TensorExport:

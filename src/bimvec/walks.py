@@ -275,6 +275,8 @@ def generate_walks(
     The corpus is bit-identical for any ``workers`` value because walks are
     generated on independent substreams and assembled in a fixed order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if sampler is None:
         sampler = WalkSampler(graph, cfg.p, cfg.q)
     tasks = [

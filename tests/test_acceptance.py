@@ -294,7 +294,7 @@ def test_criterion_8_end_to_end_determinism(data_dir, tmp_path):
             "--dimension", "8", "--window", "4", "--epochs", "2",
             "--walk-length", "10", "--walks-per-node", "2",
             "--walk-seed", "7", "--train-seed", "7",
-            "--workers", str(workers), "--deterministic",
+            "--workers", str(workers),
         ])
         assert result.exit_code == 0, result.output
         return ((out_dir / "checkpoint.bin").read_bytes(),

@@ -115,6 +115,38 @@ def test_graph_unknown_footprint_space_exits_3(runner, data_dir, tmp_path):
     assert result.exit_code == 3
 
 
+_GOOD_SENSOR = {"id": "s1", "space_id": 5, "position": [3.0, 3.0]}
+
+
+@pytest.mark.parametrize("manifest", [
+    {"sensors": [{"id": "s1", "space_id": 5}]},
+    {"sensors": ["oops"]},
+    [_GOOD_SENSOR],
+    {"sensors": [{"space_id": 5, "position": [3.0, 3.0]}]},
+    {"sensors": [{"id": "s1", "position": [3.0, 3.0]}]},
+    {"anchors": [{"space_id": 5, "position": [0.5, 3.0]}]},
+    {"sensors": [{**_GOOD_SENSOR, "position": [3.0]}]},
+    {"sensors": [{**_GOOD_SENSOR, "position": [3.0, float("nan")]}]},
+    {"sensors": [{**_GOOD_SENSOR, "position": ["3", 3.0]}]},
+    {"sensors": [{**_GOOD_SENSOR, "radius": [2.0]}]},
+    {"sensors": {"s1": _GOOD_SENSOR}},
+], ids=["no-position", "non-object", "top-level-array", "no-id", "no-space-id",
+        "no-entity-id", "short-position", "nan-position", "string-coordinate",
+        "list-radius", "sensors-not-a-list"])
+def test_graph_bad_sensor_manifest_exits_3(runner, data_dir, tmp_path, manifest):
+    sensors = tmp_path / "sensors.json"
+    sensors.write_text(json.dumps(manifest))
+    out = tmp_path / "graph.tsv"
+    result = runner.invoke(main, [
+        "graph", str(data_dir / "two_space.ifc"),
+        "--footprints", str(data_dir / "two_space.footprints.json"),
+        "--sensors", str(sensors), "--out", str(out), "--cell-size", "2.0",
+    ])
+    assert result.exit_code == 3, result.output
+    assert "error:" in result.output
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # snapshot
 # ---------------------------------------------------------------------------
@@ -139,6 +171,26 @@ def test_snapshot_writes_store(runner, data_dir, tmp_path):
     assert (store_dir / "base.tsv").exists()
     for index in range(manifest["T"]):
         assert (store_dir / "snapshots" / f"{index:06d}.tsv").exists()
+
+
+@pytest.mark.parametrize("option,rows", [
+    ("--readings", "timestamp,sensor_id,channel,value\n0,s1,temperature,nan\n"),
+    ("--readings", "timestamp,sensor_id,channel,value\n0,s1,temperature,inf\n"),
+    ("--fixes", "timestamp,occupant_id,space_id,x,y\n0,alice,5,1.0,inf\n"),
+], ids=["nan-reading", "inf-reading", "inf-fix"])
+def test_snapshot_non_finite_input_exits_3(runner, data_dir, tmp_path,
+                                           option, rows):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    source = tmp_path / "input.csv"
+    source.write_text(rows)
+    store_dir = tmp_path / "store"
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file), option, str(source),
+        "--out", str(store_dir), "--step", "300",
+    ])
+    assert result.exit_code == 3, result.output
+    assert "finite" in result.output
+    assert not store_dir.exists()
 
 
 # ---------------------------------------------------------------------------

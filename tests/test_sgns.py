@@ -159,7 +159,7 @@ def test_epoch_loss_decreases_on_barbell():
 
 def test_training_is_bit_deterministic():
     corpus = _barbell_corpus()
-    cfg = TrainConfig(dimension=8, window=4, epochs=2, seed=9, deterministic=True)
+    cfg = TrainConfig(dimension=8, window=4, epochs=2, seed=9)
     first = train(corpus, cfg)
     second = train(corpus, cfg)
     assert np.array_equal(first.vectors, second.vectors)

@@ -126,6 +126,28 @@ def test_unbalanced_parentheses_position():
     assert (exc_info.value.line, exc_info.value.column) == (3, 17)
 
 
+_HEAD = "ISO-10303-21;\nDATA;\n"
+
+
+@pytest.mark.parametrize("text,message,position", [
+    (wrap("#1=IFCX(0);\n  /* never closed"), "unterminated comment", (7, 3)),
+    (wrap("#1=IFCX(#);"), "expected digits after '#'", (6, 9)),
+    (wrap("#1=IFCX(#0);"), "entity id must be positive", (6, 9)),
+    (wrap("#1=IFCX(.T,1);"), "malformed enumeration token", (6, 9)),
+    (wrap("#1=IFCX(1.5E);"), "malformed real exponent", (6, 9)),
+    (wrap("#1=IFCX(0,\f1);"), "unexpected character '\\x0c'", (6, 11)),
+    (_HEAD + "#1=IFCX('ab''", "unterminated string", (3, 9)),
+    (wrap("#1=IFCX('one\ntwo',\n/* three\nfour */ 5 ?);"),
+     "unexpected character '?'", (9, 11)),
+], ids=["comment", "hash", "hash-zero", "enum", "exponent", "form-feed",
+        "quote-at-end", "multi-line"])
+def test_lexical_error_positions(text, message, position):
+    with pytest.raises(StepSyntaxError) as exc_info:
+        parse_step(text)
+    assert str(exc_info.value).startswith(message)
+    assert (exc_info.value.line, exc_info.value.column) == position
+
+
 def test_duplicate_id_rejected():
     with pytest.raises(DuplicateIdError):
         parse_step(wrap("#1=IFCX(0);\n#1=IFCY(1);"))

@@ -205,6 +205,11 @@ def test_corpus_bytes_identical_across_runs_and_workers(barbell_graph):
     assert first.to_text() == second.to_text() == threaded.to_text()
 
 
+def test_generate_walks_rejects_non_positive_workers(barbell_graph):
+    with pytest.raises(ValueError, match="workers"):
+        generate_walks(barbell_graph, WalkConfig(), workers=0)
+
+
 def test_walk_nodes_exist_and_lengths_bounded(two_space_graph):
     cfg = WalkConfig(walk_length=10, walks_per_node=2, seed=5)
     corpus = generate_walks(two_space_graph, cfg)
