@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import math
 import os
 import sys
 
@@ -125,45 +124,6 @@ def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
 # graph
 # ---------------------------------------------------------------------------
 
-def _load_sensor_manifest(path) -> tuple[list[dict], list[dict]]:
-    """Read ``{"sensors": [...], "anchors": [...]}``. Every entry must be an
-    object with its id key (``id`` or ``entity_id``), ``space_id`` and a
-    ``position`` of two finite numbers; ``radius``, if given, is finite too.
-    Positions come back as float tuples."""
-    with open(path, "r", encoding="utf-8") as fp:
-        manifest = json.load(fp)
-    if not isinstance(manifest, dict):
-        raise BimvecError(f"{path}: sensor manifest must be a JSON object")
-    sections = []
-    for section, id_key in (("sensors", "id"), ("anchors", "entity_id")):
-        records = manifest.get(section, [])
-        if not isinstance(records, list):
-            raise BimvecError(f"{path}: {section!r} must be a list")
-        for index, record in enumerate(records):
-            where = f"{path}: {section}[{index}]"
-            if not isinstance(record, dict):
-                raise BimvecError(f"{where} must be an object")
-            for key in (id_key, "space_id", "position"):
-                if key not in record:
-                    raise BimvecError(f"{where} has no {key!r}")
-            position = record["position"]
-            if not isinstance(position, list) or len(position) != 2:
-                raise BimvecError(f"{where}: position must be [x, y]")
-            record["position"] = tuple(
-                _finite(value, f"{where}: position") for value in position)
-            if "radius" in record:
-                _finite(record["radius"], f"{where}: radius")
-        sections.append(records)
-    return sections[0], sections[1]
-
-
-def _finite(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise BimvecError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
 @main.command("graph")
 @click.argument("ifc_path", type=click.Path(exists=True))
 @click.option("--footprints", "footprints_path", type=click.Path(exists=True),
@@ -196,27 +156,19 @@ def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
         spaces[space.space_node] = space
 
     if sensors_path:
-        sensors, anchors = _load_sensor_manifest(sensors_path)
-        for record in sensors:
-            space = _space_for(spaces, record)
-            node_id = temporal.sensor_node_id(str(record["id"]))
+        sensors, anchors = space_grid.load_sensor_manifest(sensors_path)
+        fixed = [(temporal.sensor_node_id(str(r["id"])), r) for r in sensors]
+        for node_id, record in fixed:
             graph.add_node(node_id, SENSOR_LABEL, {
-                "space": space.space_node,
+                "space": str(record["space_id"]),
                 "x": record["position"][0],
                 "y": record["position"][1],
             })
-            radius = _radius(record, cfg.sensor_radius, space.cell_size)
+        fixed += [(str(r["entity_id"]), r) for r in anchors]
+        for node_id, record in fixed:
             space_grid.attach_fixed_node(
-                graph, space, node_id, record["position"], radius,
-                strict=cfg.strict,
-            )
-        for record in anchors:
-            space = _space_for(spaces, record)
-            node_id = str(record["entity_id"])
-            radius = _radius(record, cfg.sensor_radius, space.cell_size)
-            space_grid.attach_fixed_node(
-                graph, space, node_id, record["position"], radius,
-                strict=cfg.strict,
+                graph, _space_for(spaces, record), node_id, record["position"],
+                record.get("radius", cfg.sensor_radius), strict=cfg.strict,
             )
 
     graph.validate()
@@ -232,12 +184,6 @@ def _space_for(spaces: dict, record: dict) -> space_grid.DiscretizedSpace:
         raise BimvecError(f"manifest references space {space_node!r} "
                           "with no footprint")
     return spaces[space_node]
-
-
-def _radius(record: dict, configured: float | None, cell_size: float) -> float:
-    if "radius" in record:
-        return float(record["radius"])
-    return configured if configured is not None else cell_size
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ class InvalidPolygonError(BimvecError):
     """A footprint polygon is degenerate or self-intersecting."""
 
 
+class GridError(BimvecError):
+    """A space's grid is too large, or differs from a graph's CELL nodes."""
+
+
 class NoCellInRangeError(BimvecError):
     """A position could not be matched to any grid cell."""
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    BimvecError,
+    GridError,
     InvalidPolygonError,
     NoCellInRangeError,
     UnknownNodeError,
@@ -28,6 +30,9 @@ logger = logging.getLogger(__name__)
 Point = tuple[float, float]
 
 _EPS = 1e-9
+# Most grid cells one space may have (100x a 10k-cell grid), checked before
+# any cell centre is visited.
+MAX_GRID_CELLS = 1_000_000
 
 CELL_LABEL = "CELL"
 ADJACENT_LABEL = "ADJACENT"
@@ -165,12 +170,27 @@ class DiscretizedSpace:
     footprint: Footprint
     cell_size: float
     cells: tuple[GridCell, ...]
-    adjacency: tuple[tuple[NodeId, NodeId], ...]
-    origin: Point  # bounding-box minimum corner that anchors the grid
 
     @property
     def space_node(self) -> NodeId:
         return self.footprint.space_node
+
+    @property
+    def origin(self) -> Point:
+        """Bounding-box minimum corner that anchors the grid."""
+        return self.footprint.bounds[:2]
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        """Rook neighbor pairs, each once."""
+        return self.neighbor_pairs(((1, 0), (0, 1)))
+
+    def neighbor_pairs(self, offsets) -> tuple[tuple[NodeId, NodeId], ...]:
+        """Pairs of kept cells ``offsets`` (row, col) apart, in cell order."""
+        return tuple(
+            (cell.id, other.id) for cell in self.cells for d_row, d_col in offsets
+            if (other := self.cell_at(cell.row + d_row, cell.col + d_col))
+        )
 
     def cell_at(self, row: int, col: int) -> GridCell | None:
         return self._by_rowcol.get((row, col))
@@ -190,16 +210,22 @@ def discretize(footprint: Footprint, cell_size: float) -> DiscretizedSpace:
     Zero kept cells is allowed (flagged as a degenerate footprint when the
     polygon area is below one cell).
     """
-    if not (cell_size > 0):
-        raise ValueError(f"cell_size must be positive, got {cell_size}")
+    if not (0 < cell_size < math.inf):
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     min_x, min_y, max_x, max_y = footprint.bounds
     if footprint.area < cell_size * cell_size:
         logger.warning(
             "degenerate footprint for %s: area %.3f below one %g m cell",
             footprint.space_node, footprint.area, cell_size,
         )
-    n_cols = max(1, math.ceil((max_x - min_x) / cell_size - _EPS))
-    n_rows = max(1, math.ceil((max_y - min_y) / cell_size - _EPS))
+    n_rows, n_cols = (
+        max(1, math.ceil(span - _EPS)) if span < math.inf else span
+        for span in ((max_y - min_y) / cell_size, (max_x - min_x) / cell_size)
+    )
+    if n_rows * n_cols > MAX_GRID_CELLS:
+        raise GridError(f"grid for space {footprint.space_node!r} would be "
+                        f"{n_rows:.6g} x {n_cols:.6g} cells, above the limit of "
+                        f"{MAX_GRID_CELLS:,}; raise --cell-size")
 
     cells: list[GridCell] = []
     for row in range(n_rows):
@@ -213,53 +239,39 @@ def discretize(footprint: Footprint, cell_size: float) -> DiscretizedSpace:
                     cell_node_id(footprint.space_node, row, col),
                     footprint.space_node, row, col, center,
                 ))
-
-    kept = {(c.row, c.col): c for c in cells}
-    adjacency: list[tuple[NodeId, NodeId]] = []
-    for cell in cells:
-        for d_row, d_col in ((1, 0), (0, 1)):
-            other = kept.get((cell.row + d_row, cell.col + d_col))
-            if other is not None:
-                adjacency.append((cell.id, other.id))
-    return DiscretizedSpace(
-        footprint, float(cell_size), tuple(cells), tuple(adjacency),
-        (min_x, min_y),
-    )
+    return DiscretizedSpace(footprint, float(cell_size), tuple(cells))
 
 
 def queen_adjacency(space: DiscretizedSpace) -> tuple[tuple[NodeId, NodeId], ...]:
     """8-neighbor adjacency variant; diagonals added to the rook pairs."""
-    kept = {(c.row, c.col): c for c in space.cells}
-    pairs = list(space.adjacency)
-    for cell in space.cells:
-        for d_row, d_col in ((1, 1), (1, -1)):
-            other = kept.get((cell.row + d_row, cell.col + d_col))
-            if other is not None:
-                pairs.append((cell.id, other.id))
-    return tuple(pairs)
+    return space.adjacency + space.neighbor_pairs(((1, 1), (1, -1)))
 
 
 def locate_cell(space: DiscretizedSpace, point: Point) -> GridCell | None:
     """Kept cell whose extent contains ``point``; shared borders resolve to
     the lower (row, col); None when the point falls in no kept cell."""
     min_x, min_y = space.origin
-    col = _axis_index(point[0] - min_x, space.cell_size)
-    row = _axis_index(point[1] - min_y, space.cell_size)
-    if row is None or col is None:
+    offsets = (point[1] - min_y, point[0] - min_x)
+    if min(offsets) < 0:
         return None
-    return space.cell_at(row, col)
+    return space.cell_at(*(max(0, math.ceil(offset / space.cell_size) - 1)
+                           for offset in offsets))
 
 
-def _axis_index(offset: float, cell_size: float) -> int | None:
-    if offset < 0:
-        return None
-    t = offset / cell_size
-    index = math.floor(t)
-    # A point exactly on the border between index-1 and index belongs to
-    # the lower cell.
-    if index > 0 and t == index:
-        index -= 1
-    return index
+def cells_near(space: DiscretizedSpace, position: Point,
+               radius: float | None = None) -> tuple[NodeId, ...]:
+    """Sorted ids of the kept cells whose center lies within ``radius`` of
+    ``position`` (one cell size when None), plus the cell containing it."""
+    if radius is None:
+        radius = space.cell_size
+    targets = {
+        cell.id for cell in space.cells
+        if math.dist(cell.center, position) <= radius + _EPS
+    }
+    containing = locate_cell(space, position)
+    if containing is not None:
+        targets.add(containing.id)
+    return tuple(sorted(targets))
 
 
 def attach_fixed_node(
@@ -267,35 +279,24 @@ def attach_fixed_node(
     space: DiscretizedSpace,
     node: NodeId,
     position: Point,
-    radius: float,
+    radius: float | None = None,
     strict: bool = False,
 ) -> PropertyGraph:
-    """Add AT edges (weight 1.0) from ``node`` to every kept cell whose
-    center lies within ``radius`` of ``position``, and always to the cell
-    containing the position. Mutates and returns ``graph``."""
+    """Add AT edges (weight 1.0) from ``node`` to the :func:`cells_near`
+    ``position``. Mutates and returns ``graph``."""
     if node not in graph:
         raise UnknownNodeError(f"no node {node!r} to attach")
-    targets: dict[NodeId, GridCell] = {}
-    for cell in space.cells:
-        if math.dist(cell.center, position) <= radius + _EPS:
-            targets[cell.id] = cell
-    containing = locate_cell(space, position)
-    if containing is not None:
-        targets[containing.id] = containing
+    targets = cells_near(space, position, radius)
     if not targets:
         message = (
-            f"no cell within {radius} m of {position} for node {node!r} "
-            f"in space {space.space_node!r}"
+            f"no cell within {space.cell_size if radius is None else radius} m "
+            f"of {position} for node {node!r} in space {space.space_node!r}"
         )
         if strict:
             raise NoCellInRangeError(message)
         logger.warning("%s; no edge added", message)
         return graph
-    for cell_id in sorted(targets):
-        if cell_id not in graph:
-            raise UnknownNodeError(
-                f"cell {cell_id!r} not merged into the graph yet"
-            )
+    for cell_id in targets:
         graph.add_edge(node, cell_id, AT_LABEL, 1.0)
     return graph
 
@@ -335,51 +336,107 @@ def merge_into(graph: PropertyGraph, space: DiscretizedSpace,
 
 
 def spaces_from_graph(graph: PropertyGraph) -> list[DiscretizedSpace]:
-    """Rebuild discretized spaces from a graph produced via ``merge_into``."""
-    spaces: list[DiscretizedSpace] = []
-    cell_nodes: dict[NodeId, list] = {}
+    """Re-discretize every space merged via ``merge_into`` from the
+    footprint and cell size stored on its node; the graph's CELL nodes must
+    be exactly the cells this gives."""
+    cell_ids: dict[NodeId, set[NodeId]] = {}
     for node in graph.nodes():
         if node.label == CELL_LABEL:
-            cell_nodes.setdefault(node.attributes["space"], []).append(node)
+            cell_ids.setdefault(node.attributes.get("space"), set()).add(node.id)
+    spaces: list[DiscretizedSpace] = []
     for node in graph.nodes():
         if "grid_cell_size" not in node.attributes:
             continue
-        footprint = Footprint(
-            node.id,
-            tuple((x, y) for x, y in node.attributes["footprint"]),
-            node.attributes.get("elevation", 0.0),
+        where = f"space node {node.id!r}"
+        space = discretize(
+            _footprint_from(node.id, node.attributes, "footprint", where),
+            _finite(node.attributes["grid_cell_size"], f"{where}: grid_cell_size"),
         )
-        cells = tuple(sorted(
-            (GridCell(c.id, node.id, c.attributes["row"], c.attributes["col"],
-                      (c.attributes["cx"], c.attributes["cy"]))
-             for c in cell_nodes.get(node.id, [])),
-            key=lambda c: (c.row, c.col),
-        ))
-        ids = {c.id for c in cells}
-        adjacency = tuple(
-            (e.a, e.b) for e in graph.edges()
-            if e.label == ADJACENT_LABEL and e.a in ids and e.b in ids
-        )
-        spaces.append(DiscretizedSpace(
-            footprint, node.attributes["grid_cell_size"], cells, adjacency,
-            tuple(node.attributes["grid_origin"]),
-        ))
+        if cell_ids.pop(node.id, set()) != {c.id for c in space.cells}:
+            raise GridError(f"the CELL nodes of {where} differ from the "
+                            "cells of its stored footprint")
+        spaces.append(space)
+    if cell_ids:
+        raise GridError(f"CELL nodes of space {min(map(str, cell_ids))!r} "
+                        "have no stored grid")
     return spaces
 
 
 # ---------------------------------------------------------------------------
-# Sidecar footprint file
+# Sidecar files: footprints and the sensor manifest
 # ---------------------------------------------------------------------------
 
+def _finite(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise BimvecError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _point(value, where: str) -> Point:
+    """``[x, y]`` of two finite numbers, as a float tuple."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise BimvecError(f"{where} must be [x, y], got {value!r}")
+    return _finite(value[0], where), _finite(value[1], where)
+
+
+def _footprint_from(space_node: NodeId, record: dict, polygon_key: str,
+                    where: str) -> Footprint:
+    """A footprint from ``record[polygon_key]``, a list of at least three
+    ``[x, y]`` points, and its optional finite ``elevation``."""
+    polygon = record.get(polygon_key)
+    if not isinstance(polygon, list) or len(polygon) < 3:
+        raise BimvecError(f"{where}: {polygon_key} must be a list of at least "
+                          "3 [x, y] points")
+    return Footprint(
+        space_node,
+        tuple(_point(p, f"{where}: {polygon_key}[{i}]")
+              for i, p in enumerate(polygon)),
+        _finite(record.get("elevation", 0.0), f"{where}: elevation"),
+    )
+
+
+def _entries(path, records, section: str):
+    """Yield ``(where, record)`` for a list of JSON objects."""
+    if not isinstance(records, list):
+        raise BimvecError(f"{path}: {section} must be a list")
+    for index, record in enumerate(records):
+        where = f"{path}: {section}[{index}]"
+        if not isinstance(record, dict):
+            raise BimvecError(f"{where} must be an object")
+        yield where, record
+
+
 def load_footprints(path) -> list[Footprint]:
-    """Read the sidecar file: an array of {space_id, polygon, elevation}."""
+    """Read the sidecar file: an array of {space_id, polygon, elevation?}."""
     with open(path, "r", encoding="utf-8") as fp:
         records = json.load(fp)
     footprints = []
-    for record in records:
-        footprints.append(Footprint(
-            str(record["space_id"]),
-            tuple((x, y) for x, y in record["polygon"]),
-            float(record.get("elevation", 0.0)),
-        ))
+    for where, record in _entries(path, records, "footprints"):
+        if "space_id" not in record:
+            raise BimvecError(f"{where} has no 'space_id'")
+        footprints.append(_footprint_from(
+            str(record["space_id"]), record, "polygon", where))
     return footprints
+
+
+def load_sensor_manifest(path) -> tuple[list[dict], list[dict]]:
+    """Read ``{"sensors": [...], "anchors": [...]}``. Every entry must be an
+    object with its id key (``id`` or ``entity_id``), ``space_id`` and a
+    ``position`` of two finite numbers; ``radius``, if given, is finite too.
+    Positions and radii come back as floats."""
+    with open(path, "r", encoding="utf-8") as fp:
+        manifest = json.load(fp)
+    if not isinstance(manifest, dict):
+        raise BimvecError(f"{path}: sensor manifest must be a JSON object")
+    sections = []
+    for section, id_key in (("sensors", "id"), ("anchors", "entity_id")):
+        sections.append(manifest.get(section, []))
+        for where, record in _entries(path, sections[-1], section):
+            for key in (id_key, "space_id", "position"):
+                if key not in record:
+                    raise BimvecError(f"{where} has no {key!r}")
+            record["position"] = _point(record["position"], f"{where}: position")
+            if "radius" in record:
+                record["radius"] = _finite(record["radius"], f"{where}: radius")
+    return sections[0], sections[1]

@@ -35,6 +35,9 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 _TYPE_NAME_RE = re.compile(r"[A-Z0-9_]+")
+# Deepest nesting of aggregates and typed values inside one record; the
+# parser recurses once per level, so this keeps it far from Python's limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +305,20 @@ class _Parser:
                 )
             model.entities[entity_id] = StepEntity(entity_id, type_name, attributes)
 
-    def _parse_value_list(self) -> list:
+    def _parse_value_list(self, depth: int = 0) -> list:
         if self._kind == ")":
             return []
-        values = [self._parse_value()]
+        values = [self._parse_value(depth)]
         while self._kind == ",":
             self._advance()
-            values.append(self._parse_value())
+            values.append(self._parse_value(depth))
         return values
 
-    def _parse_value(self) -> StepValue:
+    def _parse_value(self, depth: int) -> StepValue:
+        """``depth`` counts the aggregates and typed values around it."""
         kind = self._kind
+        if kind in ("(", "keyword") and depth == MAX_NESTING:
+            raise self._error(f"values nested deeper than {MAX_NESTING} levels")
         if kind == "number" or kind == "string":
             return self._advance()
         if kind == "ref":
@@ -327,13 +333,13 @@ class _Parser:
             return DERIVED
         if kind == "(":
             self._advance()
-            values = self._parse_value_list()
+            values = self._parse_value_list(depth + 1)
             self._expect(")")
             return values
         if kind == "keyword":
             type_name = self._advance()
             self._expect("(")
-            inner = self._parse_value()
+            inner = self._parse_value(depth + 1)
             self._expect(")")
             return TypedValue(type_name, inner)
         raise self._error(f"expected a value, found {self._describe()}")

@@ -21,7 +21,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .graph import NodeId, PropertyGraph
-from .space_grid import AT_LABEL, DiscretizedSpace, locate_cell
+from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
 
 logger = logging.getLogger(__name__)
 
@@ -151,9 +151,8 @@ def build_snapshots(
         for fix in fixes_by_window.get(window, []):
             window_fixes[fix.occupant_node] = fix
         for occupant, fix in window_fixes.items():
-            space = space_index[fix.space_node]
-            radius = occupant_radius if occupant_radius is not None else space.cell_size
-            cells = _cells_near(space, fix.position, radius)
+            cells = cells_near(space_index[fix.space_node], fix.position,
+                               occupant_radius)
             if not cells:
                 logger.warning(
                     "fix for %s at %s matched no cell; occupant absent this window",
@@ -192,19 +191,6 @@ def build_snapshots(
     node_ids = sorted({nid for snap in snapshots for nid in snap.graph.node_ids()})
     node_index = {nid: i for i, nid in enumerate(node_ids)}
     return TemporalGraph(base, snapshots, node_index)
-
-
-def _cells_near(
-    space: DiscretizedSpace, position: tuple[float, float], radius: float
-) -> tuple[NodeId, ...]:
-    targets = {
-        cell.id for cell in space.cells
-        if math.dist(cell.center, position) <= radius + 1e-9
-    }
-    containing = locate_cell(space, position)
-    if containing is not None:
-        targets.add(containing.id)
-    return tuple(sorted(targets))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 from bimvec.cli import main
 from bimvec.graph import PropertyGraph
 
+from conftest import wrap
+
 
 @pytest.fixture()
 def runner():
@@ -86,6 +88,14 @@ def test_parse_bad_file_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_parse_deep_nesting_exits_3(runner, tmp_path):
+    deep = tmp_path / "deep.ifc"
+    deep.write_text(wrap("#1=IFCX(" + "(" * 5000 + "1" + ")" * 5000 + ");"))
+    result = runner.invoke(main, ["parse", str(deep)])
+    assert result.exit_code == 3, result.output
+    assert "nested deeper than" in result.output
+
+
 # ---------------------------------------------------------------------------
 # graph
 # ---------------------------------------------------------------------------
@@ -113,6 +123,54 @@ def test_graph_unknown_footprint_space_exits_3(runner, data_dir, tmp_path):
         "--out", str(tmp_path / "graph.tsv"),
     ])
     assert result.exit_code == 3
+
+
+_SQUARE = [[0.0, 0.0], [6.0, 0.0], [6.0, 6.0], [0.0, 6.0]]
+
+
+@pytest.mark.parametrize("footprints,where", [
+    ([{"polygon": _SQUARE}], "footprints[0] has no 'space_id'"),
+    ({"footprints": [{"space_id": 5, "polygon": _SQUARE}]}, "must be a list"),
+    (["oops"], "footprints[0] must be an object"),
+    ([{"space_id": 5, "polygon": [[0.0, 0.0], [float("inf"), 0.0], [6.0, 6.0]]}],
+     "footprints[0]: polygon[1]"),
+    ([{"space_id": 5, "polygon": [[0.0, 0.0], [6.0, 0.0], [float("nan"), 6.0]]}],
+     "footprints[0]: polygon[2]"),
+    ([{"space_id": 5}], "footprints[0]: polygon"),
+    ([{"space_id": 5, "polygon": [[0.0, 0.0], [6.0, 0.0]]}], "footprints[0]: polygon"),
+    ([{"space_id": 5, "polygon": [[0.0, 0.0, 0.0], [6.0, 0.0], [6.0, 6.0]]}],
+     "footprints[0]: polygon[0]"),
+    ([{"space_id": 5, "polygon": [["0", 0.0], [6.0, 0.0], [6.0, 6.0]]}],
+     "footprints[0]: polygon[0]"),
+    ([{"space_id": 5, "polygon": _SQUARE, "elevation": float("nan")}],
+     "footprints[0]: elevation"),
+], ids=["no-space-id", "top-level-object", "non-object", "inf-coordinate",
+        "nan-coordinate", "no-polygon", "two-points", "three-numbers",
+        "string-coordinate", "nan-elevation"])
+def test_graph_bad_footprints_exit_3(runner, data_dir, tmp_path, footprints, where):
+    path = tmp_path / "footprints.json"
+    path.write_text(json.dumps(footprints))
+    out = tmp_path / "graph.tsv"
+    result = runner.invoke(main, [
+        "graph", str(data_dir / "two_space.ifc"),
+        "--footprints", str(path), "--out", str(out), "--cell-size", "2.0",
+    ])
+    assert result.exit_code == 3, result.output
+    assert where in result.output
+    assert not out.exists()
+
+
+def test_graph_oversized_grid_exits_3(runner, data_dir, tmp_path):
+    path = tmp_path / "footprints.json"
+    path.write_text(json.dumps([{"space_id": 5, "polygon": [
+        [0, 0], [100000, 100000], [99999.99, 100000]]}]))
+    result = runner.invoke(main, [
+        "graph", str(data_dir / "two_space.ifc"), "--footprints", str(path),
+        "--out", str(tmp_path / "graph.tsv"), "--cell-size", "1",
+    ])
+    assert result.exit_code == 3, result.output
+    assert "100000 x 100000 cells" in result.output
+    assert "raise --cell-size" in result.output
 
 
 _GOOD_SENSOR = {"id": "s1", "space_id": 5, "position": [3.0, 3.0]}
@@ -190,6 +248,26 @@ def test_snapshot_non_finite_input_exits_3(runner, data_dir, tmp_path,
     ])
     assert result.exit_code == 3, result.output
     assert "finite" in result.output
+    assert not store_dir.exists()
+
+
+@pytest.mark.parametrize("edit", ["missing-cell", "extra-cell"])
+def test_snapshot_cells_differing_from_footprint_exit_3(runner, data_dir,
+                                                        tmp_path, edit):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    lines = graph_file.read_text().splitlines(keepends=True)
+    if edit == "missing-cell":
+        lines = [line for line in lines if "cell:5:1:1" not in line.split("\t")]
+    else:
+        lines.append('N\tcell:5:9:9\tCELL\t{"space": "5"}\n')
+    graph_file.write_text("".join(lines))
+    store_dir = tmp_path / "store"
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file), "--fixes", str(data_dir / "fixes.csv"),
+        "--out", str(store_dir), "--step", "300",
+    ])
+    assert result.exit_code == 3, result.output
+    assert "differ from the cells of its stored footprint" in result.output
     assert not store_dir.exists()
 
 

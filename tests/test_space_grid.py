@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimvec.errors import InvalidPolygonError, NoCellInRangeError, UnknownNodeError
+from bimvec import space_grid
+from bimvec.errors import (
+    GridError,
+    InvalidPolygonError,
+    NoCellInRangeError,
+    UnknownNodeError,
+)
 from bimvec.graph import PropertyGraph
 from bimvec.space_grid import (
     DiscretizedSpace,
     Footprint,
     attach_fixed_node,
+    cells_near,
     discretize,
     load_footprints,
     locate_cell,
@@ -21,6 +28,7 @@ from bimvec.space_grid import (
     queen_adjacency,
     spaces_from_graph,
 )
+from bimvec.temporal import OccupantFix, build_snapshots
 
 SQUARE_4 = Footprint("s", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
 
@@ -99,6 +107,28 @@ def test_invalid_polygons_rejected():
 def test_cell_size_must_be_positive():
     with pytest.raises(ValueError):
         discretize(SQUARE_4, 0.0)
+
+
+@pytest.mark.parametrize("cell_size", [math.inf, math.nan])
+def test_cell_size_must_be_finite(cell_size):
+    with pytest.raises(ValueError, match="positive and finite"):
+        discretize(SQUARE_4, cell_size)
+
+
+def test_grid_size_is_bounded(monkeypatch):
+    monkeypatch.setattr(space_grid, "MAX_GRID_CELLS", 16)
+    assert len(discretize(SQUARE_4, 1.0).cells) == 16
+    with pytest.raises(GridError, match="8 x 8 cells, above the limit of 16"):
+        discretize(SQUARE_4, 0.5)
+
+
+def test_sliver_grid_is_rejected_before_any_cell_is_visited():
+    # 10^10 cell centres at 1 m; at the default bound this must fail fast.
+    sliver = Footprint("s", ((0, 0), (100000, 100000), (99999.99, 100000)))
+    with pytest.raises(GridError, match="100000 x 100000 cells"):
+        discretize(sliver, 1.0)
+    with pytest.raises(GridError, match=r"1e\+305 x 1e\+305 cells"):
+        discretize(sliver, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +240,43 @@ def test_attach_unknown_node_rejected():
         attach_fixed_node(graph, space, "sensor:missing", (1.0, 1.0), 1.0)
 
 
+def _oracle_cells_near(space, position, radius):
+    """Centres within the radius (one cell size when None) plus the cell
+    whose closed extent holds the point, the lower one on a border."""
+    radius = space.cell_size if radius is None else radius
+    ids = {c.id for c in space.cells
+           if math.hypot(c.center[0] - position[0],
+                         c.center[1] - position[1]) <= radius + 1e-9}
+    half = space.cell_size / 2
+    holding = [c for c in space.cells
+               if abs(c.center[0] - position[0]) <= half
+               and abs(c.center[1] - position[1]) <= half]
+    if holding:
+        ids.add(min(holding, key=lambda c: (c.row, c.col)).id)
+    return sorted(ids)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 2.0, None],
+                         ids=["r0", "r0.5", "one-cell", "default"])
+@pytest.mark.parametrize("position", [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (4.5, 1.0)],
+                         ids=["centre", "border", "corner", "outside"])
+def test_sensor_and_occupant_placement_share_one_rule(position, radius):
+    space = discretize(SQUARE_4, 2.0)
+    graph = _merged(space)
+    attach_fixed_node(graph, space, "sensor:x", position, radius)
+    sensor_cells = sorted(e.other("sensor:x") for e in graph.incident_edges("sensor:x"))
+
+    base = _merged(space)
+    fix = OccupantFix("occupant:o", 0, "s", position)
+    snapshot = build_snapshots(base, [space], [], [fix], 60,
+                               occupant_radius=radius).snapshots[0].graph
+    occupant_cells = sorted(e.other("occupant:o") for e in snapshot.edges()
+                            if "occupant:o" in (e.a, e.b))
+
+    assert sensor_cells == occupant_cells == list(cells_near(space, position, radius))
+    assert sensor_cells == _oracle_cells_near(space, position, radius)
+
+
 # ---------------------------------------------------------------------------
 # merge / rebuild round trip
 # ---------------------------------------------------------------------------
@@ -229,6 +296,33 @@ def test_merge_and_rebuild_round_trip():
         [(c.id, c.row, c.col, c.center) for c in space.cells]
     assert set(map(frozenset, again.adjacency)) == \
         set(map(frozenset, space.adjacency))
+
+
+def _without_lines(text: str, node_id: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if node_id not in line.split("\t"))
+
+
+def test_rebuild_rejects_a_missing_or_extra_cell():
+    space = discretize(SQUARE_4, 2.0)
+    graph = PropertyGraph()
+    graph.add_node("s", "IFCSPACE")
+    merge_into(graph, space)
+    text = graph.to_text()
+
+    missing = PropertyGraph.from_text(_without_lines(text, "cell:s:1:1"))
+    with pytest.raises(GridError, match="differ"):
+        spaces_from_graph(missing)
+
+    extra = PropertyGraph.from_text(text)
+    extra.add_node("cell:s:9:9", "CELL", {"space": "s"})
+    with pytest.raises(GridError, match="differ"):
+        spaces_from_graph(extra)
+
+    orphan = PropertyGraph.from_text(text)
+    orphan.add_node("cell:t:0:0", "CELL", {"space": "t"})
+    with pytest.raises(GridError, match="no stored grid"):
+        spaces_from_graph(orphan)
 
 
 def test_load_footprints_sidecar(data_dir):

@@ -16,6 +16,7 @@ from bimvec.errors import (
 )
 from bimvec.step_parser import (
     DERIVED,
+    MAX_NESTING,
     EntityRef,
     EnumToken,
     StepEntity,
@@ -146,6 +147,31 @@ def test_lexical_error_positions(text, message, position):
         parse_step(text)
     assert str(exc_info.value).startswith(message)
     assert (exc_info.value.line, exc_info.value.column) == position
+
+
+def _nested(kind: str, levels: int) -> str:
+    opening = "(" if kind == "aggregate" else "IFCLABEL("
+    return wrap(f"#1=IFCX({opening * levels}1{')' * levels});")
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "typed"])
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 1000, 5000])
+def test_deep_nesting_is_a_positioned_syntax_error(kind, levels):
+    with pytest.raises(StepSyntaxError) as exc_info:
+        parse_step(_nested(kind, levels))
+    assert f"nested deeper than {MAX_NESTING}" in str(exc_info.value)
+    # The error points at the opening of level MAX_NESTING + 1.
+    opening_width = 1 if kind == "aggregate" else len("IFCLABEL(")
+    assert (exc_info.value.line, exc_info.value.column) == \
+        (6, len("#1=IFCX(") + MAX_NESTING * opening_width + 1)
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "typed"])
+def test_nesting_at_the_limit_parses(kind):
+    value = parse_step(_nested(kind, MAX_NESTING)).entities[1].attributes[0]
+    for _ in range(MAX_NESTING):
+        value = value[0] if kind == "aggregate" else value.value
+    assert value == 1
 
 
 def test_duplicate_id_rejected():
