@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -18,14 +19,14 @@ import click
 
 from . import space_grid, temporal
 from .config import RunConfig, load_config
-from .errors import BimvecError, ConfigError, InternalInvariantError
+from .errors import BimvecError, ConfigError, InternalInvariantError, SliceOutOfRangeError
 from .fileio import atomic_write_text
 from .graph import PropertyGraph
 from .ifc_graph import attach_properties, build_graph
 from .sgns import EmbeddingMatrix, attach_labels, train
 from .step_parser import parse_step_file, serialize_step, validate_references
 from .store import export_projector, knn, load_labeled_csv, predict_comfort
-from .temporal import TemporalGraph, Snapshot, adjacency_tensor, build_snapshots, flatten
+from .temporal import adjacency_tensor, build_snapshots
 from .walks import generate_walks
 
 logger = logging.getLogger(__name__)
@@ -205,8 +206,7 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
     """Build per-window snapshots and export the adjacency tensor."""
     cfg = cfg.updated(step=step)
     _echo_config(cfg)
-    with open(graph_path, "r", encoding="utf-8") as fp:
-        base = PropertyGraph.from_text(fp.read())
+    base = _read_graph(graph_path)
     spaces = space_grid.spaces_from_graph(base)
     readings = temporal.load_readings_csv(readings_path) if readings_path else []
     fixes = temporal.load_fixes_csv(fixes_path) if fixes_path else []
@@ -216,7 +216,6 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
     )
     export = adjacency_tensor(tg)
 
-    os.makedirs(out_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
     manifest = dict(export.manifest)
     manifest["step"] = cfg.step
@@ -237,18 +236,55 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
     click.echo(f"store\t{out_dir}")
 
 
-def _load_temporal_store(store_dir) -> TemporalGraph:
-    with open(os.path.join(store_dir, "manifest.json"), encoding="utf-8") as fp:
-        manifest = json.load(fp)
-    with open(os.path.join(store_dir, "base.tsv"), encoding="utf-8") as fp:
-        base = PropertyGraph.from_text(fp.read())
-    snapshots = []
-    for index, timestamp in enumerate(manifest["timestamps"]):
-        path = os.path.join(store_dir, "snapshots", f"{index:06d}.tsv")
-        with open(path, encoding="utf-8") as fp:
-            snapshots.append(Snapshot(timestamp, PropertyGraph.from_text(fp.read())))
-    node_index = {nid: i for i, nid in enumerate(manifest["node_index"])}
-    return TemporalGraph(base, snapshots, node_index)
+def _read_graph(path) -> PropertyGraph:
+    with open(path, "r", encoding="utf-8") as fp:
+        return PropertyGraph.from_text(fp.read())
+
+
+def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
+    """The graph ``embed`` walks from a store: the union of ``base.tsv`` and
+    ``tensor.csv``, or one file of ``snapshots/``."""
+    path = os.path.join(store_dir, "manifest.json")
+    with open(path, encoding="utf-8") as fp:
+        try:
+            manifest = json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(manifest, dict):
+        raise BimvecError(f"{path}: expected a JSON object")
+    windows, order = manifest.get("T"), manifest.get("node_index")
+    if type(windows) is not int or windows < 1:
+        raise BimvecError(f"{path}: T must be an integer >= 1, got {windows!r}")
+    if (not isinstance(order, list) or not all(isinstance(n, str) for n in order)
+            or len(set(order)) != len(order)):
+        raise BimvecError(f"{path}: node_index must be a list of distinct strings")
+    if mode == "slice":
+        if not 0 <= index < windows:
+            raise SliceOutOfRangeError(
+                f"slice {index} out of range for {windows} snapshots")
+        return _read_graph(os.path.join(store_dir, "snapshots", f"{index:06d}.tsv"))
+
+    base = _read_graph(os.path.join(store_dir, "base.tsv"))
+    missing = sorted(set(base.node_ids()) - set(order))
+    if missing:
+        raise BimvecError(f"{path}: node_index lacks base node {missing[0]!r}")
+    path = os.path.join(store_dir, "tensor.csv")
+    records = []
+    with open(path, encoding="utf-8") as fp:
+        if fp.readline().rstrip("\n") != "t,i,j,w":
+            raise BimvecError(f"{path}, line 1: expected the header t,i,j,w")
+        for line_no, line in enumerate(fp, start=2):
+            try:
+                t, i, j, w = line.split(",")
+                t, i, j, w = int(t), int(i), int(j), float(w)
+            except ValueError as exc:
+                raise BimvecError(f"{path}, line {line_no}: {exc}") from None
+            if not (0 <= t < windows and 0 <= i < j < len(order) and math.isfinite(w)):
+                raise BimvecError(
+                    f"{path}, line {line_no}: need 0 <= t < {windows}, "
+                    f"0 <= i < j < {len(order)} and a finite w")
+            records.append((t, i, j, w))
+    return temporal.union_graph(base, order, records, windows)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +319,9 @@ def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
     cfg = cfg.updated(flatten=flatten_mode, **overrides)
     _echo_config(cfg)
     if os.path.isdir(input_path):
-        tg = _load_temporal_store(input_path)
-        mode, index = cfg.flatten_mode()
-        graph = flatten(tg, mode, index)
+        graph = _read_store(input_path, *cfg.flatten_mode())
     else:
-        with open(input_path, "r", encoding="utf-8") as fp:
-            graph = PropertyGraph.from_text(fp.read())
+        graph = _read_graph(input_path)
 
     corpus = generate_walks(graph, cfg.walk_config(), workers=cfg.workers)
     matrix = train(corpus, cfg.train_config())

@@ -126,29 +126,27 @@ class EmbeddingMatrix:
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         offset = 16
-        table_bytes = dimension * vocab_size * 4
-        vectors = np.frombuffer(
-            data, dtype="<f4", count=dimension * vocab_size, offset=offset,
-        ).reshape(vocab_size, dimension).copy()
-        offset += table_bytes
-        context = np.frombuffer(
-            data, dtype="<f4", count=dimension * vocab_size, offset=offset,
-        ).reshape(vocab_size, dimension).copy()
-        offset += table_bytes
+
+        def take(size: int) -> bytes:
+            nonlocal offset
+            if offset + size > len(data):
+                raise ValueError(f"{path} is truncated at byte {len(data)}")
+            offset += size
+            return data[offset - size:offset]
+
+        vectors, context = (
+            np.frombuffer(take(dimension * vocab_size * 4), dtype="<f4")
+            .reshape(vocab_size, dimension).copy() for _ in range(2))
         ids: list[NodeId] = []
         labels: dict[NodeId, str] = {}
         for _ in range(vocab_size):
-            (id_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            node_id = data[offset:offset + id_len].decode("utf-8")
-            offset += id_len
-            (label_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            label = data[offset:offset + label_len].decode("utf-8")
-            offset += label_len
+            node_id = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
+            label = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
             ids.append(node_id)
             if label:
                 labels[node_id] = label
+        if offset != len(data):
+            raise ValueError(f"{path} has {len(data) - offset} bytes after its vocabulary")
         vocabulary = {nid: i for i, nid in enumerate(ids)}
         return cls(vectors, context, ids, vocabulary, labels)
 

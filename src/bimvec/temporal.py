@@ -26,6 +26,9 @@ from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
 logger = logging.getLogger(__name__)
 
 OCCUPANT_LABEL = "OCCUPANT"
+# Each window is a full copy of the base graph, so one outlying timestamp
+# must not set the count; a week of 1-minute windows is 10,080.
+MAX_WINDOWS = 100_000
 
 FEEDBACK_ENCODING: dict[str, list[int]] = {
     "comfortable": [1, 0, 0],
@@ -130,6 +133,10 @@ def build_snapshots(
     timestamps = [r.timestamp for r in readings] + [f.timestamp for f in fixes]
     t0 = min(timestamps)
     n_windows = (max(timestamps) - t0) // step + 1
+    if n_windows > MAX_WINDOWS:
+        raise ValueError(f"timeline spans {max(timestamps) - t0} s, which at step "
+                         f"{step} s is {n_windows:,} windows, above the limit of "
+                         f"{MAX_WINDOWS:,}; raise --step")
 
     # Normalize by (timestamp, node id), then by the remaining fields so
     # construction is independent of input order even for exact duplicates.
@@ -238,12 +245,32 @@ def adjacency_tensor(tg: TemporalGraph) -> TensorExport:
 # Static projections
 # ---------------------------------------------------------------------------
 
+def union_graph(base: PropertyGraph, node_order: Sequence[NodeId],
+                records: Iterable[tuple[int, int, int, float]],
+                windows: int) -> PropertyGraph:
+    """The base graph plus one AT edge per pair of the (t, i, j, w)
+    ``records`` that is not a base pair, weighted by the fraction of the
+    ``windows`` containing it. Nodes of ``node_order`` missing from the base
+    are added as occupants, without per-window attributes."""
+    index = {nid: i for i, nid in enumerate(node_order)}
+    base_pairs = {tuple(sorted((index[e.a], index[e.b]))) for e in base.edges()}
+    counts: dict[tuple[NodeId, NodeId], int] = {}
+    for _, i, j in {(t, i, j) for t, i, j, _ in records if (i, j) not in base_pairs}:
+        pair = tuple(sorted((node_order[i], node_order[j])))
+        counts[pair] = counts.get(pair, 0) + 1
+    out = base.copy()
+    for node_id in sorted(nid for nid in node_order if nid not in base):
+        out.add_node(node_id, OCCUPANT_LABEL)
+    for (a, b), count in sorted(counts.items()):
+        out.add_edge(a, b, AT_LABEL, count / windows)
+    return out
+
+
 def flatten(tg: TemporalGraph, mode: str = "union",
             index: int | None = None) -> PropertyGraph:
     """Project the temporal graph to a static one.
 
-    ``union`` keeps the base graph and adds every AT edge seen in any
-    snapshot with weight = fraction of snapshots containing it; ``slice``
+    ``union`` is :func:`union_graph` over the adjacency tensor; ``slice``
     returns snapshot ``index``'s graph unchanged.
     """
     if mode == "slice":
@@ -254,29 +281,9 @@ def flatten(tg: TemporalGraph, mode: str = "union",
         return tg.snapshots[index].graph.copy()
     if mode != "union":
         raise ValueError(f"unknown flatten mode {mode!r}")
-
-    out = tg.base.copy()
-    base_edges = {(e.a, e.b, e.label) for e in tg.base.edges()}
-    appearance: dict[tuple[NodeId, NodeId, str], int] = {}
-    node_attrs: dict[NodeId, tuple[str, dict]] = {}
-    for snapshot in tg.snapshots:
-        seen: set[tuple[NodeId, NodeId, str]] = set()
-        for edge in snapshot.graph.edges():
-            key = (edge.a, edge.b, edge.label)
-            if key in base_edges or key in seen:
-                continue
-            seen.add(key)
-            appearance[key] = appearance.get(key, 0) + 1
-        for node in snapshot.graph.nodes():
-            if node.id not in out:
-                node_attrs[node.id] = (node.label, dict(node.attributes))
-    for node_id in sorted(node_attrs):
-        label, attributes = node_attrs[node_id]
-        out.add_node(node_id, label, attributes)
-    total = len(tg.snapshots)
-    for (a, b, label) in sorted(appearance):
-        out.add_edge(a, b, label, appearance[(a, b, label)] / total)
-    return out
+    export = adjacency_tensor(tg)
+    return union_graph(tg.base, export.manifest["node_index"], export.records,
+                       len(tg))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from bimvec.cli import main
+from bimvec.config import RunConfig
 from bimvec.graph import PropertyGraph
+from bimvec.space_grid import spaces_from_graph
+from bimvec.temporal import (
+    build_snapshots, flatten, load_fixes_csv, load_readings_csv,
+)
 
 from conftest import wrap
 
@@ -251,6 +257,22 @@ def test_snapshot_non_finite_input_exits_3(runner, data_dir, tmp_path,
     assert not store_dir.exists()
 
 
+def test_snapshot_window_count_is_bounded(runner, data_dir, tmp_path):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    readings = tmp_path / "readings.csv"
+    readings.write_text((data_dir / "readings.csv").read_text()
+                        + "3000000000,s1,temperature,20.0\n")
+    store_dir = tmp_path / "store"
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file), "--readings", str(readings),
+        "--out", str(store_dir), "--step", "1",
+    ])
+    assert result.exit_code == 3, result.output
+    assert "3,000,000,001 windows" in result.output
+    assert "raise --step" in result.output
+    assert not store_dir.exists()
+
+
 @pytest.mark.parametrize("edit", ["missing-cell", "extra-cell"])
 def test_snapshot_cells_differing_from_footprint_exit_3(runner, data_dir,
                                                         tmp_path, edit):
@@ -315,6 +337,124 @@ def test_embed_from_temporal_store_union(runner, data_dir, tmp_path):
     assert "occupant:alice\tOCCUPANT" in metadata
 
 
+def _build_store(runner, data_dir, tmp_path) -> Path:
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    store_dir = tmp_path / "store"
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file),
+        "--readings", str(data_dir / "readings.csv"),
+        "--fixes", str(data_dir / "fixes.csv"),
+        "--out", str(store_dir), "--step", "300",
+    ])
+    assert result.exit_code == 0, result.output
+    return store_dir
+
+
+def test_embed_store_union_equals_flattened_graph_file(runner, data_dir, tmp_path):
+    store_dir = _build_store(runner, data_dir, tmp_path)
+    cfg = RunConfig()
+    base = PropertyGraph.from_text((tmp_path / "graph.tsv").read_text())
+    tg = build_snapshots(
+        base, spaces_from_graph(base),
+        load_readings_csv(data_dir / "readings.csv"),
+        load_fixes_csv(data_dir / "fixes.csv"), 300,
+        occupant_radius=cfg.occupant_radius, max_gap=cfg.max_gap)
+    union_file = tmp_path / "union.tsv"
+    union_file.write_text(flatten(tg, "union").to_text())
+    shutil.rmtree(store_dir / "snapshots")  # the union reads no snapshot
+    _embed(runner, store_dir, tmp_path / "from_store", extra=["--flatten", "union"])
+    _embed(runner, union_file, tmp_path / "from_file")
+    for name in ("checkpoint.bin", "vectors.tsv", "metadata.tsv"):
+        assert (tmp_path / "from_store" / name).read_bytes() == \
+            (tmp_path / "from_file" / name).read_bytes()
+
+
+def test_embed_store_slice_reads_one_snapshot(runner, data_dir, tmp_path):
+    store_dir = _build_store(runner, data_dir, tmp_path)
+    kept = tmp_path / "slice.tsv"
+    shutil.copy(store_dir / "snapshots" / "000001.tsv", kept)
+    for path in [store_dir / "base.tsv", store_dir / "tensor.csv",
+                 *(store_dir / "snapshots").glob("*.tsv")]:
+        if path.name != "000001.tsv":
+            path.unlink()
+    _embed(runner, store_dir, tmp_path / "slice", extra=["--flatten", "slice:1"])
+    _embed(runner, kept, tmp_path / "file")
+    assert (tmp_path / "slice" / "checkpoint.bin").read_bytes() == \
+        (tmp_path / "file" / "checkpoint.bin").read_bytes()
+    result = runner.invoke(main, ["embed", str(store_dir), "--out",
+                                  str(tmp_path / "out"), "--flatten", "slice:3"])
+    assert result.exit_code == 3, result.output
+    assert "slice 3 out of range for 3 snapshots" in result.output
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: "{", "manifest.json, line 1"),
+    (lambda m: [m], "expected a JSON object"),
+    (lambda m: {k: v for k, v in m.items() if k != "T"}, "T must be an integer >= 1"),
+    (lambda m: {**m, "T": 0}, "T must be an integer >= 1"),
+    (lambda m: {**m, "T": "3"}, "T must be an integer >= 1"),
+    (lambda m: {**m, "T": True}, "T must be an integer >= 1"),
+    (lambda m: {k: v for k, v in m.items() if k != "node_index"},
+     "node_index must be a list of distinct strings"),
+    (lambda m: {**m, "node_index": "5"},
+     "node_index must be a list of distinct strings"),
+    (lambda m: {**m, "node_index": m["node_index"] + m["node_index"][:1]},
+     "node_index must be a list of distinct strings"),
+    (lambda m: {**m, "node_index": m["node_index"] + [7]},
+     "node_index must be a list of distinct strings"),
+    (lambda m: {**m, "node_index": m["node_index"][1:]},
+     "node_index lacks base node"),
+], ids=["not-json", "not-an-object", "no-T", "T-zero", "T-string", "T-bool",
+        "no-node-index", "node-index-string", "duplicate-node",
+        "non-string-node", "missing-base-node"])
+def test_embed_store_bad_manifest_exits_3(runner, data_dir, tmp_path, edit,
+                                          message):
+    store_dir = _build_store(runner, data_dir, tmp_path)
+    path = store_dir / "manifest.json"
+    edited = edit(json.loads(path.read_text()))
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    result = runner.invoke(main, ["embed", str(store_dir),
+                                  "--out", str(tmp_path / "emb")])
+    assert result.exit_code == 3, result.output
+    assert str(path) in result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize("line,message", [
+    (None, "line 1: expected the header t,i,j,w"),
+    ("0,0,1", "not enough values to unpack (expected 4, got 3)"),
+    ("0,0,1,1.0,2", "too many values to unpack (expected 4)"),
+    ("0,0.5,1,1.0", "invalid literal for int()"),
+    ("0,0,1,heavy", "could not convert string to float"),
+    ("3,0,1,1.0", "need 0 <= t < 3"),
+    ("-1,0,1,1.0", "need 0 <= t < 3"),
+    ("0,1,1,1.0", "0 <= i < j <"),
+    ("0,2,1,1.0", "0 <= i < j <"),
+    ("0,0,{N},1.0", "0 <= i < j <"),
+    ("0,0,1,nan", "a finite w"),
+    ("0,0,1,inf", "a finite w"),
+], ids=["header", "three-fields", "five-fields", "real-index", "text-weight",
+        "t-past-T", "negative-t", "self-pair", "i-above-j", "j-past-N",
+        "nan-weight", "inf-weight"])
+def test_embed_store_bad_tensor_exits_3(runner, data_dir, tmp_path, line,
+                                        message):
+    store_dir = _build_store(runner, data_dir, tmp_path)
+    n = json.loads((store_dir / "manifest.json").read_text())["N"]
+    path = store_dir / "tensor.csv"
+    lines = path.read_text().splitlines()
+    if line is None:
+        lines[0] = "t,i,j,weight"
+    else:
+        lines.insert(2, line.format(N=n))
+    path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["embed", str(store_dir),
+                                  "--out", str(tmp_path / "emb")])
+    assert result.exit_code == 3, result.output
+    where = "line 1" if line is None else "line 3"
+    assert f"{path}, {where}" in result.output
+    assert message in result.output
+
+
 def test_query_filter_returns_only_cells(runner, data_dir, tmp_path):
     graph_file = _build_graph_file(runner, data_dir, tmp_path)
     out_dir = tmp_path / "emb"
@@ -331,6 +471,20 @@ def test_query_filter_returns_only_cells(runner, data_dir, tmp_path):
         assert fields[0] == str(rank)
         assert fields[1].startswith("cell:")
         float(fields[2])
+
+
+@pytest.mark.parametrize("cut,extra", [(3, b""), (200, b""), (0, b"\0\0")],
+                         ids=["cut-3", "cut-200", "trailing-2"])
+def test_query_checkpoint_of_wrong_length_exits_3(runner, data_dir, tmp_path,
+                                                  cut, extra):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    _embed(runner, graph_file, tmp_path / "emb")
+    checkpoint = tmp_path / "emb" / "checkpoint.bin"
+    data = checkpoint.read_bytes()
+    checkpoint.write_bytes(data[:len(data) - cut] + extra)
+    result = runner.invoke(main, ["query", str(checkpoint), "cell:5:0:0"])
+    assert result.exit_code == 3, result.output
+    assert str(checkpoint) in result.output
 
 
 def test_predict_prints_one_hot(runner, data_dir, tmp_path):

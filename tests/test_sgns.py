@@ -237,3 +237,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
         EmbeddingMatrix.load(path)
+
+
+@pytest.mark.parametrize("cut,extra", [(3, b""), (200, b""), (0, b"\0\0")],
+                         ids=["cut-3", "cut-200", "trailing-2"])
+def test_checkpoint_rejects_wrong_length(tmp_path, cut, extra):
+    matrix = train(_barbell_corpus(), TrainConfig(dimension=8, epochs=1, seed=3))
+    matrix.labels = {nid: "ROOM" for nid in matrix.ids}
+    path = tmp_path / "checkpoint.bin"
+    matrix.save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - cut] + extra)
+    with pytest.raises(ValueError, match="truncated|after its vocabulary"):
+        EmbeddingMatrix.load(path)

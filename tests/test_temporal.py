@@ -13,6 +13,7 @@ from bimvec.errors import (
 )
 from bimvec.graph import PropertyGraph
 from bimvec.space_grid import Footprint, attach_fixed_node, discretize, merge_into
+from bimvec import temporal
 from bimvec.temporal import (
     OccupantFix,
     SensorReading,
@@ -48,6 +49,10 @@ def move_fixes():
 
 def _edge_keys(graph):
     return sorted((e.a, e.b, e.label) for e in graph.edges())
+
+
+def _weighted_edges(graph):
+    return sorted((e.a, e.b, e.label, e.weight) for e in graph.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +176,19 @@ def test_snapshot_construction_deterministic():
         assert a.graph.to_text() == b.graph.to_text()
 
 
+def test_window_count_is_bounded_before_any_window_is_built(monkeypatch):
+    base, space = two_cell_base()
+    monkeypatch.setattr(temporal, "MAX_WINDOWS", 3)
+    readings = [SensorReading("sensor:s1", 0, "t", 1.0),
+                SensorReading("sensor:s1", 120, "t", 2.0)]
+    assert len(build_snapshots(base, [space], readings, [], 60)) == 3
+    monkeypatch.setattr(base, "copy", None)  # no window may be built
+    readings.append(SensorReading("sensor:s1", 180, "t", 3.0))
+    with pytest.raises(ValueError, match=r"spans 180 s.*step 60 s is 4 windows"
+                                         r".*raise --step"):
+        build_snapshots(base, [space], readings, [], 60)
+
+
 # ---------------------------------------------------------------------------
 # adjacency_tensor
 # ---------------------------------------------------------------------------
@@ -276,7 +294,10 @@ def test_union_of_single_snapshot_equals_snapshot():
     base, space = two_cell_base()
     fixes = [OccupantFix("occupant:o", 0, "5", (1.0, 1.0))]
     tg = build_snapshots(base, [space], [], fixes, 60, occupant_radius=0.5)
-    assert flatten(tg, "union").to_text() == tg.snapshots[0].graph.to_text()
+    union, snapshot = flatten(tg, "union"), tg.snapshots[0].graph
+    assert union.labels() == snapshot.labels()
+    assert union.node_ids() == snapshot.node_ids()
+    assert _weighted_edges(union) == _weighted_edges(snapshot)
 
 
 def test_slice_returns_snapshot_and_range_checked():
