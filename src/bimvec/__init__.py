@@ -23,7 +23,6 @@ from .space_grid import (
 from .step_parser import (
     StepEntity,
     StepModel,
-    entities_of_type,
     parse_step,
     parse_step_file,
     serialize_step,
@@ -74,7 +73,6 @@ __all__ = [
     "build_snapshots",
     "cosine",
     "discretize",
-    "entities_of_type",
     "export_projector",
     "flatten",
     "generate_walks",

@@ -20,7 +20,7 @@ import click
 from . import space_grid, temporal
 from .config import RunConfig, load_config
 from .errors import BimvecError, ConfigError, InternalInvariantError, SliceOutOfRangeError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_json
 from .graph import PropertyGraph
 from .ifc_graph import attach_properties, build_graph
 from .sgns import EmbeddingMatrix, attach_labels, train
@@ -237,19 +237,18 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
 
 
 def _read_graph(path) -> PropertyGraph:
-    with open(path, "r", encoding="utf-8") as fp:
-        return PropertyGraph.from_text(fp.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return PropertyGraph.from_text(fp.read())
+    except (BimvecError, ValueError) as exc:
+        raise BimvecError(f"{path}: {exc}") from None
 
 
 def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
     """The graph ``embed`` walks from a store: the union of ``base.tsv`` and
     ``tensor.csv``, or one file of ``snapshots/``."""
     path = os.path.join(store_dir, "manifest.json")
-    with open(path, encoding="utf-8") as fp:
-        try:
-            manifest = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise BimvecError(f"{path}: expected a JSON object")
     windows, order = manifest.get("T"), manifest.get("node_index")
@@ -308,7 +307,7 @@ def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
 @click.option("--walks-per-node", type=int, default=None)
 @click.option("--walk-seed", type=int, default=None)
 @click.option("--train-seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
+@click.option("--workers", type=int, default=None, help="Must be >= 1; changes nothing.")
 @click.option("--dynamic-window/--fixed-window", default=None)
 @click.option("--dump-walks", is_flag=True, default=False)
 @click.pass_obj

@@ -1,9 +1,12 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic file writes (temp file, then rename); JSON reads naming the file."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
+
+from .errors import BimvecError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -22,3 +25,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None

@@ -13,7 +13,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import InternalInvariantError, UnknownNodeError
 
@@ -22,6 +22,12 @@ logger = logging.getLogger(__name__)
 NodeId = str
 
 _ID_FORBIDDEN = set(" \t\r\n")
+
+
+def check_token(value: str, what: str) -> None:
+    """Node ids and labels are fields of the tab-separated text form."""
+    if not value or _ID_FORBIDDEN & set(value):
+        raise ValueError(f"invalid {what} {value!r}")
 
 
 @dataclass
@@ -60,10 +66,8 @@ class PropertyGraph:
     # -- construction -------------------------------------------------------
 
     def add_node(self, node_id: NodeId, label: str, attributes: dict | None = None) -> Node:
-        if not node_id or _ID_FORBIDDEN & set(node_id):
-            raise ValueError(f"invalid node id {node_id!r}")
-        if not label or _ID_FORBIDDEN & set(label):
-            raise ValueError(f"invalid node label {label!r}")
+        check_token(node_id, "node id")
+        check_token(label, "node label")
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already exists")
         node = Node(node_id, label, dict(attributes or {}))
@@ -149,33 +153,20 @@ class PropertyGraph:
             u, v = v, u
         return any(self._edges[i].other(u) == v for i in self._incidence[u])
 
-    def degree(self, node_id: NodeId) -> int:
-        """Number of distinct neighbors."""
-        return len(self.neighbors(node_id))
-
     def labels(self) -> dict[NodeId, str]:
         return {node_id: node.label for node_id, node in self._nodes.items()}
 
     # -- derived graphs -----------------------------------------------------
 
     def copy(self) -> "PropertyGraph":
+        """An independent graph; as this one is valid nothing is re-checked:
+        nodes and their attribute dicts are copied, frozen edges shared."""
         out = PropertyGraph()
-        for node in self._nodes.values():
-            out.add_node(node.id, node.label, dict(node.attributes))
-        for edge in self._edges:
-            out.add_edge(edge.a, edge.b, edge.label, edge.weight, dict(edge.attributes))
-        return out
-
-    def subgraph(self, labels: Iterable[str]) -> "PropertyGraph":
-        """Induced subgraph on nodes whose label is in ``labels``."""
-        keep = set(labels)
-        out = PropertyGraph()
-        for node in self._nodes.values():
-            if node.label in keep:
-                out.add_node(node.id, node.label, dict(node.attributes))
-        for edge in self._edges:
-            if edge.a in out and edge.b in out:
-                out.add_edge(edge.a, edge.b, edge.label, edge.weight, dict(edge.attributes))
+        out._nodes = {node_id: Node(node_id, node.label, dict(node.attributes))
+                      for node_id, node in self._nodes.items()}
+        out._edges = list(self._edges)
+        out._incidence = {node_id: list(indices)
+                          for node_id, indices in self._incidence.items()}
         return out
 
     # -- integrity ----------------------------------------------------------
@@ -234,7 +225,3 @@ class PropertyGraph:
             else:
                 raise ValueError(f"unknown record kind {kind!r} on line {line_no}")
         return graph
-
-    def equals(self, other: "PropertyGraph") -> bool:
-        """Structural equality: same nodes and the same edge multiset."""
-        return self.to_text() == other.to_text()

@@ -10,7 +10,6 @@ equipment (sensors, doors, windows) is wired to nearby cells with AT edges.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .errors import (
     NoCellInRangeError,
     UnknownNodeError,
 )
+from .fileio import read_json
 from .graph import NodeId, PropertyGraph
 
 logger = logging.getLogger(__name__)
@@ -409,8 +409,7 @@ def _entries(path, records, section: str):
 
 def load_footprints(path) -> list[Footprint]:
     """Read the sidecar file: an array of {space_id, polygon, elevation?}."""
-    with open(path, "r", encoding="utf-8") as fp:
-        records = json.load(fp)
+    records = read_json(path)
     footprints = []
     for where, record in _entries(path, records, "footprints"):
         if "space_id" not in record:
@@ -425,8 +424,7 @@ def load_sensor_manifest(path) -> tuple[list[dict], list[dict]]:
     object with its id key (``id`` or ``entity_id``), ``space_id`` and a
     ``position`` of two finite numbers; ``radius``, if given, is finite too.
     Positions and radii come back as floats."""
-    with open(path, "r", encoding="utf-8") as fp:
-        manifest = json.load(fp)
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise BimvecError(f"{path}: sensor manifest must be a JSON object")
     sections = []

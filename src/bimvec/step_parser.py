@@ -395,13 +395,6 @@ def _iter_reference_ids(value: StepValue) -> Iterator[int]:
         yield from _iter_reference_ids(value.value)
 
 
-def entities_of_type(model: StepModel, type_name: str) -> list[StepEntity]:
-    """All entities whose type matches ``type_name`` (case-insensitive),
-    in ascending id order. Unknown types yield an empty list."""
-    wanted = type_name.upper()
-    return [e for e in model.in_id_order() if e.type_name == wanted]
-
-
 # ---------------------------------------------------------------------------
 # Serialization (round-trip support)
 # ---------------------------------------------------------------------------

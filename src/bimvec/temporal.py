@@ -20,14 +20,15 @@ from .errors import (
     SliceOutOfRangeError,
     UnknownNodeError,
 )
-from .graph import NodeId, PropertyGraph
+from .graph import NodeId, PropertyGraph, check_token
 from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
 
 logger = logging.getLogger(__name__)
 
 OCCUPANT_LABEL = "OCCUPANT"
-# Each window is a full copy of the base graph, so one outlying timestamp
-# must not set the count; a week of 1-minute windows is 10,080.
+# Windows are deltas on the base graph, but the tensor, the time and the store
+# grow with their count (each window's full text is written), so one outlying
+# timestamp must not set it; a week of 1-minute windows is 10,080.
 MAX_WINDOWS = 100_000
 
 FEEDBACK_ENCODING: dict[str, list[int]] = {
@@ -79,7 +80,7 @@ class Snapshot:
 @dataclass
 class TemporalGraph:
     base: PropertyGraph
-    snapshots: list[Snapshot]
+    snapshots: Sequence[Snapshot]
     node_index: dict[NodeId, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -98,6 +99,34 @@ class _OccupantState:
     windows_since_fix: int = 0
 
 
+@dataclass(frozen=True)
+class _Snapshots(Sequence[Snapshot]):
+    """Per window: timestamp, placed occupants, latest value per (sensor,
+    channel). Each read builds a new graph from the base; none is kept."""
+
+    base: PropertyGraph
+    windows: list[tuple[int, list[tuple[NodeId, _OccupantState]], dict]]
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        timestamp, occupants, readings = self.windows[index]
+        graph = self.base.copy()
+        for occupant, state in occupants:
+            attributes: dict = {"x": state.position[0], "y": state.position[1]}
+            if state.feedback is not None:
+                attributes["feedback"] = list(FEEDBACK_ENCODING[state.feedback])
+            graph.add_node(occupant, OCCUPANT_LABEL, attributes)
+            for cell_id in state.cells:
+                graph.add_edge(occupant, cell_id, AT_LABEL, 1.0)
+        for (sensor, channel), value in readings.items():
+            graph.set_node_attribute(sensor, channel, value)
+        return Snapshot(timestamp, graph)
+
+
 def build_snapshots(
     base: PropertyGraph,
     spaces: Sequence[DiscretizedSpace],
@@ -107,9 +136,10 @@ def build_snapshots(
     occupant_radius: float | None = None,
     max_gap: int = 10,
 ) -> TemporalGraph:
-    """Bucket readings and fixes into ``step``-second windows and build one
-    snapshot per window spanning the data.
+    """Bucket readings and fixes into ``step``-second windows, one snapshot
+    per window spanning the data.
 
+    The base is kept once and each window's graph is built when it is read.
     ``occupant_radius`` defaults to each space's cell size. Records sharing
     a window are normalized by (timestamp, node id) and the latest wins.
     """
@@ -140,17 +170,18 @@ def build_snapshots(
 
     # Normalize by (timestamp, node id), then by the remaining fields so
     # construction is independent of input order even for exact duplicates.
-    readings_by_window: dict[int, list[SensorReading]] = {}
+    latest_by_window: dict[int, dict[tuple[NodeId, str], float]] = {}
     for reading in sorted(readings, key=lambda r: (
             r.timestamp, r.sensor_node, r.channel, r.value)):
-        readings_by_window.setdefault((reading.timestamp - t0) // step, []).append(reading)
+        latest_by_window.setdefault((reading.timestamp - t0) // step, {})[
+            (reading.sensor_node, reading.channel)] = reading.value
     fixes_by_window: dict[int, list[OccupantFix]] = {}
     for fix in sorted(fixes, key=lambda f: (
             f.timestamp, f.occupant_node, f.space_node, f.position,
             f.feedback or "")):
         fixes_by_window.setdefault((fix.timestamp - t0) // step, []).append(fix)
 
-    snapshots: list[Snapshot] = []
+    windows = []
     occupant_states: dict[NodeId, _OccupantState] = {}
     for window in range(n_windows):
         # Latest fix per occupant in this window replaces the carried state.
@@ -167,6 +198,13 @@ def build_snapshots(
                 )
                 occupant_states.pop(occupant, None)
                 continue
+            # Reject at build time what adding the occupant on a read would.
+            check_token(occupant, "node id")
+            if occupant in base:
+                raise ValueError(f"occupant {occupant!r} is already a base node")
+            for cell_id in cells:
+                if cell_id not in base:
+                    raise UnknownNodeError(f"fix places {occupant!r} in missing cell {cell_id!r}")
             occupant_states[occupant] = _OccupantState(
                 cells, fix.position, fix.feedback, windows_since_fix=0,
             )
@@ -177,27 +215,13 @@ def build_snapshots(
                 if state.windows_since_fix > max_gap:
                     del occupant_states[occupant]
 
-        graph = base.copy()
-        for occupant in sorted(occupant_states):
-            state = occupant_states[occupant]
-            attributes: dict = {"x": state.position[0], "y": state.position[1]}
-            if state.feedback is not None:
-                attributes["feedback"] = list(FEEDBACK_ENCODING[state.feedback])
-            graph.add_node(occupant, OCCUPANT_LABEL, attributes)
-            for cell_id in state.cells:
-                graph.add_edge(occupant, cell_id, AT_LABEL, 1.0)
+        windows.append((t0 + window * step, sorted(occupant_states.items()),
+                        latest_by_window.get(window, {})))
 
-        window_latest: dict[tuple[NodeId, str], float] = {}
-        for reading in readings_by_window.get(window, []):
-            window_latest[(reading.sensor_node, reading.channel)] = reading.value
-        for (sensor, channel), value in window_latest.items():
-            graph.set_node_attribute(sensor, channel, value)
-
-        snapshots.append(Snapshot(t0 + window * step, graph))
-
-    node_ids = sorted({nid for snap in snapshots for nid in snap.graph.node_ids()})
+    placed = {occupant for _, occupants, _ in windows for occupant, _ in occupants}
+    node_ids = sorted([*base.node_ids(), *placed])
     node_index = {nid: i for i, nid in enumerate(node_ids)}
-    return TemporalGraph(base, snapshots, node_index)
+    return TemporalGraph(base, _Snapshots(base, windows), node_index)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +246,9 @@ def adjacency_tensor(tg: TemporalGraph) -> TensorExport:
     if not tg.snapshots:
         raise ValueError("temporal graph has no snapshots")
     records: list[tuple[int, int, int, float]] = []
+    timestamps = []
     for t, snapshot in enumerate(tg.snapshots):
+        timestamps.append(snapshot.timestamp)
         aggregated: dict[tuple[int, int], float] = {}
         for edge in snapshot.graph.edges():
             i, j = tg.node_index[edge.a], tg.node_index[edge.b]
@@ -236,7 +262,7 @@ def adjacency_tensor(tg: TemporalGraph) -> TensorExport:
         "T": len(tg.snapshots),
         "N": len(tg.node_index),
         "node_index": node_order,
-        "timestamps": [snap.timestamp for snap in tg.snapshots],
+        "timestamps": timestamps,
     }
     return TensorExport(manifest, records)
 

@@ -131,6 +131,23 @@ def test_graph_unknown_footprint_space_exits_3(runner, data_dir, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("sidecar", ["footprints", "sensors"])
+def test_graph_truncated_sidecar_names_file(runner, data_dir, tmp_path, sidecar):
+    paths = {name: data_dir / f"two_space.{name}.json"
+             for name in ("footprints", "sensors")}
+    text = paths[sidecar].read_text()
+    paths[sidecar] = tmp_path / f"{sidecar}.json"
+    paths[sidecar].write_text(text[:len(text) // 2])
+    result = runner.invoke(main, [
+        "graph", str(data_dir / "two_space.ifc"),
+        "--footprints", str(paths["footprints"]),
+        "--sensors", str(paths["sensors"]),
+        "--out", str(tmp_path / "graph.tsv"),
+    ])
+    assert result.exit_code == 3, result.output
+    assert f"{paths[sidecar]}, line " in result.output
+
+
 _SQUARE = [[0.0, 0.0], [6.0, 0.0], [6.0, 6.0], [0.0, 6.0]]
 
 
@@ -453,6 +470,16 @@ def test_embed_store_bad_tensor_exits_3(runner, data_dir, tmp_path, line,
     where = "line 1" if line is None else "line 3"
     assert f"{path}, {where}" in result.output
     assert message in result.output
+
+
+def test_embed_store_bad_base_record_names_file(runner, data_dir, tmp_path):
+    store_dir = _build_store(runner, data_dir, tmp_path)
+    path = store_dir / "base.tsv"
+    path.write_text(path.read_text() + "N\tbad\n")
+    result = runner.invoke(main, ["embed", str(store_dir),
+                                  "--out", str(tmp_path / "emb")])
+    assert result.exit_code == 3, result.output
+    assert f"{path}: bad node record on line" in result.output
 
 
 def test_query_filter_returns_only_cells(runner, data_dir, tmp_path):

@@ -132,37 +132,28 @@ def test_malformed_property_set_is_skipped():
 
 
 # ---------------------------------------------------------------------------
-# subgraph
+# copy
 # ---------------------------------------------------------------------------
 
-def _triangle_with_labels() -> PropertyGraph:
+def test_copy_is_independent_and_valid():
     graph = PropertyGraph()
-    graph.add_node("1", "A")
-    graph.add_node("2", "A")
-    graph.add_node("3", "B")
-    graph.add_edge("1", "2", "E")
-    graph.add_edge("2", "3", "E")
-    graph.add_edge("1", "3", "E")
-    return graph
-
-
-def test_subgraph_single_label():
-    graph = _triangle_with_labels()
-    result = graph.subgraph({"B"})
-    assert len(result) == 1
-    assert result.edge_count == 0
-
-
-def test_subgraph_all_labels_is_identity():
-    graph = _triangle_with_labels()
-    assert graph.subgraph({"A", "B"}).equals(graph)
-
-
-def test_subgraph_keeps_edges_with_both_endpoints():
-    graph = _triangle_with_labels()
-    result = graph.subgraph({"A"})
-    assert len(result) == 2
-    assert [e.endpoints for e in result.edges()] == [("1", "2")]
+    graph.add_node("1", "A", {"name": "one"})
+    graph.add_node("2", "B")
+    graph.add_edge("1", "2", "E", 2.0, {"kind": "wall"})
+    before = graph.to_text()
+    copied = graph.copy()
+    assert copied.to_text() == before
+    copied.set_node_attribute("1", "name", "changed")
+    copied.node("2").attributes["mark"] = 1
+    copied.add_node("3", "A")
+    copied.add_edge("3", "1", "E")
+    copied.add_edge("1", "2", "E")
+    assert graph.to_text() == before
+    assert "3" not in graph
+    assert len(graph.incident_edges("1")) == 1
+    assert len(copied.incident_edges("1")) == 3
+    graph.validate()
+    copied.validate()
 
 
 # ---------------------------------------------------------------------------

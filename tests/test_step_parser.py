@@ -22,7 +22,6 @@ from bimvec.step_parser import (
     StepEntity,
     StepModel,
     TypedValue,
-    entities_of_type,
     parse_step,
     parse_step_file,
     serialize_step,
@@ -211,25 +210,6 @@ def test_dangling_references_in_ascending_order():
 def test_dangling_fixture_expected_pairs(data_dir):
     model = parse_step_file(data_dir / "dangling.ifc")
     assert validate_references(model) == [(10, 99), (11, 98)]
-
-
-# ---------------------------------------------------------------------------
-# entities_of_type
-# ---------------------------------------------------------------------------
-
-def test_entities_of_type_exact_match():
-    model = parse_step(wrap("#1=IFCWALL(0);\n#2=IFCDOOR(0);"))
-    assert [e.id for e in entities_of_type(model, "IFCWALL")] == [1]
-
-
-def test_entities_of_type_unknown_is_empty():
-    model = parse_step(wrap(""))
-    assert entities_of_type(model, "IFCSPACE") == []
-
-
-def test_entities_of_type_sorted_and_case_insensitive():
-    model = parse_step(wrap("#3=IFCWALL(0);\n#7=IFCWALL(1);\n#5=IFCWALL(2);"))
-    assert [e.id for e in entities_of_type(model, "IfcWall")] == [3, 5, 7]
 
 
 # ---------------------------------------------------------------------------

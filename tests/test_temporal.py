@@ -189,6 +189,54 @@ def test_window_count_is_bounded_before_any_window_is_built(monkeypatch):
         build_snapshots(base, [space], readings, [], 60)
 
 
+@pytest.mark.parametrize("occupant,message", [
+    ("sensor:s1", "already a base node"),
+    ("occupant:a b", "invalid node id"),
+], ids=["base-node", "whitespace"])
+def test_bad_occupant_id_fails_at_build(occupant, message):
+    base, space = two_cell_base()
+    fixes = [OccupantFix(occupant, 0, "5", (1.0, 1.0))]
+    with pytest.raises(ValueError, match=message):
+        build_snapshots(base, [space], [], fixes, 60)
+
+
+def test_occupant_in_cell_missing_from_base_fails_at_build():
+    base, _ = two_cell_base()
+    wider = discretize(Footprint("5", ((0, 0), (8, 0), (8, 2), (0, 2))), 2.0)
+    fixes = [OccupantFix("occupant:o", 0, "5", (7.0, 1.0))]
+    with pytest.raises(UnknownNodeError, match="cell:5:0:3"):
+        build_snapshots(base, [wider], [], fixes, 60, occupant_radius=0.5)
+
+
+def test_snapshot_reads_are_equal_and_independent():
+    base, space = two_cell_base()
+    readings = [SensorReading("sensor:s1", 0, "temperature", 21.5)]
+    tg = build_snapshots(base, [space], readings, move_fixes(), 60)
+    first, second = tg.snapshots[0], tg.snapshots[0]
+    assert first.timestamp == second.timestamp == 0
+    assert first.graph.to_text() == second.graph.to_text()
+    first.graph.set_node_attribute("sensor:s1", "temperature", 0.0)
+    first.graph.add_node("extra", "X")
+    first.graph.add_edge("extra", CELL_A, "E")
+    assert second.graph.to_text() == tg.snapshots[0].graph.to_text()
+    assert second.graph.node("sensor:s1").attributes["temperature"] == 21.5
+    assert "temperature" not in base.node("sensor:s1").attributes
+    assert "occupant:alice" not in base
+    assert [s.timestamp for s in tg.snapshots] == [0, 60]
+    assert [s.timestamp for s in tg.snapshots[1:]] == [tg.snapshots[-1].timestamp]
+
+
+def test_node_index_is_every_node_of_any_snapshot():
+    base, space = two_cell_base()
+    fixes = move_fixes() + [OccupantFix("occupant:bob", 600, "5", (1.0, 1.0)),
+                            OccupantFix("occupant:eve", 60, "5", (99.0, 99.0))]
+    tg = build_snapshots(base, [space], [], fixes, 60, max_gap=2)
+    node_ids = sorted({n for s in tg.snapshots for n in s.graph.node_ids()})
+    assert tg.node_index == {n: i for i, n in enumerate(node_ids)}
+    assert "occupant:bob" in tg.node_index
+    assert "occupant:eve" not in tg.node_index
+
+
 # ---------------------------------------------------------------------------
 # adjacency_tensor
 # ---------------------------------------------------------------------------
@@ -298,6 +346,19 @@ def test_union_of_single_snapshot_equals_snapshot():
     assert union.labels() == snapshot.labels()
     assert union.node_ids() == snapshot.node_ids()
     assert _weighted_edges(union) == _weighted_edges(snapshot)
+
+
+def test_flatten_of_plain_snapshot_list():
+    base, space = two_cell_base()
+    built = build_snapshots(base, [space], [], move_fixes(), 60,
+                            occupant_radius=0.5)
+    plain = TemporalGraph(base, list(built.snapshots), built.node_index)
+    assert adjacency_tensor(plain) == adjacency_tensor(built)
+    assert flatten(plain, "union").to_text() == flatten(built, "union").to_text()
+    sliced = flatten(plain, "slice", 1)
+    assert sliced.to_text() == flatten(built, "slice", 1).to_text()
+    sliced.add_node("extra", "X")
+    assert "extra" not in plain.snapshots[1].graph
 
 
 def test_slice_returns_snapshot_and_range_checked():
