@@ -20,13 +20,13 @@ import click
 from . import space_grid, temporal
 from .config import RunConfig, load_config
 from .errors import BimvecError, ConfigError, InternalInvariantError, SliceOutOfRangeError
-from .fileio import atomic_write_text, read_json
+from .fileio import atomic_open, atomic_write_text, read_json
 from .graph import PropertyGraph
 from .ifc_graph import attach_properties, build_graph
 from .sgns import EmbeddingMatrix, attach_labels, train
 from .step_parser import parse_step_file, serialize_step, validate_references
 from .store import export_projector, knn, load_labeled_csv, predict_comfort
-from .temporal import adjacency_tensor, build_snapshots
+from .temporal import build_snapshots
 from .walks import generate_walks
 
 logger = logging.getLogger(__name__)
@@ -214,25 +214,24 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
         base, spaces, readings, fixes, cfg.step,
         occupant_radius=cfg.occupant_radius, max_gap=cfg.max_gap,
     )
-    export = adjacency_tensor(tg)
 
     os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
-    manifest = dict(export.manifest)
+    timestamps, records = [], 0
+    with atomic_open(os.path.join(out_dir, "tensor.csv")) as tensor:
+        tensor.write("t,i,j,w\n")
+        for t, snapshot, pairs in temporal.slices(tg):
+            timestamps.append(snapshot.timestamp)
+            atomic_write_text(os.path.join(out_dir, "snapshots", f"{t:06d}.tsv"),
+                              snapshot.graph.to_text())
+            tensor.write("".join(f"{t},{i},{j},{w!r}\n" for i, j, w in pairs))
+            records += len(pairs)
+    manifest = temporal.tensor_manifest(tg, timestamps)
     manifest["step"] = cfg.step
     atomic_write_text(os.path.join(out_dir, "manifest.json"),
                       json.dumps(manifest, indent=2) + "\n")
-    record_lines = ["t,i,j,w"]
-    record_lines += [f"{t},{i},{j},{w!r}" for t, i, j, w in export.records]
-    atomic_write_text(os.path.join(out_dir, "tensor.csv"),
-                      "\n".join(record_lines) + "\n")
     atomic_write_text(os.path.join(out_dir, "base.tsv"), base.to_text())
-    for index, snapshot in enumerate(tg.snapshots):
-        atomic_write_text(
-            os.path.join(out_dir, "snapshots", f"{index:06d}.tsv"),
-            snapshot.graph.to_text(),
-        )
     click.echo(f"snapshots\t{len(tg)}")
-    click.echo(f"tensor_records\t{len(export.records)}")
+    click.echo(f"tensor_records\t{records}")
     click.echo(f"store\t{out_dir}")
 
 
@@ -268,22 +267,26 @@ def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
     if missing:
         raise BimvecError(f"{path}: node_index lacks base node {missing[0]!r}")
     path = os.path.join(store_dir, "tensor.csv")
-    records = []
     with open(path, encoding="utf-8") as fp:
         if fp.readline().rstrip("\n") != "t,i,j,w":
             raise BimvecError(f"{path}, line 1: expected the header t,i,j,w")
-        for line_no, line in enumerate(fp, start=2):
-            try:
-                t, i, j, w = line.split(",")
-                t, i, j, w = int(t), int(i), int(j), float(w)
-            except ValueError as exc:
-                raise BimvecError(f"{path}, line {line_no}: {exc}") from None
-            if not (0 <= t < windows and 0 <= i < j < len(order) and math.isfinite(w)):
-                raise BimvecError(
-                    f"{path}, line {line_no}: need 0 <= t < {windows}, "
-                    f"0 <= i < j < {len(order)} and a finite w")
-            records.append((t, i, j, w))
-    return temporal.union_graph(base, order, records, windows)
+        return temporal.union_graph(base, order, _tensor_rows(fp, path, windows, len(order)),
+                                    windows)
+
+
+def _tensor_rows(fp, path, windows: int, nodes: int):
+    """The (t, i, j, w) records of ``tensor.csv`` after its header, checked."""
+    for line_no, line in enumerate(fp, start=2):
+        try:
+            t, i, j, w = line.split(",")
+            t, i, j, w = int(t), int(i), int(j), float(w)
+        except ValueError as exc:
+            raise BimvecError(f"{path}, line {line_no}: {exc}") from None
+        if not (0 <= t < windows and 0 <= i < j < nodes and math.isfinite(w)):
+            raise BimvecError(
+                f"{path}, line {line_no}: need 0 <= t < {windows}, "
+                f"0 <= i < j < {nodes} and a finite w")
+        yield t, i, j, w
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,30 @@
-"""Atomic file writes (temp file, then rename); JSON reads naming the file."""
+"""Atomic file writes (temp file, then rename); JSON and CSV reads naming the
+file."""
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import itertools
 import json
 import os
 import tempfile
+from typing import Callable
 
 from .errors import BimvecError
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+@contextlib.contextmanager
+def atomic_open(path, binary: bool = False):
+    """A file beside ``path`` to write, as bytes or as UTF-8 text with no
+    newline translation. It replaces ``path`` when the block ends and is
+    removed when the block raises, leaving ``path`` as it was."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as fp:
-            fp.write(data)
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", encoding="utf-8", newline="")) as fp:
+            yield fp
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -23,8 +32,14 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path, data: bytes) -> None:
+    with atomic_open(path, binary=True) as fp:
+        fp.write(data)
+
+
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_open(path) as fp:
+        fp.write(text)
 
 
 def read_json(path):
@@ -33,3 +48,26 @@ def read_json(path):
             return json.load(fp)
         except json.JSONDecodeError as exc:
             raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None
+
+
+def read_csv(path, header: str, min_fields: int, parse: Callable[[list[str]], object]) -> list:
+    """``parse`` of each non-blank row of a CSV file, its fields stripped.
+    Row 1 is a header, and skipped, only if its first field is ``header``.
+    A short row, a row ``parse`` rejects with ``ValueError`` and one the csv
+    module cannot read raise ``BimvecError`` as ``path, row N: reason``."""
+    out = []
+    with open(path, encoding="utf-8", newline="") as fp:
+        rows = csv.reader(fp)
+        for row_no in itertools.count(1):
+            try:
+                row = next(rows, None)
+                if row is None:
+                    return out
+                row = [cell.strip() for cell in row]
+                if not any(row) or (row_no == 1 and row[0] == header):
+                    continue
+                if len(row) < min_fields:
+                    raise ValueError(f"has {len(row)} fields, expected at least {min_fields}")
+                out.append(parse(row))
+            except (csv.Error, ValueError) as exc:
+                raise BimvecError(f"{path}, row {row_no}: {exc}") from None

@@ -74,15 +74,16 @@ class EmbeddingMatrix:
     vectors: np.ndarray
     context_vectors: np.ndarray
     ids: list[NodeId]
-    vocabulary: dict[NodeId, int]
     labels: dict[NodeId, str] = field(default_factory=dict)
     epoch_losses: list[float] = field(default_factory=list)
+    vocabulary: dict[NodeId, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.vectors.shape != self.context_vectors.shape:
             raise ValueError("vector tables must have matching shapes")
         if len(self.ids) != self.vectors.shape[0]:
             raise ValueError("row count must equal vocabulary size")
+        self.vocabulary = {nid: i for i, nid in enumerate(self.ids)}
 
     @property
     def dimension(self) -> int:
@@ -147,8 +148,7 @@ class EmbeddingMatrix:
                 labels[node_id] = label
         if offset != len(data):
             raise ValueError(f"{path} has {len(data) - offset} bytes after its vocabulary")
-        vocabulary = {nid: i for i, nid in enumerate(ids)}
-        return cls(vectors, context, ids, vocabulary, labels)
+        return cls(vectors, context, ids, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +158,7 @@ class EmbeddingMatrix:
 class NegativeSampler:
     """Draw dense indices with probability counts[i]^0.75 / sum."""
 
-    def __init__(self, counts: Sequence[float], seed: int | None = None,
-                 power: float = 0.75):
+    def __init__(self, counts: Sequence[float], power: float = 0.75):
         counts = np.asarray(counts, dtype=np.float64)
         if counts.size == 0 or not (counts > 0).any():
             raise AllZeroCountsError("negative sampling needs a nonzero count")
@@ -168,12 +167,8 @@ class NegativeSampler:
         weights = counts ** power
         self.probabilities = weights / weights.sum()
         self.table = AliasTable.build(list(self.probabilities))
-        self._rng = np.random.default_rng(seed) if seed is not None else None
 
-    def sample(self, count: int, rng=None) -> np.ndarray:
-        rng = rng if rng is not None else self._rng
-        if rng is None:
-            raise ValueError("sampler was built without a seed; pass an rng")
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self.table.sample_many(rng, count)
 
 
@@ -247,19 +242,17 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     """Run SGNS over the corpus and return the input vectors as the
     embedding. A corpus with no (center, context) pairs returns the seeded
     initialization unchanged."""
-    if not corpus.walks or not corpus.vocabulary:
+    ids = sorted({nid for walk in corpus.walks for nid in walk})
+    if not ids:
         raise EmptyCorpusError("corpus has no walks")
-    ids = sorted(corpus.vocabulary, key=corpus.vocabulary.get)
     vocab_size = len(ids)
 
     syn0 = initial_vectors(vocab_size, cfg.dimension, cfg.seed)
     syn1 = np.zeros((vocab_size, cfg.dimension), dtype=np.float32)
-    matrix = EmbeddingMatrix(syn0, syn1, ids, dict(corpus.vocabulary))
+    matrix = EmbeddingMatrix(syn0, syn1, ids)
 
-    walks = [
-        np.array([corpus.vocabulary[nid] for nid in walk], dtype=np.int64)
-        for walk in corpus.walks
-    ]
+    walks = [np.array([matrix.vocabulary[nid] for nid in walk], dtype=np.int64)
+             for walk in corpus.walks]
     per_walk_pairs = [
         sum(_full_pair_count(len(walk), pos, cfg.window) for pos in range(len(walk)))
         for walk in walks
@@ -272,8 +265,9 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
 
     walk_offsets = np.concatenate(([0], np.cumsum(per_walk_pairs)[:-1]))
     total_progress = epoch_pairs * cfg.epochs
-    sampler = NegativeSampler(corpus.count_vector())
-    keep_probability = _keep_probabilities(corpus, cfg)
+    counts = np.bincount(np.concatenate(walks), minlength=vocab_size)
+    sampler = NegativeSampler(counts)
+    keep_probability = _keep_probabilities(counts, cfg)
 
     def train_walk(epoch: int, walk_index: int) -> tuple[float, int]:
         walk = walks[walk_index]
@@ -317,10 +311,9 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     return matrix
 
 
-def _keep_probabilities(corpus: WalkCorpus, cfg: TrainConfig):
+def _keep_probabilities(counts: np.ndarray, cfg: TrainConfig):
     if cfg.subsample_threshold <= 0:
         return None
-    counts = np.asarray(corpus.count_vector(), dtype=np.float64)
     frequencies = counts / counts.sum()
     with np.errstate(divide="ignore"):
         keep = np.sqrt(cfg.subsample_threshold / frequencies)

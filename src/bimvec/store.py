@@ -8,7 +8,6 @@ comfortable / uncomfortable / neutral.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from .errors import (
     UnknownNodeError,
     ZeroVectorError,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_csv
 from .graph import NodeId, PropertyGraph
 from .sgns import EmbeddingMatrix
 
@@ -206,16 +205,7 @@ def load_vectors_tsv(path) -> np.ndarray:
 
 
 def load_labeled_csv(path) -> list[LabeledExample]:
-    """Rows of ``node_id,feedback`` with feedback a comfort class name."""
-    examples = []
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        for row_no, row in enumerate(csv.reader(fp), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if row_no == 1 and row[-1].strip() not in CLASS_NAMES:
-                continue  # header row
-            if len(row) < 2:
-                raise ValueError(f"row {row_no} needs node_id,feedback")
-            examples.append(LabeledExample.from_name(row[0].strip(),
-                                                     row[-1].strip()))
-    return examples
+    """Rows of ``node_id,feedback`` with feedback a comfort class name
+    (header optional)."""
+    return read_csv(path, "node_id", 2,
+                    lambda row: LabeledExample.from_name(row[0], row[-1]))

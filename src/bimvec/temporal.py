@@ -9,25 +9,26 @@ carry their last known cells forward for up to ``max_gap`` windows.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyTimelineError,
     SliceOutOfRangeError,
     UnknownNodeError,
 )
+from .fileio import read_csv
 from .graph import NodeId, PropertyGraph, check_token
 from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
 
 logger = logging.getLogger(__name__)
 
 OCCUPANT_LABEL = "OCCUPANT"
-# Windows are deltas on the base graph, but the tensor, the time and the store
-# grow with their count (each window's full text is written), so one outlying
+# Windows are deltas on the base graph and are built and written one at a
+# time, so memory does not grow with their count, but the time and the store
+# do (each window's full text and tensor rows are written), so one outlying
 # timestamp must not set it; a week of 1-minute windows is 10,080.
 MAX_WINDOWS = 100_000
 
@@ -240,31 +241,40 @@ class TensorExport:
     records: list[tuple[int, int, int, float]]
 
 
-def adjacency_tensor(tg: TemporalGraph) -> TensorExport:
-    """Export every snapshot's weighted adjacency under the shared node
-    ordering; parallel edges are summed into one coefficient."""
-    if not tg.snapshots:
-        raise ValueError("temporal graph has no snapshots")
-    records: list[tuple[int, int, int, float]] = []
-    timestamps = []
+def slices(tg: TemporalGraph) -> Iterator[tuple[int, Snapshot, list[tuple[int, int, float]]]]:
+    """Per window ``t``: its snapshot, read once, and its weighted adjacency
+    under the shared node ordering as sorted (i, j, w) with i < j; parallel
+    edges are summed into one coefficient."""
     for t, snapshot in enumerate(tg.snapshots):
-        timestamps.append(snapshot.timestamp)
         aggregated: dict[tuple[int, int], float] = {}
         for edge in snapshot.graph.edges():
             i, j = tg.node_index[edge.a], tg.node_index[edge.b]
             if i > j:
                 i, j = j, i
             aggregated[(i, j)] = aggregated.get((i, j), 0.0) + edge.weight
-        for (i, j), weight in sorted(aggregated.items()):
-            records.append((t, i, j, weight))
-    node_order = sorted(tg.node_index, key=tg.node_index.get)
-    manifest = {
+        yield t, snapshot, [(i, j, w) for (i, j), w in sorted(aggregated.items())]
+
+
+def tensor_manifest(tg: TemporalGraph, timestamps: list[int]) -> dict:
+    """The store manifest's tensor keys: shape, node ordering, timestamps."""
+    return {
         "T": len(tg.snapshots),
         "N": len(tg.node_index),
-        "node_index": node_order,
+        "node_index": sorted(tg.node_index, key=tg.node_index.get),
         "timestamps": timestamps,
     }
-    return TensorExport(manifest, records)
+
+
+def adjacency_tensor(tg: TemporalGraph) -> TensorExport:
+    """Every window of :func:`slices` as (t, i, j, w) records."""
+    if not tg.snapshots:
+        raise ValueError("temporal graph has no snapshots")
+    records: list[tuple[int, int, int, float]] = []
+    timestamps = []
+    for t, snapshot, pairs in slices(tg):
+        timestamps.append(snapshot.timestamp)
+        records += [(t, i, j, w) for i, j, w in pairs]
+    return TensorExport(tensor_manifest(tg, timestamps), records)
 
 
 # ---------------------------------------------------------------------------
@@ -326,34 +336,13 @@ def occupant_node_id(occupant_id: str) -> NodeId:
 
 def load_readings_csv(path) -> list[SensorReading]:
     """Rows of ``timestamp,sensor_id,channel,value`` (header optional)."""
-    readings = []
-    for row in _data_rows(path, 4):
-        readings.append(SensorReading(
-            sensor_node_id(row[1]), int(row[0]), row[2], float(row[3]),
-        ))
-    return readings
+    return read_csv(path, "timestamp", 4, lambda row: SensorReading(
+        sensor_node_id(row[1]), int(row[0]), row[2], float(row[3])))
 
 
 def load_fixes_csv(path) -> list[OccupantFix]:
-    """Rows of ``timestamp,occupant_id,space_id,x,y,feedback?``."""
-    fixes = []
-    for row in _data_rows(path, 5):
-        feedback = row[5].strip() if len(row) > 5 and row[5].strip() else None
-        fixes.append(OccupantFix(
-            occupant_node_id(row[1]), int(row[0]), str(row[2]),
-            (float(row[3]), float(row[4])), feedback,
-        ))
-    return fixes
-
-
-def _data_rows(path, min_fields: int) -> Iterable[list[str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        for row_no, row in enumerate(csv.reader(fp), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if row_no == 1 and not row[0].strip().isdigit():
-                continue  # header row
-            if len(row) < min_fields:
-                raise ValueError(f"row {row_no} has {len(row)} fields, "
-                                 f"expected at least {min_fields}")
-            yield [cell.strip() for cell in row]
+    """Rows of ``timestamp,occupant_id,space_id,x,y,feedback?`` (header
+    optional)."""
+    return read_csv(path, "timestamp", 5, lambda row: OccupantFix(
+        occupant_node_id(row[1]), int(row[0]), row[2],
+        (float(row[3]), float(row[4])), row[5] if len(row) > 5 and row[5] else None))

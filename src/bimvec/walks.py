@@ -26,7 +26,7 @@ import functools
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IsolatedNodeError
@@ -231,30 +231,9 @@ class WalkSampler:
 @dataclass
 class WalkCorpus:
     walks: list[list[NodeId]]
-    vocabulary: dict[NodeId, int] = field(default_factory=dict)
-    counts: dict[NodeId, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_walks(cls, walks: list[list[NodeId]]) -> "WalkCorpus":
-        counts: dict[NodeId, int] = {}
-        for walk in walks:
-            for node_id in walk:
-                counts[node_id] = counts.get(node_id, 0) + 1
-        vocabulary = {nid: i for i, nid in enumerate(sorted(counts))}
-        return cls(walks, vocabulary, counts)
-
-    def count_vector(self) -> list[int]:
-        """Occurrence totals aligned with the dense vocabulary index."""
-        ordered = sorted(self.vocabulary, key=self.vocabulary.get)
-        return [self.counts[nid] for nid in ordered]
 
     def to_text(self) -> str:
         return "\n".join(" ".join(walk) for walk in self.walks) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "WalkCorpus":
-        walks = [line.split() for line in text.splitlines() if line.strip()]
-        return cls.from_walks(walks)
 
 
 def _substream_seed(seed: int, start: NodeId, walk_index: int) -> int:
@@ -292,4 +271,4 @@ def generate_walks(
                 else:
                     walk.append(sampler.step(walk[-2], curr, rng))
             walks.append(walk)
-    return WalkCorpus.from_walks(walks)
+    return WalkCorpus(walks)

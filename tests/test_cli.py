@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimvec.cli import main
 from bimvec.config import RunConfig
@@ -308,6 +311,132 @@ def test_snapshot_cells_differing_from_footprint_exit_3(runner, data_dir,
     assert result.exit_code == 3, result.output
     assert "differ from the cells of its stored footprint" in result.output
     assert not store_dir.exists()
+
+
+def test_snapshot_builds_each_window_once(runner, data_dir, tmp_path, monkeypatch):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    copies = []
+    copy = PropertyGraph.copy
+    monkeypatch.setattr(PropertyGraph, "copy",
+                        lambda graph: copies.append(1) or copy(graph))
+    store_dir = tmp_path / "store"
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file),
+        "--readings", str(data_dir / "readings.csv"),
+        "--fixes", str(data_dir / "fixes.csv"),
+        "--out", str(store_dir), "--step", "60",
+    ])
+    assert result.exit_code == 0, result.output
+    windows = json.loads((store_dir / "manifest.json").read_text())["T"]
+    assert windows == 11
+    assert len(copies) == windows
+
+
+# ---------------------------------------------------------------------------
+# CSV inputs
+# ---------------------------------------------------------------------------
+
+def _snapshot_with(runner, data_dir, tmp_path, option, text):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    source = tmp_path / "input.csv"
+    source.write_text(text)
+    return runner.invoke(main, [
+        "snapshot", str(graph_file), option, str(source),
+        "--out", str(tmp_path / "store"), "--step", "300",
+    ]), source
+
+
+@pytest.mark.parametrize("option,text,row", [
+    ("--readings", "0.5,s1,temperature,24.5\n300,s1,temperature,24.8\n", 1),
+    ("--readings", "timestamp,sensor_id,channel,value\n0,s1,temperature,24.5\n"
+                   "0.5,s1,temperature,24.5\n", 3),
+    ("--fixes", "0.5,alice,5,1.0,1.0\n300,alice,5,3.2,2.9\n", 1),
+    ("--readings", "0,s1,temperature,24.5\n300,s1,temperature\n", 2),
+], ids=["reading-row-1", "reading-row-3", "fix-row-1", "short-row"])
+def test_snapshot_bad_csv_row_names_file_and_row(runner, data_dir, tmp_path,
+                                                 option, text, row):
+    result, source = _snapshot_with(runner, data_dir, tmp_path, option, text)
+    assert result.exit_code == 3, result.output
+    assert f"{source}, row {row}: " in result.output
+
+
+def test_snapshot_oversized_csv_field_exits_3(runner, data_dir, tmp_path):
+    result, source = _snapshot_with(runner, data_dir, tmp_path, "--readings",
+                                    f"0,s1,temperature,24.5\n300,{'s' * 140_000},co2,1.0\n")
+    assert result.exit_code == 3, result.output
+    assert f"{source}, row 2: " in result.output
+
+
+@pytest.fixture(scope="module")
+def checkpoint(data_dir, tmp_path_factory) -> Path:
+    tmp_path = tmp_path_factory.mktemp("predict")
+    _embed(CliRunner(), _build_graph_file(CliRunner(), data_dir, tmp_path),
+           tmp_path / "emb")
+    return tmp_path / "emb" / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("text,row", [
+    ("occupant:alice,confortable\n", 1),
+    ("node_id,feedback\noccupant:alice,comfortable\noccupant:bob,ok\n", 3),
+    (f"node_id,feedback\n{'n' * 140_000},comfortable\n", 2),
+], ids=["bad-class-row-1", "bad-class-row-3", "oversized-field"])
+def test_predict_bad_labels_name_file_and_row(runner, checkpoint, tmp_path, text, row):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(text)
+    result = runner.invoke(main, ["predict", str(checkpoint), "cell:5:0:0",
+                                  "--labels", str(labels)])
+    assert result.exit_code == 3, result.output
+    assert f"{labels}, row {row}: " in result.output
+
+
+_FUZZ_FIELDS = ["", " ", "0.5", "-1", "x", "nan", "inf", "1e400", "1e300",
+                "3000000000", "9" * 30, "node_id", "timestamp", "comfortable",
+                "confortable", "occupant:alice", "5", "s1", '"', 'a"b', "a b",
+                "a\tb", "\u00e9", "\x00", "x" * 140_000]
+
+
+_FUZZ_EDITS = st.lists(st.tuples(
+    st.integers(0, 9), st.integers(0, 5), st.sampled_from(["set", "drop", "add", "copy"]),
+    st.sampled_from(_FUZZ_FIELDS)), min_size=1, max_size=4)
+
+
+def _mutated_csv(path: Path, edits) -> str:
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    for row, column, edit, field in edits:
+        cells = rows[row % len(rows)]
+        column %= len(cells) or 1
+        if edit == "set" and cells:
+            cells[column] = field
+        elif edit == "drop" and cells:
+            del cells[column]
+        elif edit == "add":
+            cells.insert(column, field)
+        elif edit == "copy":
+            rows.insert(row % (len(rows) + 1), list(cells))
+    return "".join(",".join(cells) + "\n" for cells in rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(readings=_FUZZ_EDITS, fixes=_FUZZ_EDITS, labels=_FUZZ_EDITS)
+def test_mutated_csv_inputs_exit_0_or_3(data_dir, checkpoint, readings, fixes, labels):
+    """No mutation of the readings, fixes or labels fixture ends in a
+    traceback (exit 1) or an internal error (exit 4)."""
+    graph_file = checkpoint.parent.parent / "graph.tsv"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, edits in (("readings", readings), ("fixes", fixes), ("labels", labels)):
+            (tmp / f"{name}.csv").write_text(_mutated_csv(data_dir / f"{name}.csv", edits),
+                                             encoding="utf-8")
+        results = [CliRunner().invoke(main, [
+            "snapshot", str(graph_file), "--readings", str(tmp / "readings.csv"),
+            "--fixes", str(tmp / "fixes.csv"), "--out", str(tmp / "store"),
+            "--step", "300",
+        ]), CliRunner().invoke(main, [
+            "predict", str(checkpoint), "cell:5:0:0",
+            "--labels", str(tmp / "labels.csv"),
+        ])]
+    for result in results:
+        assert result.exit_code in (0, 3), (result.output, result.exception)
 
 
 # ---------------------------------------------------------------------------

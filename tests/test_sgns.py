@@ -82,22 +82,22 @@ def test_gradients_with_no_negatives():
 # ---------------------------------------------------------------------------
 
 def test_sampler_symmetric_counts():
-    sampler = NegativeSampler([1, 1], seed=5)
-    draws = sampler.sample(100000)
+    sampler = NegativeSampler([1, 1])
+    draws = sampler.sample(100000, np.random.default_rng(5))
     assert (draws == 0).mean() == pytest.approx(0.5, abs=0.01)
 
 
 def test_sampler_three_quarter_power():
     # 16^0.75 = 8, so probabilities are [1/9, 8/9]
-    sampler = NegativeSampler([1, 16], seed=5)
-    draws = sampler.sample(100000)
+    sampler = NegativeSampler([1, 16])
+    draws = sampler.sample(100000, np.random.default_rng(5))
     assert (draws == 0).mean() == pytest.approx(1 / 9, abs=0.01)
     assert (draws == 1).mean() == pytest.approx(8 / 9, abs=0.01)
 
 
 def test_sampler_never_draws_zero_count():
-    sampler = NegativeSampler([0, 3], seed=5)
-    draws = sampler.sample(50000)
+    sampler = NegativeSampler([0, 3])
+    draws = sampler.sample(50000, np.random.default_rng(5))
     assert not (draws == 0).any()
 
 
@@ -112,11 +112,11 @@ def test_sampler_rejects_all_zero():
 
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpusError):
-        train(WalkCorpus([], {}, {}), TrainConfig(dimension=4))
+        train(WalkCorpus([]), TrainConfig(dimension=4))
 
 
 def test_single_length_one_walk_returns_initialization():
-    corpus = WalkCorpus.from_walks([["solo"]])
+    corpus = WalkCorpus([["solo"]])
     cfg = TrainConfig(dimension=6, seed=42)
     matrix = train(corpus, cfg)
     assert np.array_equal(matrix.vectors, initial_vectors(1, 6, 42))
@@ -178,8 +178,9 @@ def test_vectors_stay_finite():
 def test_row_count_equals_vocabulary():
     corpus = _barbell_corpus()
     matrix = train(corpus, TrainConfig(dimension=4, epochs=1, seed=0))
-    assert matrix.vectors.shape == (len(corpus.vocabulary), 4)
-    assert matrix.ids == sorted(corpus.vocabulary)
+    walked = sorted({nid for walk in corpus.walks for nid in walk})
+    assert matrix.vectors.shape == (len(walked), 4)
+    assert matrix.ids == walked
 
 
 def test_dynamic_window_off_changes_pair_count_not_schedule():

@@ -27,10 +27,7 @@ def make_matrix(rows: dict[str, list[float]],
                 labels: dict[str, str] | None = None) -> EmbeddingMatrix:
     ids = list(rows)
     vectors = np.asarray([rows[nid] for nid in ids], dtype=np.float32)
-    return EmbeddingMatrix(
-        vectors, np.zeros_like(vectors), ids,
-        {nid: i for i, nid in enumerate(ids)}, labels or {},
-    )
+    return EmbeddingMatrix(vectors, np.zeros_like(vectors), ids, labels or {})
 
 
 # ---------------------------------------------------------------------------
