@@ -10,18 +10,20 @@ tie-break deterministic.
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import InternalInvariantError, UnknownNodeError
 
-logger = logging.getLogger(__name__)
-
 NodeId = str
 
 _ID_FORBIDDEN = set(" \t\r\n")
+
+# Renders every record's attributes: the bytes of json.dumps(sort_keys=True).
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def check_token(value: str, what: str) -> None:
@@ -30,22 +32,30 @@ def check_token(value: str, what: str) -> None:
         raise ValueError(f"invalid {what} {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
+    """Immutable, so graphs and their copies share it. ``attributes`` is
+    read-only, but its values are shared too: never change one in place."""
+
     id: NodeId
     label: str
-    attributes: dict = field(default_factory=dict)
+    attributes: Mapping
+
+    @cached_property
+    def line(self) -> str:
+        """This record's line of the text form, rendered once."""
+        return f"N\t{self.id}\t{self.label}\t{_encode(self.attributes.copy())}"
 
 
 @dataclass(frozen=True)
 class Edge:
-    """Undirected edge; endpoints are stored in canonical (sorted) order."""
+    """Immutable undirected edge; endpoints in canonical (sorted) order."""
 
     a: NodeId
     b: NodeId
     label: str
-    weight: float = 1.0
-    attributes: Mapping = field(default_factory=dict)
+    weight: float
+    attributes: Mapping
 
     @property
     def endpoints(self) -> tuple[NodeId, NodeId]:
@@ -53,6 +63,12 @@ class Edge:
 
     def other(self, node_id: NodeId) -> NodeId:
         return self.b if node_id == self.a else self.a
+
+    @cached_property
+    def line(self) -> str:
+        """This record's line of the text form, rendered once."""
+        return (f"E\t{self.a}\t{self.b}\t{self.label}\t{self.weight!r}\t"
+                f"{_encode(self.attributes.copy())}")
 
 
 class PropertyGraph:
@@ -70,7 +86,7 @@ class PropertyGraph:
         check_token(label, "node label")
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already exists")
-        node = Node(node_id, label, dict(attributes or {}))
+        node = Node(node_id, label, MappingProxyType(dict(attributes or {})))
         self._nodes[node_id] = node
         self._incidence[node_id] = []
         return node
@@ -91,7 +107,7 @@ class PropertyGraph:
         if not (0 < weight < math.inf):
             raise ValueError(f"edge weight must be positive and finite, got {weight}")
         a, b = (u, v) if u < v else (v, u)
-        edge = Edge(a, b, label, float(weight), dict(attributes or {}))
+        edge = Edge(a, b, label, float(weight), MappingProxyType(dict(attributes or {})))
         index = len(self._edges)
         self._edges.append(edge)
         self._incidence[a].append(index)
@@ -99,9 +115,10 @@ class PropertyGraph:
         return edge
 
     def set_node_attribute(self, node_id: NodeId, key: str, value) -> None:
-        if node_id not in self._nodes:
-            raise UnknownNodeError(f"no node {node_id!r}")
-        self._nodes[node_id].attributes[key] = value
+        """Swap in a new node; graphs sharing the old one keep it."""
+        node = self.node(node_id)
+        self._nodes[node_id] = Node(node_id, node.label,
+                                    MappingProxyType({**node.attributes, key: value}))
 
     # -- queries ------------------------------------------------------------
 
@@ -159,11 +176,10 @@ class PropertyGraph:
     # -- derived graphs -----------------------------------------------------
 
     def copy(self) -> "PropertyGraph":
-        """An independent graph; as this one is valid nothing is re-checked:
-        nodes and their attribute dicts are copied, frozen edges shared."""
+        """An independent graph; as this one is valid nothing is re-checked.
+        The immutable nodes and edges are shared, the indexes copied."""
         out = PropertyGraph()
-        out._nodes = {node_id: Node(node_id, node.label, dict(node.attributes))
-                      for node_id, node in self._nodes.items()}
+        out._nodes = dict(self._nodes)
         out._edges = list(self._edges)
         out._incidence = {node_id: list(indices)
                           for node_id, indices in self._incidence.items()}
@@ -190,18 +206,11 @@ class PropertyGraph:
         """Line-delimited text form: ``N`` records then ``E`` records.
 
         Deterministic: nodes sorted by id, edges sorted by their full record.
+        Each record's line is rendered once, so a copy renders only the
+        records it added or replaced.
         """
-        lines = []
-        for node in self.nodes():
-            attrs = json.dumps(node.attributes, sort_keys=True)
-            lines.append(f"N\t{node.id}\t{node.label}\t{attrs}")
-        edge_lines = []
-        for edge in self._edges:
-            attrs = json.dumps(dict(edge.attributes), sort_keys=True)
-            edge_lines.append(
-                f"E\t{edge.a}\t{edge.b}\t{edge.label}\t{edge.weight!r}\t{attrs}"
-            )
-        lines.extend(sorted(edge_lines))
+        lines = [node.line for node in self.nodes()]
+        lines += sorted(edge.line for edge in self._edges)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -216,12 +225,23 @@ class PropertyGraph:
                 if len(fields) != 4:
                     raise ValueError(f"bad node record on line {line_no}")
                 _, node_id, label, attrs = fields
-                graph.add_node(node_id, label, json.loads(attrs))
+                graph.add_node(node_id, label, _json_object(attrs, line_no))
             elif kind == "E":
                 if len(fields) != 6:
                     raise ValueError(f"bad edge record on line {line_no}")
                 _, a, b, label, weight, attrs = fields
-                graph.add_edge(a, b, label, float(weight), json.loads(attrs))
+                graph.add_edge(a, b, label, float(weight), _json_object(attrs, line_no))
             else:
                 raise ValueError(f"unknown record kind {kind!r} on line {line_no}")
         return graph
+
+
+def _json_object(text: str, line_no: int) -> dict:
+    """A record's attribute field, which must be a JSON object."""
+    try:
+        value = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"attributes on line {line_no} are nested too deeply") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"attributes on line {line_no} must be a JSON object")
+    return value

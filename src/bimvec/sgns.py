@@ -17,7 +17,6 @@ yields bit-identical embeddings for identical inputs.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .fileio import atomic_write_bytes
 from .graph import NodeId
-from .walks import AliasTable, WalkCorpus
+from .walks import AliasTable, WalkCorpus, substream_seed
 
 logger = logging.getLogger(__name__)
 
@@ -182,18 +181,13 @@ def _sigmoid(x):
 
 
 def pair_loss_and_grads(center, positive, negatives):
-    """Loss and analytic gradients for one (center, context, negatives)
-    update; dtype follows the inputs.
+    """Loss and analytic gradients for one update: vectors ``center`` and
+    ``positive`` and a 2-D ``negatives``, one row each; dtype follows the
+    inputs.
 
     Returns (loss, grad_center, grad_positive, grad_negatives) where the
     gradients are of the loss itself (apply as ``param -= lr * grad``).
     """
-    center = np.asarray(center)
-    positive = np.asarray(positive)
-    negatives = np.asarray(negatives)
-    if negatives.ndim != 2:
-        negatives = negatives.reshape(-1, center.shape[0])
-
     rows = np.concatenate((positive[None, :], negatives), axis=0)
     sig = _sigmoid(rows @ center)
     # d loss / d score is sigma - 1 for the positive row, sigma for negatives
@@ -206,30 +200,16 @@ def pair_loss_and_grads(center, positive, negatives):
     return float(loss), grad_center, grad_rows[0], grad_rows[1:]
 
 
-def _apply_pair(syn0, syn1, center_idx: int, positive_idx: int,
-                negative_idx: np.ndarray, lr: float) -> float:
-    v = syn0[center_idx]
-    loss, grad_v, grad_pos, grad_negs = pair_loss_and_grads(
-        v, syn1[positive_idx], syn1[negative_idx],
-    )
-    syn1[positive_idx] -= lr * grad_pos
-    if negative_idx.size:
-        np.add.at(syn1, negative_idx, -lr * grad_negs)
-    syn0[center_idx] = v - lr * grad_v
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
-def _walk_seed(seed: int, epoch: int, walk_index: int) -> int:
-    digest = hashlib.sha256(f"{seed}|{epoch}|{walk_index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _full_pair_count(length: int, position: int, window: int) -> int:
     return min(position, window) + min(length - 1 - position, window)
+
+
+def _walk_pair_count(length: int, window: int) -> int:
+    return sum(_full_pair_count(length, pos, window) for pos in range(length))
 
 
 def initial_vectors(vocab_size: int, dimension: int, seed: int) -> np.ndarray:
@@ -253,56 +233,56 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
 
     walks = [np.array([matrix.vocabulary[nid] for nid in walk], dtype=np.int64)
              for walk in corpus.walks]
-    per_walk_pairs = [
-        sum(_full_pair_count(len(walk), pos, cfg.window) for pos in range(len(walk)))
-        for walk in walks
-    ]
-    epoch_pairs = sum(per_walk_pairs)
+    epoch_pairs = sum(_walk_pair_count(len(walk), cfg.window) for walk in walks)
     if epoch_pairs == 0:
         logger.info("corpus yields no center-context pairs; "
                     "returning initialization")
         return matrix
 
-    walk_offsets = np.concatenate(([0], np.cumsum(per_walk_pairs)[:-1]))
     total_progress = epoch_pairs * cfg.epochs
     counts = np.bincount(np.concatenate(walks), minlength=vocab_size)
     sampler = NegativeSampler(counts)
     keep_probability = _keep_probabilities(counts, cfg)
-
-    def train_walk(epoch: int, walk_index: int) -> tuple[float, int]:
-        walk = walks[walk_index]
-        rng = np.random.default_rng(_walk_seed(cfg.seed, epoch, walk_index))
-        if keep_probability is not None:
-            walk = walk[rng.random(len(walk)) < keep_probability[walk]]
-        progress = epoch * epoch_pairs + int(walk_offsets[walk_index])
-        loss_sum = 0.0
-        pair_count = 0
-        length = len(walk)
-        span = cfg.initial_lr - cfg.min_lr
-        for pos in range(length):
-            full = _full_pair_count(length, pos, cfg.window)
-            if full == 0:
-                continue
-            lr = max(cfg.min_lr,
-                     cfg.initial_lr - span * progress / total_progress)
-            reach = cfg.window if not cfg.dynamic_window \
-                else int(rng.integers(1, cfg.window + 1))
-            for o_pos in range(max(0, pos - reach), min(length, pos + reach + 1)):
-                if o_pos == pos:
-                    continue
-                positive = int(walk[o_pos])
-                negatives = sampler.sample(cfg.negatives, rng)
-                negatives = negatives[negatives != positive]
-                loss_sum += _apply_pair(syn0, syn1, int(walk[pos]),
-                                        positive, negatives, lr)
-                pair_count += 1
-            progress += full
-        return loss_sum, pair_count
-
+    span = cfg.initial_lr - cfg.min_lr
+    # A walk's place on the schedule follows from the full pair counts of
+    # the walks before it, before subsampling.
+    offset = 0
     for epoch in range(cfg.epochs):
-        results = [train_walk(epoch, i) for i in range(len(walks))]
-        loss_total = sum(loss for loss, _ in results)
-        pair_total = sum(pairs for _, pairs in results)
+        loss_total, pair_total = 0.0, 0
+        for walk_index, walk in enumerate(walks):
+            rng = np.random.default_rng(substream_seed(cfg.seed, epoch, walk_index))
+            progress = offset
+            offset += _walk_pair_count(len(walk), cfg.window)
+            if keep_probability is not None:
+                walk = walk[rng.random(len(walk)) < keep_probability[walk]]
+            loss_sum = 0.0
+            length = len(walk)
+            for pos in range(length):
+                full = _full_pair_count(length, pos, cfg.window)
+                if full == 0:
+                    continue
+                lr = max(cfg.min_lr,
+                         cfg.initial_lr - span * progress / total_progress)
+                reach = cfg.window if not cfg.dynamic_window \
+                    else int(rng.integers(1, cfg.window + 1))
+                center = int(walk[pos])
+                for o_pos in range(max(0, pos - reach), min(length, pos + reach + 1)):
+                    if o_pos == pos:
+                        continue
+                    positive = int(walk[o_pos])
+                    negatives = sampler.sample(cfg.negatives, rng)
+                    negatives = negatives[negatives != positive]
+                    v = syn0[center]
+                    loss, grad_v, grad_pos, grad_negs = pair_loss_and_grads(
+                        v, syn1[positive], syn1[negatives])
+                    syn1[positive] -= lr * grad_pos
+                    if negatives.size:
+                        np.add.at(syn1, negatives, -lr * grad_negs)
+                    syn0[center] = v - lr * grad_v
+                    loss_sum += loss
+                    pair_total += 1
+                progress += full
+            loss_total += loss_sum
         matrix.epoch_losses.append(loss_total / max(pair_total, 1))
         if not (np.isfinite(syn0).all() and np.isfinite(syn1).all()):
             raise InternalInvariantError(

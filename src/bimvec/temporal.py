@@ -92,12 +92,14 @@ class TemporalGraph:
 # Snapshot construction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _OccupantState:
+    """The fix of window ``window``, shared by the windows that carry it."""
+
     cells: tuple[NodeId, ...]
     position: tuple[float, float]
     feedback: str | None
-    windows_since_fix: int = 0
+    window: int
 
 
 @dataclass(frozen=True)
@@ -206,15 +208,11 @@ def build_snapshots(
             for cell_id in cells:
                 if cell_id not in base:
                     raise UnknownNodeError(f"fix places {occupant!r} in missing cell {cell_id!r}")
-            occupant_states[occupant] = _OccupantState(
-                cells, fix.position, fix.feedback, windows_since_fix=0,
-            )
-        for occupant in list(occupant_states):
-            if occupant not in window_fixes:
-                state = occupant_states[occupant]
-                state.windows_since_fix += 1
-                if state.windows_since_fix > max_gap:
-                    del occupant_states[occupant]
+            occupant_states[occupant] = _OccupantState(cells, fix.position,
+                                                       fix.feedback, window)
+        for occupant, state in list(occupant_states.items()):
+            if occupant not in window_fixes and window - state.window > max_gap:
+                del occupant_states[occupant]
 
         windows.append((t0 + window * step, sorted(occupant_states.items()),
                         latest_by_window.get(window, {})))

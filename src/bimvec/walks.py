@@ -236,8 +236,10 @@ class WalkCorpus:
         return "\n".join(" ".join(walk) for walk in self.walks) + "\n"
 
 
-def _substream_seed(seed: int, start: NodeId, walk_index: int) -> int:
-    digest = hashlib.sha256(f"{seed}|{start}|{walk_index}".encode()).digest()
+def substream_seed(*parts) -> int:
+    """One PRNG seed per substream: the first 8 bytes of the SHA-256 of the
+    parts joined by ``|``."""
+    digest = hashlib.sha256("|".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -260,7 +262,7 @@ def generate_walks(
     walks = []
     for start in graph.node_ids():
         for index in range(cfg.walks_per_node):
-            rng = random.Random(_substream_seed(cfg.seed, start, index))
+            rng = random.Random(substream_seed(cfg.seed, start, index))
             walk = [start]
             while len(walk) < cfg.walk_length:
                 curr = walk[-1]

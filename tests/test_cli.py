@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import tempfile
@@ -400,8 +401,8 @@ _FUZZ_EDITS = st.lists(st.tuples(
     st.sampled_from(_FUZZ_FIELDS)), min_size=1, max_size=4)
 
 
-def _mutated_csv(path: Path, edits) -> str:
-    rows = [line.split(",") for line in path.read_text().splitlines()]
+def _mutated(path: Path, edits, sep: str = ",") -> str:
+    rows = [line.split(sep) for line in path.read_text().splitlines()]
     for row, column, edit, field in edits:
         cells = rows[row % len(rows)]
         column %= len(cells) or 1
@@ -413,7 +414,9 @@ def _mutated_csv(path: Path, edits) -> str:
             cells.insert(column, field)
         elif edit == "copy":
             rows.insert(row % (len(rows) + 1), list(cells))
-    return "".join(",".join(cells) + "\n" for cells in rows)
+        elif edit == "delete" and len(rows) > 1:
+            del rows[row % len(rows)]
+    return "".join(sep.join(cells) + "\n" for cells in rows)
 
 
 @settings(max_examples=50, deadline=None)
@@ -425,7 +428,7 @@ def test_mutated_csv_inputs_exit_0_or_3(data_dir, checkpoint, readings, fixes, l
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, edits in (("readings", readings), ("fixes", fixes), ("labels", labels)):
-            (tmp / f"{name}.csv").write_text(_mutated_csv(data_dir / f"{name}.csv", edits),
+            (tmp / f"{name}.csv").write_text(_mutated(data_dir / f"{name}.csv", edits),
                                              encoding="utf-8")
         results = [CliRunner().invoke(main, [
             "snapshot", str(graph_file), "--readings", str(tmp / "readings.csv"),
@@ -434,6 +437,42 @@ def test_mutated_csv_inputs_exit_0_or_3(data_dir, checkpoint, readings, fixes, l
         ]), CliRunner().invoke(main, [
             "predict", str(checkpoint), "cell:5:0:0",
             "--labels", str(tmp / "labels.csv"),
+        ])]
+    for result in results:
+        assert result.exit_code in (0, 3), (result.output, result.exception)
+
+
+_GRAPH_FUZZ_FIELDS = [
+    "", "x", "N", "E", "5", "7", "cell:5:0:0", "sensor:s1", "-1", "0", "nan", "inf",
+    "1e400", "a b", "\u00e9", "\x00", "{}", "[1]", "null", '"s"', "[" * 5000,
+    '{"space": 5}', '{"space": "9", "x": 1}',
+    '{"footprint": [[0, 0]], "grid_cell_size": 0, "grid_origin": [0, 0], "elevation": 0}',
+    '{"footprint": 3, "grid_cell_size": "x", "grid_origin": null, "elevation": 1e400}',
+]
+
+
+_GRAPH_FUZZ_EDITS = st.lists(st.tuples(
+    st.integers(0, 110), st.integers(0, 6),
+    st.sampled_from(["set", "drop", "add", "copy", "delete"]),
+    st.sampled_from(_GRAPH_FUZZ_FIELDS)), min_size=1, max_size=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(edits=_GRAPH_FUZZ_EDITS)
+def test_mutated_graph_file_exits_0_or_3(data_dir, checkpoint, edits):
+    """No mutation of the two-office graph file ends in a traceback (exit 1)
+    or an internal error (exit 4) of ``snapshot`` or ``embed``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file = Path(tmp) / "graph.tsv"
+        graph_file.write_text(_mutated(checkpoint.parent.parent / "graph.tsv", edits, "\t"),
+                              encoding="utf-8")
+        results = [CliRunner().invoke(main, [
+            "snapshot", str(graph_file), "--readings", str(data_dir / "readings.csv"),
+            "--fixes", str(data_dir / "fixes.csv"), "--out", str(Path(tmp) / "store"),
+            "--step", "300",
+        ]), CliRunner().invoke(main, [
+            "embed", str(graph_file), "--out", str(Path(tmp) / "emb"), "--dimension", "4",
+            "--window", "2", "--epochs", "1", "--walk-length", "4", "--walks-per-node", "1",
         ])]
     for result in results:
         assert result.exit_code in (0, 3), (result.output, result.exception)
@@ -611,6 +650,24 @@ def test_embed_store_bad_base_record_names_file(runner, data_dir, tmp_path):
     assert f"{path}: bad node record on line" in result.output
 
 
+@pytest.mark.parametrize("record", [
+    "N\tx\tX\t[1]\n",
+    "N\tx\tX\tnull\n",
+    "N\tx\tX\t{}\nE\t5\tx\tE\t1.0\t5\n",
+    "N\tx\tX\t" + "[" * 100_000 + "\n",
+], ids=["node-list", "node-null", "edge-number", "deep-nesting"])
+def test_graph_attributes_not_an_object_exit_3(runner, data_dir, checkpoint, tmp_path,
+                                               record):
+    graph_file = tmp_path / "graph.tsv"
+    graph_file.write_text((checkpoint.parent.parent / "graph.tsv").read_text() + record)
+    for argv in (["snapshot", str(graph_file), "--fixes", str(data_dir / "fixes.csv"),
+                  "--out", str(tmp_path / "store")],
+                 ["embed", str(graph_file), "--out", str(tmp_path / "emb")]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3, result.output
+        assert f"{graph_file}: attributes on line " in result.output
+
+
 def test_query_filter_returns_only_cells(runner, data_dir, tmp_path):
     graph_file = _build_graph_file(runner, data_dir, tmp_path)
     out_dir = tmp_path / "emb"
@@ -746,6 +803,42 @@ def test_graph_and_snapshot_idempotent(runner, data_dir, tmp_path):
             (store / "tensor.csv").read_bytes(),
         ))
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the text outputs on the two-office fixture. checkpoint.bin is
+# not pinned: its float32 bytes depend on the BLAS build.
+PINNED_SHA256 = {
+    "graph.tsv":
+        "ac29554ddda74f8503b5c859b80e17b90dd431e16e63617ac28e922f787eebdb",
+    "p1/walks.txt":
+        "cd858e781cedc178ae2318b4eb131bbd7f186d0084f9d823ac487c7a0249116c",
+    "q05/walks.txt":
+        "0741cee305ed50d12d973d8384b142cd63169bac3effe8936710da178e29e4af",
+    "store/base.tsv":
+        "ac29554ddda74f8503b5c859b80e17b90dd431e16e63617ac28e922f787eebdb",
+    "store/manifest.json":
+        "d849079c336a21dd6ecc812420e57608b65f910dd9b7dc501fa208238ae8855e",
+    "store/snapshots/000000.tsv":
+        "47a15d401afbb12f509e8a02ca7dc52e772bc8369ced60c3b934202d81f1a899",
+    "store/snapshots/000001.tsv":
+        "0fc0e33d7057f9f96fbe2b4e8bb59b11dcd161ed11e7cd46b5999686b79a9baa",
+    "store/snapshots/000002.tsv":
+        "884bc679a02cb213b6898958b9f0b5814ed13ba59b44ef6457e7ea5e278f14bc",
+    "store/tensor.csv":
+        "60441f8fa86eb6f9eeb289b4d58ff65df5e31ddb463729a7b0751f5c6369195f",
+}
+
+
+def test_text_outputs_are_pinned(runner, data_dir, tmp_path):
+    store_dir = _build_store(runner, data_dir, tmp_path)
+    _embed(runner, tmp_path / "graph.tsv", tmp_path / "p1", extra=["--dump-walks"])
+    _embed(runner, tmp_path / "graph.tsv", tmp_path / "q05",
+           extra=["--dump-walks", "--q", "0.5"])
+    paths = [tmp_path / "graph.tsv", tmp_path / "p1" / "walks.txt",
+             tmp_path / "q05" / "walks.txt",
+             *sorted(p for p in store_dir.rglob("*") if p.is_file())]
+    assert {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths} == PINNED_SHA256
 
 
 def test_embed_dump_walks(runner, data_dir, tmp_path):

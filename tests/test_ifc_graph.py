@@ -144,7 +144,11 @@ def test_copy_is_independent_and_valid():
     copied = graph.copy()
     assert copied.to_text() == before
     copied.set_node_attribute("1", "name", "changed")
-    copied.node("2").attributes["mark"] = 1
+    copied.set_node_attribute("2", "mark", 1)
+    with pytest.raises(TypeError):
+        copied.node("2").attributes["mark"] = 2
+    with pytest.raises(TypeError):
+        copied.edges()[0].attributes["kind"] = "door"
     copied.add_node("3", "A")
     copied.add_edge("3", "1", "E")
     copied.add_edge("1", "2", "E")

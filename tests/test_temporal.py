@@ -11,6 +11,7 @@ from bimvec.errors import (
     SliceOutOfRangeError,
     UnknownNodeError,
 )
+from bimvec import graph as graph_module
 from bimvec.graph import PropertyGraph
 from bimvec.space_grid import Footprint, attach_fixed_node, discretize, merge_into
 from bimvec import temporal
@@ -224,6 +225,38 @@ def test_snapshot_reads_are_equal_and_independent():
     assert "occupant:alice" not in base
     assert [s.timestamp for s in tg.snapshots] == [0, 60]
     assert [s.timestamp for s in tg.snapshots[1:]] == [tg.snapshots[-1].timestamp]
+
+
+def test_window_graph_shares_untouched_records_with_base():
+    base, space = two_cell_base()
+    readings = [SensorReading("sensor:s1", 0, "temperature", 21.5)]
+    window = build_snapshots(base, [space], readings, move_fixes(), 60).snapshots[0].graph
+    assert window.node(CELL_A) is base.node(CELL_A)
+    assert window.node("5") is base.node("5")
+    assert window.node("sensor:s1") is not base.node("sensor:s1")
+    assert all(new is old for new, old in zip(window.edges(), base.edges()))
+    assert window.edge_count > base.edge_count
+
+
+def test_window_text_encodes_only_changed_records(monkeypatch):
+    base, space = two_cell_base()
+    readings = [SensorReading("sensor:s1", 0, "temperature", 21.5)]
+    tg = build_snapshots(base, [space], readings, move_fixes(), 60)
+    base.to_text()
+    calls = []
+    encode = graph_module._encode
+    monkeypatch.setattr(graph_module, "_encode",
+                        lambda value: calls.append(value) or encode(value))
+    # Window 0 changes the sensor and adds alice and her AT edges; window 1
+    # only moves alice.
+    for index, changed_nodes in ((0, 2), (1, 1)):
+        window = tg.snapshots[index].graph
+        calls.clear()
+        window.to_text()
+        assert len(calls) == changed_nodes + window.edge_count - base.edge_count
+        calls.clear()
+        window.to_text()
+        assert calls == []
 
 
 def test_node_index_is_every_node_of_any_snapshot():
