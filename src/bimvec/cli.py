@@ -172,7 +172,6 @@ def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
                 record.get("radius", cfg.sensor_radius), strict=cfg.strict,
             )
 
-    graph.validate()
     atomic_write_text(out_path, graph.to_text())
     click.echo(f"nodes\t{len(graph)}")
     click.echo(f"edges\t{graph.edge_count}")

@@ -48,6 +48,8 @@ def read_json(path):
             return json.load(fp)
         except json.JSONDecodeError as exc:
             raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None
+        except RecursionError:
+            raise BimvecError(f"{path}: JSON nested too deeply") from None
 
 
 def read_csv(path, header: str, min_fields: int, parse: Callable[[list[str]], object]) -> list:

@@ -16,7 +16,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import InternalInvariantError, UnknownNodeError
+from .errors import UnknownNodeError
 
 NodeId = str
 
@@ -61,9 +61,6 @@ class Edge:
     def endpoints(self) -> tuple[NodeId, NodeId]:
         return (self.a, self.b)
 
-    def other(self, node_id: NodeId) -> NodeId:
-        return self.b if node_id == self.a else self.a
-
     @cached_property
     def line(self) -> str:
         """This record's line of the text form, rendered once."""
@@ -77,7 +74,7 @@ class PropertyGraph:
     def __init__(self):
         self._nodes: dict[NodeId, Node] = {}
         self._edges: list[Edge] = []
-        self._incidence: dict[NodeId, list[int]] = {}
+        self._adjacency: dict[NodeId, dict[NodeId, float]] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -88,7 +85,7 @@ class PropertyGraph:
             raise ValueError(f"node {node_id!r} already exists")
         node = Node(node_id, label, MappingProxyType(dict(attributes or {})))
         self._nodes[node_id] = node
-        self._incidence[node_id] = []
+        self._adjacency = None
         return node
 
     def add_edge(
@@ -108,10 +105,8 @@ class PropertyGraph:
             raise ValueError(f"edge weight must be positive and finite, got {weight}")
         a, b = (u, v) if u < v else (v, u)
         edge = Edge(a, b, label, float(weight), MappingProxyType(dict(attributes or {})))
-        index = len(self._edges)
         self._edges.append(edge)
-        self._incidence[a].append(index)
-        self._incidence[b].append(index)
+        self._adjacency = None
         return edge
 
     def set_node_attribute(self, node_id: NodeId, key: str, value) -> None:
@@ -147,28 +142,25 @@ class PropertyGraph:
     def edges(self) -> list[Edge]:
         return list(self._edges)
 
-    def incident_edges(self, node_id: NodeId) -> list[Edge]:
-        if node_id not in self._nodes:
-            raise UnknownNodeError(f"no node {node_id!r}")
-        return [self._edges[i] for i in self._incidence[node_id]]
+    def adjacency(self) -> dict[NodeId, dict[NodeId, float]]:
+        """``{node: {neighbor: total edge weight}}`` for every node, parallel
+        edges summed in edge order. Built on the first call after a change
+        and shared, like ``Node.attributes``: never mutate it."""
+        if self._adjacency is None:
+            adjacency: dict[NodeId, dict[NodeId, float]] = {n: {} for n in self._nodes}
+            for edge in self._edges:
+                around_a, around_b = adjacency[edge.a], adjacency[edge.b]
+                around_a[edge.b] = around_a.get(edge.b, 0.0) + edge.weight
+                around_b[edge.a] = around_b.get(edge.a, 0.0) + edge.weight
+            self._adjacency = adjacency
+        return self._adjacency
 
     def neighbors(self, node_id: NodeId) -> list[NodeId]:
-        return sorted({e.other(node_id) for e in self.incident_edges(node_id)})
+        return sorted(self.adjacency()[self.node(node_id).id])
 
     def neighbor_weights(self, node_id: NodeId) -> dict[NodeId, float]:
-        """Total edge weight per neighbor (parallel edges summed)."""
-        weights: dict[NodeId, float] = {}
-        for edge in self.incident_edges(node_id):
-            other = edge.other(node_id)
-            weights[other] = weights.get(other, 0.0) + edge.weight
-        return weights
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        if u not in self._nodes or v not in self._nodes:
-            return False
-        if len(self._incidence[u]) > len(self._incidence[v]):
-            u, v = v, u
-        return any(self._edges[i].other(u) == v for i in self._incidence[u])
+        """Total edge weight per neighbor (parallel edges summed), a copy."""
+        return dict(self.adjacency()[self.node(node_id).id])
 
     def labels(self) -> dict[NodeId, str]:
         return {node_id: node.label for node_id, node in self._nodes.items()}
@@ -177,28 +169,11 @@ class PropertyGraph:
 
     def copy(self) -> "PropertyGraph":
         """An independent graph; as this one is valid nothing is re-checked.
-        The immutable nodes and edges are shared, the indexes copied."""
+        The immutable nodes and edges are shared, the containers copied."""
         out = PropertyGraph()
         out._nodes = dict(self._nodes)
         out._edges = list(self._edges)
-        out._incidence = {node_id: list(indices)
-                          for node_id, indices in self._incidence.items()}
         return out
-
-    # -- integrity ----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Rebuild the incidence index from the edge list and compare."""
-        rebuilt: dict[NodeId, list[int]] = {node_id: [] for node_id in self._nodes}
-        for index, edge in enumerate(self._edges):
-            for endpoint in (edge.a, edge.b):
-                if endpoint not in self._nodes:
-                    raise InternalInvariantError(
-                        f"edge {index} references missing node {endpoint!r}"
-                    )
-                rebuilt[endpoint].append(index)
-        if rebuilt != self._incidence:
-            raise InternalInvariantError("incidence index out of sync with edge list")
 
     # -- serialization ------------------------------------------------------
 

@@ -157,12 +157,13 @@ def transition_distribution(
     if prev is None:
         unnormalized = [weights[x] for x in neighbors]
     else:
+        around_prev = graph.adjacency()[prev]
         unnormalized = []
         for x in neighbors:
             w = weights[x]
             if x == prev:
                 unnormalized.append(w / p)
-            elif graph.has_edge(x, prev):
+            elif x in around_prev:
                 unnormalized.append(w)
             else:
                 unnormalized.append(w / q)
@@ -174,8 +175,8 @@ class WalkSampler:
     """Rejection sampler for one (graph, p, q) triple.
 
     Keeps, per node with neighbors, its sorted neighbors, a first-order alias
-    table over their weights, and the neighbor-weight dict used to test
-    whether a candidate is adjacent to the previous node. ``step`` draws a
+    table over their weights, and its dict of ``graph.adjacency()``, used to
+    test whether a candidate is adjacent to the previous node. ``step`` draws a
     candidate from the table of ``curr`` and accepts it with probability
     bias / upper, upper = max(1, 1/p, 1/q); accepted draws then follow
     ``transition_distribution`` exactly. A step takes at most
@@ -193,8 +194,9 @@ class WalkSampler:
         self.tables: dict[
             NodeId, tuple[tuple[NodeId, ...], AliasTable, dict[NodeId, float]]
         ] = {}
+        adjacency = graph.adjacency()
         for node_id in graph.node_ids():
-            weights = graph.neighbor_weights(node_id)
+            weights = adjacency[node_id]
             if weights:
                 neighbors = tuple(sorted(weights))
                 table = AliasTable.build([weights[x] for x in neighbors])

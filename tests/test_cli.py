@@ -236,6 +236,22 @@ def test_graph_bad_sensor_manifest_exits_3(runner, data_dir, tmp_path, manifest)
 # snapshot
 # ---------------------------------------------------------------------------
 
+def test_snapshot_never_builds_an_adjacency(runner, data_dir, tmp_path, monkeypatch):
+    """Window graphs are written, never walked, so none of them pays for
+    neighbor queries."""
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    calls = []
+    monkeypatch.setattr(PropertyGraph, "adjacency", lambda self: calls.append(self))
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file),
+        "--readings", str(data_dir / "readings.csv"),
+        "--fixes", str(data_dir / "fixes.csv"),
+        "--out", str(tmp_path / "store"), "--step", "300",
+    ])
+    assert result.exit_code == 0, result.output
+    assert calls == []
+
+
 def test_snapshot_writes_store(runner, data_dir, tmp_path):
     graph_file = _build_graph_file(runner, data_dir, tmp_path)
     store_dir = tmp_path / "store"
@@ -603,6 +619,75 @@ def test_embed_store_bad_manifest_exits_3(runner, data_dir, tmp_path, edit,
     assert result.exit_code == 3, result.output
     assert str(path) in result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("name", ["footprints.json", "sensors.json", "manifest.json"])
+def test_deeply_nested_json_exits_3(runner, data_dir, tmp_path, name):
+    """JSON nested past the interpreter's recursion limit is a bad input,
+    reported with its file."""
+    if name == "manifest.json":
+        store_dir = _build_store(runner, data_dir, tmp_path)
+        path = store_dir / name
+        args = ["embed", str(store_dir), "--out", str(tmp_path / "emb")]
+    else:
+        path = tmp_path / name
+        inputs = {"footprints.json": data_dir / "two_space.footprints.json",
+                  "sensors.json": data_dir / "two_space.sensors.json", name: path}
+        args = ["graph", str(data_dir / "two_space.ifc"),
+                "--footprints", str(inputs["footprints.json"]),
+                "--sensors", str(inputs["sensors.json"]),
+                "--out", str(tmp_path / "graph.tsv"), "--cell-size", "2.0"]
+    path.write_text("[" * 100_000)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert f"{path}: JSON nested too deeply" in result.output
+
+
+_JSON_FUZZ_FIELDS = [
+    "", " ", "0", "-1", "0.5", "1e400", "NaN", "Infinity", "null", "true", '"5"', '"x"',
+    "[]", "{}", "[0.0", "0.0]", "}", "]", '"space_id": 5', '"space_id": 9',
+    '"position": [3.0]', '"radius": -1', '"T": 0', '"T": 1', '"node_index": []',
+    "[" * 5000, "\u00e9", "\x00",
+]
+
+
+_JSON_FUZZ_EDITS = st.lists(st.tuples(
+    st.integers(0, 15), st.integers(0, 400),
+    st.sampled_from(["set", "drop", "add", "copy", "delete"]),
+    st.sampled_from(_JSON_FUZZ_FIELDS)), min_size=1, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def built_store(data_dir, tmp_path_factory) -> Path:
+    return _build_store(CliRunner(), data_dir, tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(footprints=_JSON_FUZZ_EDITS, sensors=_JSON_FUZZ_EDITS, manifest=_JSON_FUZZ_EDITS)
+def test_mutated_json_inputs_exit_0_or_3(data_dir, built_store, footprints, sensors,
+                                         manifest):
+    """No mutation of the footprints, the sensor manifest or a store's
+    ``manifest.json`` ends in a traceback (exit 1) or an internal error
+    (exit 4) of ``graph`` or ``embed``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, edits in (("footprints", footprints), ("sensors", sensors)):
+            (tmp / f"{name}.json").write_text(
+                _mutated(data_dir / f"two_space.{name}.json", edits), encoding="utf-8")
+        store_dir = shutil.copytree(built_store, tmp / "store")
+        (store_dir / "manifest.json").write_text(
+            _mutated(built_store / "manifest.json", manifest), encoding="utf-8")
+        results = [CliRunner().invoke(main, [
+            "graph", str(data_dir / "two_space.ifc"),
+            "--footprints", str(tmp / "footprints.json"),
+            "--sensors", str(tmp / "sensors.json"),
+            "--out", str(tmp / "graph.tsv"), "--cell-size", "2.0",
+        ]), CliRunner().invoke(main, [
+            "embed", str(store_dir), "--out", str(tmp / "emb"), "--dimension", "4",
+            "--window", "2", "--epochs", "1", "--walk-length", "4", "--walks-per-node", "1",
+        ])]
+    for result in results:
+        assert result.exit_code in (0, 3), (result.output, result.exception)
 
 
 @pytest.mark.parametrize("line,message", [

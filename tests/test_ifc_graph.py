@@ -154,10 +154,26 @@ def test_copy_is_independent_and_valid():
     copied.add_edge("1", "2", "E")
     assert graph.to_text() == before
     assert "3" not in graph
-    assert len(graph.incident_edges("1")) == 1
-    assert len(copied.incident_edges("1")) == 3
-    graph.validate()
-    copied.validate()
+    assert graph.neighbor_weights("1") == {"2": 2.0}
+    assert copied.neighbor_weights("1") == {"2": 3.0, "3": 1.0}
+
+
+def test_adjacency_follows_mutation():
+    graph = PropertyGraph()
+    graph.add_node("1", "A")
+    graph.add_node("2", "B")
+    graph.add_edge("1", "2", "E", 2.0)
+    assert graph.adjacency() == {"1": {"2": 2.0}, "2": {"1": 2.0}}
+    copied = graph.copy()
+    graph.add_node("3", "C")
+    assert graph.adjacency()["3"] == {}
+    graph.add_edge("3", "1", "E")
+    graph.add_edge("1", "2", "E", 0.5)
+    assert graph.adjacency() == {"1": {"2": 2.5, "3": 1.0}, "2": {"1": 2.5},
+                                 "3": {"1": 1.0}}
+    assert graph.neighbors("1") == ["2", "3"]
+    assert copied.adjacency() == {"1": {"2": 2.0}, "2": {"1": 2.0}}
+    assert copied.neighbors("1") == ["2"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +239,6 @@ def test_no_edge_references_missing_node(two_space_graph):
     node_ids = set(two_space_graph.node_ids())
     for edge in two_space_graph.edges():
         assert edge.a in node_ids and edge.b in node_ids
-    two_space_graph.validate()
 
 
 def test_fixture_properties_attached(two_space_graph):

@@ -264,13 +264,13 @@ def test_sensor_and_occupant_placement_share_one_rule(position, radius):
     space = discretize(SQUARE_4, 2.0)
     graph = _merged(space)
     attach_fixed_node(graph, space, "sensor:x", position, radius)
-    sensor_cells = sorted(e.other("sensor:x") for e in graph.incident_edges("sensor:x"))
+    sensor_cells = graph.neighbors("sensor:x")
 
     base = _merged(space)
     fix = OccupantFix("occupant:o", 0, "s", position)
     snapshot = build_snapshots(base, [space], [], [fix], 60,
                                occupant_radius=radius).snapshots[0].graph
-    occupant_cells = sorted(e.other("occupant:o") for e in snapshot.edges()
+    occupant_cells = sorted(e.a if e.b == "occupant:o" else e.b for e in snapshot.edges()
                             if "occupant:o" in (e.a, e.b))
 
     assert sensor_cells == occupant_cells == list(cells_near(space, position, radius))
