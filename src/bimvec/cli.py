@@ -319,13 +319,14 @@ def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
     """Walk a graph (or flattened temporal store) and train embeddings."""
     cfg = cfg.updated(flatten=flatten_mode, **overrides)
     _echo_config(cfg)
+    walk_config, train_config = cfg.walk_config(), cfg.train_config()
     if os.path.isdir(input_path):
         graph = _read_store(input_path, *cfg.flatten_mode())
     else:
         graph = _read_graph(input_path)
 
-    corpus = generate_walks(graph, cfg.walk_config(), workers=cfg.workers)
-    matrix = train(corpus, cfg.train_config())
+    corpus = generate_walks(graph, walk_config, workers=cfg.workers)
+    matrix = train(corpus, train_config)
     attach_labels(matrix, graph.labels())
 
     os.makedirs(out_dir, exist_ok=True)

@@ -119,12 +119,16 @@ class AliasTable:
 
     def sample_many(self, rng, count: int):
         """Vectorized draws; ``rng`` must be a numpy Generator."""
+        slots = rng.integers(0, len(self.prob), size=count)
+        return self.resolve(slots, rng.random(count))
+
+    def resolve(self, slots, uniforms):
+        """Outcomes of numpy draws: a slot keeps itself when its uniform is
+        below the slot's probability and falls to its alias otherwise."""
         import numpy as np
 
         prob, alias = self._arrays
-        slots = rng.integers(0, len(self.prob), size=count)
-        keep = rng.random(count) < prob[slots]
-        return np.where(keep, slots, alias[slots])
+        return np.where(uniforms < prob[slots], slots, alias[slots])
 
     def outcome_probabilities(self) -> list[float]:
         """Reconstruct the distribution the table encodes (oracle hook)."""

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import struct
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -783,6 +785,65 @@ def test_query_checkpoint_of_wrong_length_exits_3(runner, data_dir, tmp_path,
     result = runner.invoke(main, ["query", str(checkpoint), "cell:5:0:0"])
     assert result.exit_code == 3, result.output
     assert str(checkpoint) in result.output
+
+
+@pytest.mark.parametrize("option,value", [("--min-lr", "nan"), ("--initial-lr", "inf")])
+def test_embed_non_finite_learning_rate_exits_3(runner, data_dir, tmp_path, option, value):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    result = runner.invoke(main, ["embed", str(graph_file), "--out",
+                                  str(tmp_path / "emb"), option, value])
+    assert result.exit_code == 3, result.output
+    assert "must be finite" in result.output
+    assert not (tmp_path / "emb").exists()
+
+
+@pytest.mark.parametrize("command", ["query", "predict"])
+def test_checkpoint_with_nan_entry_exits_3(runner, data_dir, checkpoint, tmp_path, command):
+    bad = tmp_path / "checkpoint.bin"
+    data = bytearray(checkpoint.read_bytes())
+    data[16 + 4 * 3:16 + 4 * 4] = struct.pack("<f", float("nan"))
+    bad.write_bytes(bytes(data))
+    extra = ["--labels", str(data_dir / "labels.csv")] if command == "predict" else []
+    result = runner.invoke(main, [command, str(bad), "cell:5:0:0"] + extra)
+    assert result.exit_code == 3, result.output
+    assert f"{bad} has non-finite vector entries" in result.output
+
+
+_CHECKPOINT_BYTES = [b"\x00", b"\xff", b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
+                     b"\xff\xff\xff\x7f", b"\xff\xff\xff\xff", b"\x00\x00\x00\x00",
+                     b"\x01\x00\x00\x00", b"BMV1", b"\xc3\x28", b"\x00\x01"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(st.tuples(
+    st.one_of(st.integers(0, 20), st.integers(0, 5000)),
+    st.sampled_from(["set", "insert", "delete", "cut"]),
+    st.one_of(st.sampled_from(_CHECKPOINT_BYTES), st.binary(min_size=1, max_size=4))),
+    min_size=1, max_size=4))
+def test_mutated_checkpoint_exits_0_or_3(data_dir, checkpoint, edits):
+    """No mutation of a checkpoint's bytes makes ``query`` or ``predict``
+    end in a traceback (exit 1) or an internal error (exit 4), or run long."""
+    data = bytearray(checkpoint.read_bytes())
+    for position, edit, value in edits:
+        at = position % (len(data) + 1)
+        if edit == "set":
+            data[at:at + len(value)] = value
+        elif edit == "insert":
+            data[at:at] = value
+        elif edit == "delete":
+            del data[at:at + len(value)]
+        else:
+            del data[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / "checkpoint.bin"
+        mutated.write_bytes(bytes(data))
+        for args in (["query", str(mutated), "cell:5:0:0", "-k", "3"],
+                     ["predict", str(mutated), "cell:5:0:0",
+                      "--labels", str(data_dir / "labels.csv")]):
+            started = time.monotonic()
+            result = CliRunner().invoke(main, args)
+            assert time.monotonic() - started < 10
+            assert result.exit_code in (0, 3), (args[0], result.output, result.exception)
 
 
 def test_predict_prints_one_hot(runner, data_dir, tmp_path):

@@ -1,12 +1,16 @@
 """Trainer tests: finite-difference gradient oracle, sampler frequencies,
-structural quality on the barbell fixture, and determinism."""
+structural quality on the barbell fixture, determinism, and byte identity
+with a per-pair reference trainer and numpy's ``Generator`` draws."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from bimvec.errors import AllZeroCountsError, EmptyCorpusError
+import itertools
+
+from bimvec import sgns
+from bimvec.errors import AllZeroCountsError, EmptyCorpusError, InternalInvariantError
 from bimvec.sgns import (
     EmbeddingMatrix,
     NegativeSampler,
@@ -14,11 +18,12 @@ from bimvec.sgns import (
     initial_vectors,
     pair_loss_and_grads,
     train,
+    walk_draws,
 )
 from bimvec.store import cosine
-from bimvec.walks import WalkConfig, WalkCorpus, generate_walks
+from bimvec.walks import WalkConfig, WalkCorpus, generate_walks, substream_seed
 
-from conftest import make_barbell
+from conftest import SMALL_GRAPHS, graph_from_edges, make_barbell
 
 
 def reference_loss(center, positive, negatives):
@@ -251,3 +256,217 @@ def test_checkpoint_rejects_wrong_length(tmp_path, cut, extra):
     path.write_bytes(data[:len(data) - cut] + extra)
     with pytest.raises(ValueError, match="truncated|after its vocabulary"):
         EmbeddingMatrix.load(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["initial_lr", "min_lr", "subsample_threshold"])
+def test_config_rejects_non_finite_rates(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(**{name: value})
+
+
+def test_checkpoint_rejects_non_finite_entries(tmp_path):
+    matrix = train(_barbell_corpus(), TrainConfig(dimension=8, epochs=1, seed=3))
+    matrix.context_vectors[2, 5] = np.nan
+    path = tmp_path / "checkpoint.bin"
+    matrix.save(path)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        EmbeddingMatrix.load(path)
+    assert str(path) in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# random draws: one random_raw call per walk reproduces the Generator calls
+# ---------------------------------------------------------------------------
+
+def generator_draws(seed, walk, keep_probability, cfg, vocab_size):
+    """The call sequence of the per-pair trainer, through ``Generator``."""
+    rng = np.random.default_rng(seed)
+    if keep_probability is not None:
+        walk = walk[rng.random(len(walk)) < keep_probability[walk]]
+    reaches, slots, uniforms = [], [], []
+    length = len(walk)
+    for pos in range(length if length > 1 else 0):
+        reach = int(rng.integers(1, cfg.window + 1)) if cfg.dynamic_window \
+            else cfg.window
+        reaches.append(reach)
+        for _ in range(min(pos, reach) + min(length - 1 - pos, reach)):
+            slots.append(rng.integers(0, vocab_size, size=cfg.negatives))
+            uniforms.append(rng.random(cfg.negatives))
+    return walk, reaches, slots, uniforms
+
+
+def assert_same_draws(draws, expected):
+    walk, reaches, slots, uniforms = draws
+    want_walk, want_reaches, want_slots, want_uniforms = expected
+    assert walk.tolist() == want_walk.tolist()
+    if len(walk) < 2:
+        assert len(slots) == len(uniforms) == 0
+        return
+    assert reaches.tolist() == want_reaches
+    assert slots.tolist() == [row.tolist() for row in want_slots]
+    assert uniforms.tolist() == [row.tolist() for row in want_uniforms]
+
+
+def _draw_cases(count, vocab_sizes, subsample=True):
+    rng = np.random.default_rng(2024)
+    for case in range(count):
+        vocab_size = int(rng.choice(vocab_sizes))
+        walk = rng.integers(0, min(vocab_size, 100), size=int(rng.integers(0, 30)))
+        keep = None
+        if subsample and case % 3 == 0:
+            keep = rng.random(vocab_size)
+        cfg = TrainConfig(window=int(rng.choice([1, 2, 3, 10])),
+                          negatives=int(rng.integers(1, 9)),
+                          dynamic_window=bool(case % 2))
+        yield int(rng.integers(0, 2 ** 63)), walk, keep, cfg, vocab_size
+
+
+def test_words_replay_generator_calls():
+    """Reaches, slots and uniforms read from a walk's PCG64 words equal the
+    Generator calls, with and without subsampling, including a one-node
+    vocabulary and window 1, where a range of one consumes nothing."""
+    for seed, walk, keep, cfg, vocab_size in _draw_cases(
+            300, [1, 2, 3, 5, 37, 1000, 65_537]):
+        # at these sizes a rejection has odds of about n / 2**32 per draw,
+        # and these seeded cases meet none
+        draws = sgns._draws_from_words(seed, walk, keep, cfg, vocab_size)
+        assert draws is not None
+        assert_same_draws(draws, generator_draws(seed, walk, keep, cfg, vocab_size))
+
+
+def test_bounded_draw_rejects_where_numpy_redraws():
+    """At n = 3 * 2**30 a quarter of 32-bit draws are rejected; the accepted
+    ones, in order, are what ``integers(0, n)`` returns."""
+    n = 3 * 2 ** 30
+    for seed in range(20):
+        words = np.random.PCG64(seed).random_raw(200)
+        halves = np.stack((words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)),
+                          axis=1).reshape(-1)
+        values, rejected = sgns._bounded(halves, n)
+        assert 0.15 < rejected.mean() < 0.35
+        accepted = values[~rejected].astype(np.int64)
+        expected = np.random.default_rng(seed).integers(0, n, size=len(accepted))
+        assert accepted.tolist() == expected.tolist()
+
+
+def test_walk_with_rejected_draw_uses_generator_calls():
+    fallbacks = 0
+    for seed, walk, keep, cfg, vocab_size in _draw_cases(40, [3 * 2 ** 30],
+                                                          subsample=False):
+        if sgns._draws_from_words(seed, walk, keep, cfg, vocab_size) is None:
+            fallbacks += 1
+        assert_same_draws(walk_draws(seed, walk, keep, cfg, vocab_size),
+                          generator_draws(seed, walk, keep, cfg, vocab_size))
+    assert fallbacks >= 20
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the per-pair reference trainer
+# ---------------------------------------------------------------------------
+
+def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
+    """SGNS one (center, context) pair at a time: one ``NegativeSampler``
+    call, one ``pair_loss_and_grads`` call and one ``np.add.at`` each."""
+    ids = sorted({nid for walk in corpus.walks for nid in walk})
+    syn0 = initial_vectors(len(ids), cfg.dimension, cfg.seed)
+    syn1 = np.zeros((len(ids), cfg.dimension), dtype=np.float32)
+    matrix = EmbeddingMatrix(syn0, syn1, ids)
+    walks = [np.array([matrix.vocabulary[nid] for nid in walk], dtype=np.int64)
+             for walk in corpus.walks]
+
+    def full_pairs(length, pos):
+        return min(pos, cfg.window) + min(length - 1 - pos, cfg.window)
+
+    def walk_pairs(length):
+        return sum(full_pairs(length, pos) for pos in range(length))
+
+    epoch_pairs = sum(walk_pairs(len(walk)) for walk in walks)
+    if epoch_pairs == 0:
+        return matrix
+    total_progress = epoch_pairs * cfg.epochs
+    counts = np.bincount(np.concatenate(walks), minlength=len(ids))
+    sampler = NegativeSampler(counts)
+    keep_probability = None
+    if cfg.subsample_threshold > 0:
+        with np.errstate(divide="ignore"):
+            keep_probability = np.clip(
+                np.sqrt(cfg.subsample_threshold / (counts / counts.sum())), 0.0, 1.0)
+    span = cfg.initial_lr - cfg.min_lr
+    offset = 0
+    for epoch in range(cfg.epochs):
+        loss_total, pair_total = 0.0, 0
+        for walk_index, walk in enumerate(walks):
+            rng = np.random.default_rng(substream_seed(cfg.seed, epoch, walk_index))
+            progress = offset
+            offset += walk_pairs(len(walk))
+            if keep_probability is not None:
+                walk = walk[rng.random(len(walk)) < keep_probability[walk]]
+            loss_sum = 0.0
+            length = len(walk)
+            for pos in range(length):
+                full = full_pairs(length, pos)
+                if full == 0:
+                    continue
+                lr = max(cfg.min_lr,
+                         cfg.initial_lr - span * progress / total_progress)
+                reach = cfg.window if not cfg.dynamic_window \
+                    else int(rng.integers(1, cfg.window + 1))
+                center = int(walk[pos])
+                for o_pos in range(max(0, pos - reach), min(length, pos + reach + 1)):
+                    if o_pos == pos:
+                        continue
+                    positive = int(walk[o_pos])
+                    negatives = sampler.sample(cfg.negatives, rng)
+                    negatives = negatives[negatives != positive]
+                    v = syn0[center]
+                    loss, grad_v, grad_pos, grad_negs = pair_loss_and_grads(
+                        v, syn1[positive], syn1[negatives])
+                    syn1[positive] -= lr * grad_pos
+                    if negatives.size:
+                        np.add.at(syn1, negatives, -lr * grad_negs)
+                    syn0[center] = v - lr * grad_v
+                    loss_sum += loss
+                    pair_total += 1
+                progress += full
+            loss_total += loss_sum
+        matrix.epoch_losses.append(loss_total / max(pair_total, 1))
+        if not (np.isfinite(syn0).all() and np.isfinite(syn1).all()):
+            raise InternalInvariantError(
+                f"non-finite embedding entries after epoch {epoch}")
+    return matrix
+
+
+_STAR = next(graph for graph in SMALL_GRAPHS if graph[0] == "star5")
+_IDENTITY_CORPORA = {
+    "barbell": lambda: _barbell_corpus(walk_length=12, walks_per_node=1),
+    "star5": lambda: generate_walks(graph_from_edges(*_STAR[1:]), WalkConfig(
+        walk_length=12, walks_per_node=2, seed=4)),
+}
+
+
+@pytest.mark.parametrize("dynamic_window", [True, False], ids=["dynamic", "fixed"])
+@pytest.mark.parametrize("window", [1, 3, 10])
+@pytest.mark.parametrize("corpus_name", sorted(_IDENTITY_CORPORA))
+def test_train_equals_per_pair_reference(corpus_name, window, dynamic_window):
+    """Vectors, context vectors and epoch losses are byte-identical to the
+    per-pair trainer's over subsampling, negatives, epochs and learning
+    rates; on star5 negatives often equal the positive and repeat."""
+    corpus = _IDENTITY_CORPORA[corpus_name]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for threshold, negatives, epochs, initial_lr in itertools.product(
+                [0.0, 0.05], [1, 5, 7], [1, 2, 3], [0.025, 1.0]):
+            cfg = TrainConfig(dimension=8, window=window, negatives=negatives,
+                              epochs=epochs, initial_lr=initial_lr, seed=window + negatives,
+                              dynamic_window=dynamic_window,
+                              subsample_threshold=threshold)
+            assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg), cfg
+
+
+def _outcome(trainer, corpus, cfg):
+    try:
+        matrix = trainer(corpus, cfg)
+    except InternalInvariantError as exc:  # diverged at initial_lr 1.0
+        return str(exc)
+    return (matrix.vectors.tobytes(), matrix.context_vectors.tobytes(),
+            matrix.epoch_losses)
