@@ -14,22 +14,25 @@ dynamic window shrinking is on or off.
 Training runs single-threaded, one seeded substream per (epoch, walk), and
 yields bit-identical embeddings for identical inputs.
 
-Kernel. Pairs are applied one at a time, in walk order, so every update
+Kernel. Walks train in blocks of about ``_BLOCK_PAIRS`` pairs. A block's
+draws, pair positions, negatives and learning rates are computed at once;
+then its pairs are applied one at a time, in walk order, so every update
 sees the ones before it. Per pair the loop only gathers the ``syn1`` rows of
 the positive and the kept negatives (those unequal to the positive), takes
 ``rows @ v``, the clamped sigmoid, ``dscores @ rows`` and the outer product
 with ``v`` in ``pair_loss_and_grads``'s float32 operations and order, and
 writes the rows back: by assignment when their indices are distinct, by
 ``np.subtract.at`` when a negative repeats. Losses are computed after the
-walk from the stored sigmoids and summed pair by pair in order.
+block from the stored sigmoids and summed pair by pair, walk by walk.
 
-Draws. A walk's random numbers are those of ``np.random.default_rng(s)``,
-s = ``substream_seed(seed, epoch, walk)``, for the calls
-``random(len(walk))`` (subsampling only), then per center
+Draws. Each walk has its own substream: its random numbers are those of
+``np.random.default_rng(s)``, s = ``substream_seed(seed, epoch, walk)``, for
+the calls ``random(len(walk))`` (subsampling only), then per center
 ``integers(1, window + 1)`` (dynamic window only) and per context
 ``integers(0, vocab, size=negatives)`` and ``random(negatives)``, the
 negatives resolved through the alias table. They are computed from one
-``PCG64(s).random_raw`` call by numpy's rules:
+``PCG64(s).random_raw`` call per walk, read a block at a time, by numpy's
+rules:
 
 - ``random`` takes one 64-bit word w and returns (w >> 11) * 2**-53;
 - ``integers`` over a range of n values draws a 32-bit x and returns
@@ -39,12 +42,13 @@ negatives resolved through the alias table. They are computed from one
 - a range of one value consumes nothing;
 - x is rejected, and numpy draws again, when (x * n) mod 2**32 < 2**32 mod n.
 
-A walk with a rejected draw, at most about n / 2**32 per draw, is drawn
-through the ``Generator`` calls instead.
+A block with a rejected draw, at most about n / 2**32 per draw, is drawn
+walk by walk through the ``Generator`` calls instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import struct
@@ -92,6 +96,9 @@ class TrainConfig:
             raise ValueError("initial_lr must be > 0 and min_lr >= 0")
         if self.min_lr > self.initial_lr:
             raise ValueError("min_lr must not exceed initial_lr")
+        if self.subsample_threshold < 0:
+            raise ValueError(f"subsample_threshold must be >= 0 (0 is off), "
+                             f"got {self.subsample_threshold}")
 
 
 @dataclass
@@ -238,23 +245,42 @@ def pair_loss_and_grads(center, positive, negatives):
 # Training
 # ---------------------------------------------------------------------------
 
-def _walk_pair_count(length: int, window: int) -> int:
-    """(center, context) pairs of a walk at full window: position i has
-    min(i, window) contexts on its left, and the right sides add up alike."""
-    near = min(length, window + 1)
-    return near * (near - 1) + 2 * window * max(0, length - 1 - window)
+# A training block is a run of walks with at most this many full-window
+# pairs, or one longer walk; its arrays take memory in proportion to them.
+_BLOCK_PAIRS = 4096
 
 
-def _pairs(length: int, reaches: np.ndarray):
-    """Center and context positions of a walk's pairs, in training order:
-    each center's contexts from left to right within its reach."""
-    positions = np.arange(length)
+def _blocks(walk_pairs: np.ndarray) -> list[tuple[int, int]]:
+    """The (first, stop) walk ranges of the training blocks."""
+    blocks, first, pairs = [], 0, 0
+    for walk, count in enumerate(walk_pairs.tolist()):
+        if pairs + count > _BLOCK_PAIRS and walk > first:
+            blocks.append((first, walk))
+            first, pairs = walk, 0
+        pairs += count
+    return blocks + [(first, len(walk_pairs))]
+
+
+def _context_counts(lengths: np.ndarray, reaches):
+    """For walks of ``lengths`` laid end to end, each token reaching
+    ``reaches`` positions to either side within its walk: each token's
+    contexts on its left and in all, and where each walk's run of contexts
+    starts, plus the end."""
+    positions = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     left = np.minimum(positions, reaches)
-    per_center = left + np.minimum(length - 1 - positions, reaches)
-    centers = np.repeat(positions, per_center)
-    step = np.arange(len(centers)) - np.repeat(
-        np.cumsum(per_center) - per_center, per_center)
-    return centers, centers - left[centers] + step + (step >= left[centers])
+    counts = left + np.minimum(np.repeat(lengths, lengths) - 1 - positions, reaches)
+    return left, counts, np.concatenate(([0], np.cumsum(counts)))[
+        np.concatenate(([0], np.cumsum(lengths)))]
+
+
+def _block_pairs(lengths: np.ndarray, reaches):
+    """Center and context token indices of a block's pairs, in training
+    order (each center's contexts from left to right within its reach and
+    its walk), and where each walk's pairs start, plus the end."""
+    left, per_center, walk_starts = _context_counts(lengths, reaches)
+    centers = np.repeat(np.arange(len(left)), per_center)
+    step = np.arange(len(centers)) - np.repeat(np.cumsum(per_center) - per_center, per_center)
+    return centers, centers - left[centers] + step + (step >= left[centers]), walk_starts
 
 
 def initial_vectors(vocab_size: int, dimension: int, seed: int) -> np.ndarray:
@@ -276,56 +302,57 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     syn1 = np.zeros((vocab_size, cfg.dimension), dtype=np.float32)
     matrix = EmbeddingMatrix(syn0, syn1, ids)
 
-    walks = [np.array([matrix.vocabulary[nid] for nid in walk], dtype=np.int64)
-             for walk in corpus.walks]
-    epoch_pairs = sum(_walk_pair_count(len(walk), cfg.window) for walk in walks)
+    lengths = np.fromiter(map(len, corpus.walks), dtype=np.int64, count=len(corpus.walks))
+    tokens = np.fromiter(map(matrix.vocabulary.__getitem__, itertools.chain.from_iterable(
+        corpus.walks)), dtype=np.int64, count=int(lengths.sum()))
+    walk_pairs = np.diff(_context_counts(lengths, cfg.window)[2])
+    epoch_pairs = int(walk_pairs.sum())
     if epoch_pairs == 0:
-        logger.info("corpus yields no center-context pairs; "
-                    "returning initialization")
+        logger.info("corpus yields no center-context pairs; returning initialization")
         return matrix
 
     total_progress = epoch_pairs * cfg.epochs
-    counts = np.bincount(np.concatenate(walks), minlength=vocab_size)
+    counts = np.bincount(tokens, minlength=vocab_size)
     table = NegativeSampler(counts).table
-    keep_probability = _keep_probabilities(counts, cfg)
+    with np.errstate(divide="ignore"):
+        keep_probability = np.clip(np.sqrt(cfg.subsample_threshold / (
+            counts / counts.sum())), 0.0, 1.0) if cfg.subsample_threshold > 0 else None
     span = cfg.initial_lr - cfg.min_lr
     # A walk's place on the schedule follows from the full pair counts of
     # the walks before it, before subsampling.
-    offset = 0
+    offsets = np.cumsum(walk_pairs) - walk_pairs
+    token_starts = np.concatenate(([0], np.cumsum(lengths)))
+    blocks = _blocks(walk_pairs)
     for epoch in range(cfg.epochs):
         loss_total, pair_total = 0.0, 0
-        for walk_index, walk in enumerate(walks):
-            progress = offset
-            offset += _walk_pair_count(len(walk), cfg.window)
-            walk, reaches, slots, uniforms = walk_draws(
-                substream_seed(cfg.seed, epoch, walk_index), walk,
+        for first, stop in blocks:
+            kept, kept_lengths, reaches, slots, uniforms = block_draws(
+                [substream_seed(cfg.seed, epoch, walk) for walk in range(first, stop)],
+                tokens[token_starts[first]:token_starts[stop]], lengths[first:stop],
                 keep_probability, cfg, vocab_size)
-            if len(walk) < 2:
-                continue
-            positions = np.arange(len(walk))
-            full = (np.minimum(positions, cfg.window)
-                    + np.minimum(len(walk) - 1 - positions, cfg.window))
-            rates = []
-            for pairs in full.tolist():
-                rates.append(max(cfg.min_lr,
-                                 cfg.initial_lr - span * progress / total_progress))
-                progress += pairs
-            centers, contexts = _pairs(len(walk), reaches)
-            loss_total += _train_pairs(
-                syn0, syn1, walk[centers], walk[contexts],
-                table.resolve(slots, uniforms), np.array(rates)[centers])
+            # a center's progress is its walk's plus the full pairs before it
+            _, full, full_starts = _context_counts(kept_lengths, cfg.window)
+            progress = np.cumsum(full) - full + np.repeat(
+                offsets[first:stop] + epoch * epoch_pairs - full_starts[:-1], kept_lengths)
+            rates = np.maximum(cfg.min_lr, cfg.initial_lr - span * progress / total_progress)
+            centers, contexts, pair_starts = _block_pairs(kept_lengths, reaches)
+            losses = _train_pairs(syn0, syn1, kept[centers], kept[contexts],
+                                  table.resolve(slots, uniforms), rates[centers]).tolist()
+            for start, end in zip(pair_starts[:-1].tolist(), pair_starts[1:].tolist()):
+                walk_loss = 0.0
+                for loss in losses[start:end]:
+                    walk_loss += loss
+                loss_total += walk_loss
             pair_total += len(centers)
         matrix.epoch_losses.append(loss_total / max(pair_total, 1))
         if not (np.isfinite(syn0).all() and np.isfinite(syn1).all()):
-            raise InternalInvariantError(
-                f"non-finite embedding entries after epoch {epoch}"
-            )
+            raise InternalInvariantError(f"non-finite embedding entries after epoch {epoch}")
     return matrix
 
 
-def _train_pairs(syn0, syn1, centers, positives, negatives, rates) -> float:
+def _train_pairs(syn0, syn1, centers, positives, negatives, rates) -> np.ndarray:
     """Apply one SGNS update per (center, positive, negatives row, rate), in
-    order, and return the sum of the pairs' losses.
+    order, and return each pair's loss.
 
     The loop gathers each pair's ``syn1`` rows once and repeats
     ``pair_loss_and_grads``'s float32 operations; the losses are computed
@@ -370,16 +397,12 @@ def _train_pairs(syn0, syn1, centers, positives, negatives, rates) -> float:
     for count in np.flatnonzero(np.bincount(kept_counts)).tolist():
         selected = kept_counts == count
         negative_sums[selected] = terms[selected, :count].sum(axis=1)
-    losses = (-np.log(np.maximum(sig[firsts].astype(np.float64), 1e-30))
-              - negative_sums.astype(np.float64))
-    loss_sum = 0.0
-    for loss in losses.tolist():
-        loss_sum += loss
-    return loss_sum
+    return (-np.log(np.maximum(sig[firsts].astype(np.float64), 1e-30))
+            - negative_sums.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
-# Random draws of one walk
+# Random draws of a block of walks
 # ---------------------------------------------------------------------------
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -397,128 +420,103 @@ def _bounded(x, n: int):
     return product >> np.uint64(32), (product & _LOW32) < 2 ** 32 % n
 
 
-def walk_draws(seed: int, walk: np.ndarray, keep_probability, cfg: TrainConfig,
-               vocab_size: int):
-    """The random numbers one walk trains with: the tokens that survive
-    subsampling, the reach of each center, and for each (center, context)
-    pair in order the ``cfg.negatives`` alias slots and uniforms.
-
-    They equal what a ``np.random.default_rng(seed)`` returns for the call
-    sequence ``random(len(walk))`` (subsampling only), then per center
-    ``integers(1, window + 1)`` (dynamic window only) and per context
-    ``integers(0, vocab_size, size=negatives)`` and ``random(negatives)``.
-    A walk is read from one ``random_raw`` call; a walk in which numpy
-    would reject a bounded draw is drawn through those calls instead.
-    """
-    draws = _draws_from_words(seed, walk, keep_probability, cfg, vocab_size)
-    if draws is None:
-        draws = _draws_from_generator(np.random.default_rng(seed), walk,
-                                      keep_probability, cfg, vocab_size)
-    return draws
-
-
-def _draws_from_words(seed, walk, keep_probability, cfg, vocab_size):
+def block_draws(seeds, walks: np.ndarray, lengths: np.ndarray, keep_probability,
+                cfg: TrainConfig, vocab_size: int):
+    """The random numbers a block of walks trains with, each walk's those of
+    its seed's ``Generator`` calls (see Draws above). ``walks`` holds the
+    walks' tokens end to end, ``lengths`` their lengths and ``seeds`` their
+    substream seeds. Returns, laid out the same way, the tokens that survive
+    subsampling and the walks' new lengths, the reach of each token, and for
+    each (center, context) pair in order the ``cfg.negatives`` alias slots
+    and uniforms."""
     window, negatives = cfg.window, cfg.negatives
     # A range of one consumes nothing: the reach at window 1, the slots of a
     # one-node vocabulary.
     draws_reach = cfg.dynamic_window and window > 1
     slot_draws = negatives if vocab_size > 1 else 0
-    base = len(walk) if keep_probability is not None else 0
-    most_pairs = _walk_pair_count(len(walk), window)
-    most_32 = (len(walk) if draws_reach else 0) + most_pairs * slot_draws
-    words = np.random.PCG64(seed).random_raw(
-        base + (most_32 + 1) // 2 + most_pairs * negatives)
+    # each walk's words: its uniforms for subsampling, then at most one
+    # reach per token and the draws of its full-window pairs
+    most_pairs = np.diff(_context_counts(lengths, window)[2])
+    most_32 = (lengths if draws_reach else 0) + most_pairs * slot_draws
+    subsample_words = lengths if keep_probability is not None else 0
+    sizes = subsample_words + (most_32 + 1) // 2 + most_pairs * negatives
+    words = np.concatenate([np.random.PCG64(seed).random_raw(size)
+                            for seed, size in zip(seeds, sizes.tolist())])
+    word_starts = np.cumsum(sizes) - sizes
+    kept, kept_lengths = walks, lengths
     if keep_probability is not None:
-        walk = walk[_uniforms(words[:base]) < keep_probability[walk]]
-    length = len(walk)
-    if length < 2:
-        return _no_pairs(walk, negatives)
+        walk_of = np.repeat(np.arange(len(lengths)), lengths)
+        keep = _uniforms(words[np.arange(len(walks)) + (word_starts - np.cumsum(
+            lengths) + lengths)[walk_of]]) < keep_probability[walks]
+        kept, kept_lengths = walks[keep], np.bincount(walk_of[keep], minlength=len(lengths))
+    bases, starts = word_starts + subsample_words, np.cumsum(kept_lengths) - kept_lengths
 
     # 32-bit draws share one buffer: an even draw takes a fresh word's low
     # half and holds its high half for the next one; a uniform takes a
     # fresh word and leaves the buffer alone. So after j 32-bit draws and d
-    # uniforms the next fresh word is base + ceil(j / 2) + d.
-    if draws_reach:
-        reaches = []
-        drawn, uniforms_drawn, held = 0, 0, 0
-        threshold = 2 ** 32 % window
-        for position in range(length):
-            if drawn & 1:
-                x = int(words[held]) >> 32
-            else:
-                held = base + (drawn >> 1) + uniforms_drawn
-                x = int(words[held]) & 0xFFFFFFFF
-            product = x * window
+    # uniforms the next fresh word is base + ceil(j / 2) + d, and an odd
+    # draw reads the word of the one before, ``since`` uniforms back.
+    reaches = np.full(len(kept), window)
+    threshold = 2 ** 32 % window
+    for base, start, length in zip(bases.tolist(), starts.tolist(), kept_lengths.tolist()):
+        drawn, uniforms_drawn, since = 0, 0, 0
+        for position in range(length if draws_reach and length > 1 else 0):
+            word = int(words[base + (drawn >> 1) + uniforms_drawn - since * (drawn & 1)])
+            product = (word >> 32 if drawn & 1 else word & 0xFFFFFFFF) * window
             if product & 0xFFFFFFFF < threshold:
-                return None
-            reach = 1 + (product >> 32)
-            reaches.append(reach)
+                return _draws_from_generator(seeds, walks, lengths, keep_probability,
+                                             cfg, vocab_size)
+            reaches[start + position] = reach = 1 + (product >> 32)
             contexts = min(position, reach) + min(length - 1 - position, reach)
-            drawn += 1
-            after = drawn + contexts * slot_draws
-            if slot_draws and after & 1:
-                # the block's last draw is even: its word's high half is held
-                last = after - 1
-                held = (base + (last >> 1) + uniforms_drawn
-                        + (last - drawn) // slot_draws * negatives)
-            drawn, uniforms_drawn = after, uniforms_drawn + contexts * negatives
-        reaches = np.array(reaches)
-    else:
-        reaches = np.full(length, window)
+            drawn += 1 + contexts * slot_draws
+            uniforms_drawn += contexts * negatives
+            since = negatives if slot_draws else contexts * negatives
 
-    center, _ = _pairs(length, reaches)
-    pair = np.arange(len(center))
-    reach_draws = center + 1 if draws_reach else np.zeros_like(center)
+    centers, _, pair_starts = _block_pairs(kept_lengths, reaches)
+    walk = np.repeat(np.arange(len(kept_lengths)), np.diff(pair_starts))
+    pair = np.arange(len(centers)) - pair_starts[walk]
+    reach_draws = centers - starts[walk] + 1 if draws_reach else np.zeros_like(centers)
+    base = bases[walk]
     # A context's 32-bit draws follow the uniforms of the contexts before it.
     # An odd draw reads the word of the draw before it, which precedes the
     # previous context's uniforms when it was that context's last slot.
     k = np.arange(slot_draws)
     drawn = reach_draws[:, None] + pair[:, None] * slot_draws + k
     odd = (drawn & 1).astype(bool)
-    first = np.diff(center, prepend=-1) > 0
+    first = np.diff(centers, prepend=-1) > 0
     after_uniforms = odd & (k == 0) & ~(first & draws_reach)[:, None]
-    word = words[base + (drawn >> 1) + negatives * (pair[:, None] - after_uniforms)]
+    word = words[base[:, None] + (drawn >> 1) + negatives * (pair[:, None] - after_uniforms)]
     slots, rejected = _bounded(
         np.where(odd, word >> np.uint64(32), word & _LOW32), vocab_size)
     if rejected.any():
-        return None
+        return _draws_from_generator(seeds, walks, lengths, keep_probability, cfg, vocab_size)
     if not slot_draws:
         slots = np.zeros((len(pair), negatives), dtype=np.uint64)
     before = reach_draws + (pair + 1) * slot_draws
     uniforms = _uniforms(words[(base + (before + 1) // 2 + negatives * pair)[:, None]
                                + np.arange(negatives)])
-    return walk, reaches, slots.astype(np.int64), uniforms
+    return kept, kept_lengths, reaches, slots.astype(np.int64), uniforms
 
 
-def _draws_from_generator(rng, walk, keep_probability, cfg, vocab_size):
-    if keep_probability is not None:
-        walk = walk[rng.random(len(walk)) < keep_probability[walk]]
-    length = len(walk)
-    if length < 2:
-        return _no_pairs(walk, cfg.negatives)
-    reaches, slots, uniforms = [], [], []
-    for position in range(length):
-        reach = int(rng.integers(1, cfg.window + 1)) if cfg.dynamic_window \
-            else cfg.window
-        reaches.append(reach)
-        for _ in range(min(position, reach) + min(length - 1 - position, reach)):
-            slots.append(rng.integers(0, vocab_size, size=cfg.negatives))
-            uniforms.append(rng.random(cfg.negatives))
-    return walk, np.array(reaches), np.array(slots), np.array(uniforms)
-
-
-def _no_pairs(walk, negatives):
-    return (walk, np.zeros(len(walk), dtype=np.int64),
-            np.zeros((0, negatives), dtype=np.int64), np.zeros((0, negatives)))
-
-
-def _keep_probabilities(counts: np.ndarray, cfg: TrainConfig):
-    if cfg.subsample_threshold <= 0:
-        return None
-    frequencies = counts / counts.sum()
-    with np.errstate(divide="ignore"):
-        keep = np.sqrt(cfg.subsample_threshold / frequencies)
-    return np.clip(keep, 0.0, 1.0)
+def _draws_from_generator(seeds, walks, lengths, keep_probability, cfg, vocab_size):
+    kept, reaches, slots, uniforms = [], [], [], []
+    for seed, walk in zip(seeds, np.split(walks, np.cumsum(lengths)[:-1])):
+        rng = np.random.default_rng(seed)
+        if keep_probability is not None:
+            walk = walk[rng.random(len(walk)) < keep_probability[walk]]
+        kept.append(walk)
+        length = len(walk)
+        for position in range(length):
+            reach = int(rng.integers(1, cfg.window + 1)) \
+                if cfg.dynamic_window and length > 1 else cfg.window
+            reaches.append(reach)
+            for _ in range(min(position, reach) + min(length - 1 - position, reach)):
+                slots.append(rng.integers(0, vocab_size, size=cfg.negatives))
+                uniforms.append(rng.random(cfg.negatives))
+    return (np.concatenate(kept), np.array([len(walk) for walk in kept], dtype=np.int64),
+            np.array(reaches, dtype=np.int64),
+            np.array(slots, dtype=np.int64).reshape(-1, cfg.negatives),
+            np.array(uniforms).reshape(-1, cfg.negatives))
 
 
 def attach_labels(matrix: EmbeddingMatrix, labels: Mapping[NodeId, str]) -> None:

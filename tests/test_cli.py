@@ -895,6 +895,25 @@ def test_unknown_config_key_exits_2(runner, data_dir, tmp_path):
     assert result.exit_code == 2
 
 
+def test_negative_subsample_threshold_in_config_exits_3(runner, data_dir, tmp_path):
+    """A negative ``subsample_threshold`` is out of range like any other
+    training number, and exits 3 naming it; 0 still means off."""
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    config = tmp_path / "train.cfg"
+    args = ["--config", str(config), "embed", str(graph_file), "--out",
+            str(tmp_path / "emb"), "--dimension", "4", "--window", "2", "--epochs", "1",
+            "--walk-length", "4", "--walks-per-node", "1"]
+    config.write_text("subsample_threshold=-0.05\n")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "subsample_threshold" in result.output
+    assert not (tmp_path / "emb" / "checkpoint.bin").exists()
+    config.write_text("subsample_threshold=0\n")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "emb" / "checkpoint.bin").exists()
+
+
 def test_missing_argument_exits_2(runner):
     result = runner.invoke(main, ["graph"])
     assert result.exit_code == 2

@@ -18,7 +18,6 @@ from bimvec.sgns import (
     initial_vectors,
     pair_loss_and_grads,
     train,
-    walk_draws,
 )
 from bimvec.store import cosine
 from bimvec.walks import WalkConfig, WalkCorpus, generate_walks, substream_seed
@@ -210,6 +209,9 @@ def test_config_validation():
         TrainConfig(dimension=0)
     with pytest.raises(ValueError):
         TrainConfig(min_lr=0.5, initial_lr=0.1)
+    with pytest.raises(ValueError, match="subsample_threshold"):
+        TrainConfig(subsample_threshold=-0.05)
+    assert TrainConfig(subsample_threshold=0.0).subsample_threshold == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def test_checkpoint_rejects_non_finite_entries(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# random draws: one random_raw call per walk reproduces the Generator calls
+# random draws: a block's random_raw calls reproduce the Generator calls
 # ---------------------------------------------------------------------------
 
 def generator_draws(seed, walk, keep_probability, cfg, vocab_size):
@@ -322,17 +324,53 @@ def _draw_cases(count, vocab_sizes, subsample=True):
         yield int(rng.integers(0, 2 ** 63)), walk, keep, cfg, vocab_size
 
 
-def test_words_replay_generator_calls():
-    """Reaches, slots and uniforms read from a walk's PCG64 words equal the
-    Generator calls, with and without subsampling, including a one-node
-    vocabulary and window 1, where a range of one consumes nothing."""
-    for seed, walk, keep, cfg, vocab_size in _draw_cases(
-            300, [1, 2, 3, 5, 37, 1000, 65_537]):
-        # at these sizes a rejection has odds of about n / 2**32 per draw,
-        # and these seeded cases meet none
-        draws = sgns._draws_from_words(seed, walk, keep, cfg, vocab_size)
-        assert draws is not None
-        assert_same_draws(draws, generator_draws(seed, walk, keep, cfg, vocab_size))
+def _block_of(cases):
+    """``block_draws`` arguments for the walks of ``cases``, each with its
+    own seed, under the first case's config, keep probabilities and
+    vocabulary."""
+    _, _, keep, cfg, vocab_size = cases[0]
+    walks = [walk % vocab_size for _, walk, *_ in cases]
+    return ([seed for seed, *_ in cases], np.concatenate(walks),
+            np.array([len(walk) for walk in walks], dtype=np.int64), keep, cfg, vocab_size)
+
+
+def assert_block_replays(block, draws):
+    """Compare a block's draws, walk by walk, with each walk's Generator calls."""
+    seeds, walks, lengths, keep, cfg, vocab_size = block
+    kept, kept_lengths, reaches, slots, uniforms = draws
+    assert len(kept_lengths) == len(seeds)
+    token = pair = 0
+    for seed, walk, length in zip(seeds, np.split(walks, np.cumsum(lengths)[:-1]),
+                                  kept_lengths.tolist()):
+        expected = generator_draws(seed, walk, keep, cfg, vocab_size)
+        pairs = len(expected[2])
+        assert_same_draws((kept[token:token + length], reaches[token:token + length],
+                           slots[pair:pair + pairs], uniforms[pair:pair + pairs]), expected)
+        token, pair = token + length, pair + pairs
+    assert (len(kept), len(reaches), len(slots), len(uniforms)) == (token, token, pair, pair)
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Record each call of the ``Generator`` fallback, which still runs."""
+    calls, fallback = [], sgns._draws_from_generator
+    monkeypatch.setattr(sgns, "_draws_from_generator",
+                        lambda *args: calls.append(args) or fallback(*args))
+    return calls
+
+
+def test_words_replay_generator_calls(monkeypatch):
+    """Reaches, slots and uniforms read from the PCG64 words of a block of
+    walks equal each walk's Generator calls, with and without subsampling,
+    including a one-node vocabulary and window 1, where a range of one
+    consumes nothing, and walks left with 0 or 1 tokens."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    cases = list(_draw_cases(300, [1, 2, 3, 5, 37, 1000, 65_537]))
+    for index, case in enumerate(cases):
+        for block in (_block_of([case]), _block_of(cases[index:index + 4])):
+            assert_block_replays(block, sgns.block_draws(*block))
+    # at these sizes a rejection has odds of about n / 2**32 per draw, and
+    # these seeded cases meet none: every block was read from its words
+    assert fallbacks == []
 
 
 def test_bounded_draw_rejects_where_numpy_redraws():
@@ -350,15 +388,26 @@ def test_bounded_draw_rejects_where_numpy_redraws():
         assert accepted.tolist() == expected.tolist()
 
 
-def test_walk_with_rejected_draw_uses_generator_calls():
-    fallbacks = 0
-    for seed, walk, keep, cfg, vocab_size in _draw_cases(40, [3 * 2 ** 30],
-                                                          subsample=False):
-        if sgns._draws_from_words(seed, walk, keep, cfg, vocab_size) is None:
-            fallbacks += 1
-        assert_same_draws(walk_draws(seed, walk, keep, cfg, vocab_size),
-                          generator_draws(seed, walk, keep, cfg, vocab_size))
-    assert fallbacks >= 20
+def test_walk_with_rejected_draw_uses_generator_calls(monkeypatch):
+    """A block with a rejected draw is drawn through the Generator calls,
+    also when it mixes rejected walks with clean ones."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    cases = list(_draw_cases(40, [3 * 2 ** 30], subsample=False))
+    for case in cases:
+        block = _block_of([case])
+        assert_block_replays(block, sgns.block_draws(*block))
+    assert len(fallbacks) >= 20
+    _, _, keep, cfg, vocab_size = cases[0]
+    clean = []
+    for seed, walk, *_ in cases:
+        before = len(fallbacks)
+        sgns.block_draws(*_block_of([(seed, walk, keep, cfg, vocab_size)]))
+        clean.append(len(fallbacks) == before)
+    assert any(clean) and not all(clean)
+    mixed = _block_of(cases)
+    before = len(fallbacks)
+    assert_block_replays(mixed, sgns.block_draws(*mixed))
+    assert len(fallbacks) == before + 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,3 +519,29 @@ def _outcome(trainer, corpus, cfg):
         return str(exc)
     return (matrix.vectors.tobytes(), matrix.context_vectors.tobytes(),
             matrix.epoch_losses)
+
+
+@pytest.mark.parametrize("block_pairs", [2, 8, 40])
+def test_train_equals_reference_across_block_boundaries(monkeypatch, block_pairs):
+    """With blocks of a few pairs, training stays byte-identical to the
+    per-pair trainer: blocks end in mid-epoch, hold several walks, some of
+    them left with 0 or 1 tokens after subsampling, and a walk longer than
+    the budget is a block by itself."""
+    monkeypatch.setattr(sgns, "_BLOCK_PAIRS", block_pairs)
+    walks = _barbell_corpus(walk_length=40, walks_per_node=2).walks
+    corpus = WalkCorpus([walk[:length] for walk, length in zip(
+        walks, itertools.cycle([1, 2, 3, 1, 2, 5, 40, 4, 2]))])
+    lengths = np.array([len(walk) for walk in corpus.walks])
+    for window, dynamic_window, threshold, epochs in itertools.product(
+            [1, 3], [True, False], [0.0, 0.05], [1, 2, 3]):
+        walk_pairs = np.diff(sgns._context_counts(lengths, window)[2])
+        blocks = sgns._blocks(walk_pairs)
+        assert len(blocks) > 1
+        assert any(stop - first > 1 and (lengths[first:stop] < 2).any()
+                   for first, stop in blocks)
+        assert any(stop - first == 1 and walk_pairs[first] > block_pairs
+                   for first, stop in blocks)
+        cfg = TrainConfig(dimension=8, window=window, negatives=5, epochs=epochs,
+                          seed=window + epochs, dynamic_window=dynamic_window,
+                          subsample_threshold=threshold)
+        assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg), cfg
