@@ -23,9 +23,7 @@ from .errors import BimvecError, ConfigError, InternalInvariantError, SliceOutOf
 from .fileio import atomic_open, atomic_write_text, read_json
 from .graph import PropertyGraph
 from .ifc_graph import attach_properties, build_graph
-from .sgns import EmbeddingMatrix, attach_labels, train
 from .step_parser import parse_step_file, serialize_step, validate_references
-from .store import export_projector, knn, load_labeled_csv, predict_comfort
 from .temporal import build_snapshots
 from .walks import generate_walks
 
@@ -266,7 +264,7 @@ def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
     if missing:
         raise BimvecError(f"{path}: node_index lacks base node {missing[0]!r}")
     path = os.path.join(store_dir, "tensor.csv")
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8", errors="replace") as fp:
         if fp.readline().rstrip("\n") != "t,i,j,w":
             raise BimvecError(f"{path}, line 1: expected the header t,i,j,w")
         return temporal.union_graph(base, order, _tensor_rows(fp, path, windows, len(order)),
@@ -280,7 +278,8 @@ def _tensor_rows(fp, path, windows: int, nodes: int):
             t, i, j, w = line.split(",")
             t, i, j, w = int(t), int(i), int(j), float(w)
         except ValueError as exc:
-            raise BimvecError(f"{path}, line {line_no}: {exc}") from None
+            reason = "not UTF-8 text" if "\ufffd" in line else exc
+            raise BimvecError(f"{path}, line {line_no}: {reason}") from None
         if not (0 <= t < windows and 0 <= i < j < nodes and math.isfinite(w)):
             raise BimvecError(
                 f"{path}, line {line_no}: need 0 <= t < {windows}, "
@@ -317,6 +316,9 @@ def _tensor_rows(fp, path, windows: int, nodes: int):
 def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
               **overrides):
     """Walk a graph (or flattened temporal store) and train embeddings."""
+    from .sgns import attach_labels, train
+    from .store import export_projector
+
     cfg = cfg.updated(flatten=flatten_mode, **overrides)
     _echo_config(cfg)
     walk_config, train_config = cfg.walk_config(), cfg.train_config()
@@ -356,6 +358,9 @@ def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
 @_command
 def cmd_query(cfg: RunConfig, checkpoint, node_id, k, label_filter):
     """Print the top-k most similar nodes."""
+    from .sgns import EmbeddingMatrix
+    from .store import knn
+
     _echo_config(cfg)
     matrix = EmbeddingMatrix.load(checkpoint)
     result = knn(matrix, node_id, k,
@@ -374,12 +379,13 @@ def cmd_query(cfg: RunConfig, checkpoint, node_id, k, label_filter):
 @_command
 def cmd_predict(cfg: RunConfig, checkpoint, node_id, labels_path, k):
     """Predict a comfort label by majority vote of nearest labeled nodes."""
+    from .sgns import EmbeddingMatrix
+    from .store import CLASS_NAMES, ONE_HOT_CLASSES, load_labeled_csv, predict_comfort
+
     _echo_config(cfg)
     matrix = EmbeddingMatrix.load(checkpoint)
     labeled = load_labeled_csv(labels_path)
     one_hot = predict_comfort(matrix, labeled, node_id, k)
-    from .store import CLASS_NAMES, ONE_HOT_CLASSES
-
     name = CLASS_NAMES[ONE_HOT_CLASSES.index(one_hot)]
     click.echo(f"{list(one_hot)}\t{name}")
 

@@ -11,11 +11,15 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+from .graph import check_token
 from .ifc_graph import DEFAULT_OBJECT_PREFIXES, RelationMapping, RelationRule
-from .sgns import TrainConfig
 from .walks import WalkConfig
+
+if TYPE_CHECKING:
+    from .sgns import TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +67,8 @@ class RunConfig:
                           self.walks_per_node, self.walk_seed)
 
     def train_config(self) -> TrainConfig:
+        from .sgns import TrainConfig  # numpy loads only for commands that train
+
         return TrainConfig(
             dimension=self.dimension,
             window=self.window,
@@ -129,22 +135,28 @@ def load_config(path) -> RunConfig:
     values: dict[str, object] = {}
     overrides: dict[str, RelationRule] = {}
     field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    with open(path, "r", encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key.startswith("relation."):
-                overrides[key[len("relation."):].upper()] = _parse_rule(raw)
-                continue
-            if key in ("relation_overrides",):
-                raise ConfigError(f"{path}:{line_no}: use relation.<TYPE> keys")
-            if key not in field_types:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _parse_value(key, field_types[key], raw)
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            lines = fp.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key.startswith("relation."):
+            overrides[key[len("relation."):].upper()] = _parse_rule(raw, f"{path}:{line_no}")
+            continue
+        if key in ("relation_overrides",):
+            raise ConfigError(f"{path}:{line_no}: use relation.<TYPE> keys")
+        if key not in field_types:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        values[key] = _parse_value(key, field_types[key], raw)
     if overrides:
         values["relation_overrides"] = overrides
     try:
@@ -153,15 +165,19 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_rule(raw: str) -> RelationRule:
+def _parse_rule(raw: str, where: str) -> RelationRule:
     parts = raw.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"relation rule must be LABEL:relating:related, "
+        raise ConfigError(f"{where}: relation rule must be LABEL:relating:related, "
                           f"got {raw!r}")
     try:
-        return RelationRule(parts[0], int(parts[1]), int(parts[2]))
-    except ValueError:
-        raise ConfigError(f"bad relation rule indices in {raw!r}") from None
+        check_token(parts[0], "relation label")
+        rule = RelationRule(parts[0], int(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad relation rule {raw!r}: {exc}") from None
+    if rule.relating_index < 0 or rule.related_index < 0:
+        raise ConfigError(f"{where}: relation rule indices must be >= 0, got {raw!r}")
+    return rule
 
 
 def _parse_value(key: str, type_text: str, raw: str):

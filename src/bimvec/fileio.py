@@ -50,6 +50,8 @@ def read_json(path):
             raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None
         except RecursionError:
             raise BimvecError(f"{path}: JSON nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise BimvecError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def read_csv(path, header: str, min_fields: int, parse: Callable[[list[str]], object]) -> list:

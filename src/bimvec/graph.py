@@ -96,6 +96,7 @@ class PropertyGraph:
         weight: float = 1.0,
         attributes: Mapping | None = None,
     ) -> Edge:
+        check_token(label, "edge label")
         if u not in self._nodes or v not in self._nodes:
             missing = u if u not in self._nodes else v
             raise UnknownNodeError(f"edge endpoint {missing!r} is not a node")

@@ -96,6 +96,8 @@ class TrainConfig:
             raise ValueError("initial_lr must be > 0 and min_lr >= 0")
         if self.min_lr > self.initial_lr:
             raise ValueError("min_lr must not exceed initial_lr")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.subsample_threshold < 0:
             raise ValueError(f"subsample_threshold must be >= 0 (0 is off), "
                              f"got {self.subsample_threshold}")

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -15,6 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bimvec
 from bimvec.cli import main
 from bimvec.config import RunConfig
 from bimvec.graph import PropertyGraph
@@ -411,7 +415,7 @@ def test_predict_bad_labels_name_file_and_row(runner, checkpoint, tmp_path, text
 _FUZZ_FIELDS = ["", " ", "0.5", "-1", "x", "nan", "inf", "1e400", "1e300",
                 "3000000000", "9" * 30, "node_id", "timestamp", "comfortable",
                 "confortable", "occupant:alice", "5", "s1", '"', 'a"b', "a b",
-                "a\tb", "\u00e9", "\x00", "x" * 140_000]
+                "a\tb", "\u00e9", "\x00", "\udcff", "x" * 140_000]
 
 
 _FUZZ_EDITS = st.lists(st.tuples(
@@ -437,6 +441,21 @@ def _mutated(path: Path, edits, sep: str = ",") -> str:
     return "".join(sep.join(cells) + "\n" for cells in rows)
 
 
+def _exits_0_or_3_in_time(args) -> None:
+    """The command ends within 10 s, with exit 0 or 3: never a traceback
+    (exit 1) or an internal error (exit 4)."""
+    started = time.monotonic()
+    result = CliRunner().invoke(main, args)
+    assert time.monotonic() - started < 10
+    assert result.exit_code in (0, 3), (args[0], result.output, result.exception)
+
+
+def _write_mutated(path: Path, source: Path, edits, sep: str = ",") -> None:
+    """``_mutated`` text of ``source`` at ``path``; a ``"\\udcff"`` field
+    becomes the byte 0xff, which is not UTF-8."""
+    path.write_text(_mutated(source, edits, sep), encoding="utf-8", errors="surrogateescape")
+
+
 @settings(max_examples=50, deadline=None)
 @given(readings=_FUZZ_EDITS, fixes=_FUZZ_EDITS, labels=_FUZZ_EDITS)
 def test_mutated_csv_inputs_exit_0_or_3(data_dir, checkpoint, readings, fixes, labels):
@@ -446,8 +465,7 @@ def test_mutated_csv_inputs_exit_0_or_3(data_dir, checkpoint, readings, fixes, l
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, edits in (("readings", readings), ("fixes", fixes), ("labels", labels)):
-            (tmp / f"{name}.csv").write_text(_mutated(data_dir / f"{name}.csv", edits),
-                                             encoding="utf-8")
+            _write_mutated(tmp / f"{name}.csv", data_dir / f"{name}.csv", edits)
         results = [CliRunner().invoke(main, [
             "snapshot", str(graph_file), "--readings", str(tmp / "readings.csv"),
             "--fixes", str(tmp / "fixes.csv"), "--out", str(tmp / "store"),
@@ -462,7 +480,7 @@ def test_mutated_csv_inputs_exit_0_or_3(data_dir, checkpoint, readings, fixes, l
 
 _GRAPH_FUZZ_FIELDS = [
     "", "x", "N", "E", "5", "7", "cell:5:0:0", "sensor:s1", "-1", "0", "nan", "inf",
-    "1e400", "a b", "\u00e9", "\x00", "{}", "[1]", "null", '"s"', "[" * 5000,
+    "1e400", "a b", "\u00e9", "\x00", "\udcff", "{}", "[1]", "null", '"s"', "[" * 5000,
     '{"space": 5}', '{"space": "9", "x": 1}',
     '{"footprint": [[0, 0]], "grid_cell_size": 0, "grid_origin": [0, 0], "elevation": 0}',
     '{"footprint": 3, "grid_cell_size": "x", "grid_origin": null, "elevation": 1e400}',
@@ -482,8 +500,7 @@ def test_mutated_graph_file_exits_0_or_3(data_dir, checkpoint, edits):
     or an internal error (exit 4) of ``snapshot`` or ``embed``."""
     with tempfile.TemporaryDirectory() as tmp:
         graph_file = Path(tmp) / "graph.tsv"
-        graph_file.write_text(_mutated(checkpoint.parent.parent / "graph.tsv", edits, "\t"),
-                              encoding="utf-8")
+        _write_mutated(graph_file, checkpoint.parent.parent / "graph.tsv", edits, "\t")
         results = [CliRunner().invoke(main, [
             "snapshot", str(graph_file), "--readings", str(data_dir / "readings.csv"),
             "--fixes", str(data_dir / "fixes.csv"), "--out", str(Path(tmp) / "store"),
@@ -623,33 +640,48 @@ def test_embed_store_bad_manifest_exits_3(runner, data_dir, tmp_path, edit,
     assert message in result.output
 
 
+def _json_input(runner, data_dir, tmp_path, name) -> tuple[Path, list[str]]:
+    """A JSON input of ``graph`` or ``embed``, free to overwrite, and the
+    command that reads it."""
+    if name == "manifest.json":
+        store_dir = _build_store(runner, data_dir, tmp_path)
+        return store_dir / name, ["embed", str(store_dir), "--out", str(tmp_path / "emb")]
+    path = tmp_path / name
+    shutil.copy(data_dir / f"two_space.{name}", path)
+    inputs = {"footprints.json": data_dir / "two_space.footprints.json",
+              "sensors.json": data_dir / "two_space.sensors.json", name: path}
+    return path, ["graph", str(data_dir / "two_space.ifc"),
+                  "--footprints", str(inputs["footprints.json"]),
+                  "--sensors", str(inputs["sensors.json"]),
+                  "--out", str(tmp_path / "graph.tsv"), "--cell-size", "2.0"]
+
+
 @pytest.mark.parametrize("name", ["footprints.json", "sensors.json", "manifest.json"])
 def test_deeply_nested_json_exits_3(runner, data_dir, tmp_path, name):
     """JSON nested past the interpreter's recursion limit is a bad input,
     reported with its file."""
-    if name == "manifest.json":
-        store_dir = _build_store(runner, data_dir, tmp_path)
-        path = store_dir / name
-        args = ["embed", str(store_dir), "--out", str(tmp_path / "emb")]
-    else:
-        path = tmp_path / name
-        inputs = {"footprints.json": data_dir / "two_space.footprints.json",
-                  "sensors.json": data_dir / "two_space.sensors.json", name: path}
-        args = ["graph", str(data_dir / "two_space.ifc"),
-                "--footprints", str(inputs["footprints.json"]),
-                "--sensors", str(inputs["sensors.json"]),
-                "--out", str(tmp_path / "graph.tsv"), "--cell-size", "2.0"]
+    path, args = _json_input(runner, data_dir, tmp_path, name)
     path.write_text("[" * 100_000)
     result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
     assert f"{path}: JSON nested too deeply" in result.output
 
 
+@pytest.mark.parametrize("name", ["footprints.json", "sensors.json", "manifest.json"])
+def test_non_utf8_json_names_file(runner, data_dir, tmp_path, name):
+    path, args = _json_input(runner, data_dir, tmp_path, name)
+    text = path.read_bytes()
+    path.write_bytes(text[:7] + b"\xff" + text[7:])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert f"{path}: not UTF-8 text at byte 7" in result.output
+
+
 _JSON_FUZZ_FIELDS = [
     "", " ", "0", "-1", "0.5", "1e400", "NaN", "Infinity", "null", "true", '"5"', '"x"',
     "[]", "{}", "[0.0", "0.0]", "}", "]", '"space_id": 5', '"space_id": 9',
     '"position": [3.0]', '"radius": -1', '"T": 0', '"T": 1', '"node_index": []',
-    "[" * 5000, "\u00e9", "\x00",
+    "[" * 5000, "\u00e9", "\x00", "\udcff",
 ]
 
 
@@ -674,11 +706,9 @@ def test_mutated_json_inputs_exit_0_or_3(data_dir, built_store, footprints, sens
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, edits in (("footprints", footprints), ("sensors", sensors)):
-            (tmp / f"{name}.json").write_text(
-                _mutated(data_dir / f"two_space.{name}.json", edits), encoding="utf-8")
+            _write_mutated(tmp / f"{name}.json", data_dir / f"two_space.{name}.json", edits)
         store_dir = shutil.copytree(built_store, tmp / "store")
-        (store_dir / "manifest.json").write_text(
-            _mutated(built_store / "manifest.json", manifest), encoding="utf-8")
+        _write_mutated(store_dir / "manifest.json", built_store / "manifest.json", manifest)
         results = [CliRunner().invoke(main, [
             "graph", str(data_dir / "two_space.ifc"),
             "--footprints", str(tmp / "footprints.json"),
@@ -690,6 +720,83 @@ def test_mutated_json_inputs_exit_0_or_3(data_dir, built_store, footprints, sens
         ])]
     for result in results:
         assert result.exit_code in (0, 3), (result.output, result.exception)
+
+
+_IFC_FUZZ_FIELDS = [
+    "", "$", "*", "'", "''", "'x'", "(", ")", ");", "((#5)", "#5", "#7", "#16", "#99", "#0",
+    "#1=IFCWALL(", "#5=IFCSPACE('g',$,'n',$,$,$,$,$,$,$,$);", ".T.", ".X.", "0.", "-1",
+    "1e400", "nan", "IFCLABEL('a')", "IFCBOOLEAN(", "(" * 150, "/*", "*/", "ENDSEC;",
+    "DATA;", "END-ISO-10303-21;", "\u00e9", "\x00", "\udcff",
+]
+
+
+_IFC_FUZZ_EDITS = st.lists(st.tuples(
+    st.integers(0, 62), st.integers(0, 12),
+    st.sampled_from(["set", "drop", "add", "copy", "delete"]),
+    st.sampled_from(_IFC_FUZZ_FIELDS)), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=_IFC_FUZZ_EDITS)
+def test_mutated_ifc_exits_0_or_3(data_dir, edits):
+    """No mutation of the two-office IFC file makes ``parse`` or ``graph``
+    end in a traceback or an internal error, or run long."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ifc = Path(tmp) / "two_space.ifc"
+        _write_mutated(ifc, data_dir / "two_space.ifc", edits)
+        _exits_0_or_3_in_time(["parse", str(ifc)])
+        _exits_0_or_3_in_time([
+            "graph", str(ifc), "--footprints", str(data_dir / "two_space.footprints.json"),
+            "--sensors", str(data_dir / "two_space.sensors.json"),
+            "--out", str(Path(tmp) / "graph.tsv"), "--cell-size", "2.0"])
+
+
+_TENSOR_FUZZ_FIELDS = [
+    "", " ", "t", "0", "1", "2", "3", "-1", "38", "39", "0.5", "1.0", "-1.0", "nan",
+    "inf", "1e400", "1e-400", "9" * 30, "x", "0x1", "1_0", "\u00e9", "\x00", "\udcff",
+]
+
+
+_TENSOR_FUZZ_EDITS = st.lists(st.tuples(
+    st.integers(0, 220), st.integers(0, 4),
+    st.sampled_from(["set", "drop", "add", "copy", "delete"]),
+    st.sampled_from(_TENSOR_FUZZ_FIELDS)), min_size=1, max_size=4)
+
+
+_TINY_EMBED = ["--dimension", "4", "--window", "2", "--epochs", "1",
+               "--walk-length", "4", "--walks-per-node", "1"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=_GRAPH_FUZZ_EDITS, tensor=_TENSOR_FUZZ_EDITS)
+def test_mutated_store_union_exits_0_or_3(built_store, base, tensor):
+    """No mutation of a store's ``base.tsv`` or ``tensor.csv`` makes
+    ``embed --flatten union`` end in a traceback or an internal error, or
+    run long."""
+    with tempfile.TemporaryDirectory() as tmp:
+        store_dir = Path(tmp) / "store"
+        store_dir.mkdir()
+        shutil.copy(built_store / "manifest.json", store_dir)
+        _write_mutated(store_dir / "base.tsv", built_store / "base.tsv", base, "\t")
+        _write_mutated(store_dir / "tensor.csv", built_store / "tensor.csv", tensor)
+        _exits_0_or_3_in_time(["embed", str(store_dir), "--flatten", "union",
+                               "--out", str(Path(tmp) / "emb")] + _TINY_EMBED)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=_GRAPH_FUZZ_EDITS)
+def test_mutated_store_snapshot_exits_0_or_3(built_store, edits):
+    """No mutation of a store's ``snapshots/000001.tsv`` makes
+    ``embed --flatten slice:1`` end in a traceback or an internal error, or
+    run long."""
+    with tempfile.TemporaryDirectory() as tmp:
+        store_dir = Path(tmp) / "store"
+        (store_dir / "snapshots").mkdir(parents=True)
+        shutil.copy(built_store / "manifest.json", store_dir)
+        _write_mutated(store_dir / "snapshots" / "000001.tsv",
+                       built_store / "snapshots" / "000001.tsv", edits, "\t")
+        _exits_0_or_3_in_time(["embed", str(store_dir), "--flatten", "slice:1",
+                               "--out", str(Path(tmp) / "emb")] + _TINY_EMBED)
 
 
 @pytest.mark.parametrize("line,message", [
@@ -725,6 +832,18 @@ def test_embed_store_bad_tensor_exits_3(runner, data_dir, tmp_path, line,
     where = "line 1" if line is None else "line 3"
     assert f"{path}, {where}" in result.output
     assert message in result.output
+
+
+def test_embed_store_non_utf8_tensor_names_line(runner, data_dir, tmp_path):
+    store_dir = _build_store(runner, data_dir, tmp_path)
+    path = store_dir / "tensor.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[40] = lines[40].replace(b",", b"\xff,", 1)
+    path.write_bytes(b"\n".join(lines))
+    result = runner.invoke(main, ["embed", str(store_dir),
+                                  "--out", str(tmp_path / "emb")])
+    assert result.exit_code == 3, result.output
+    assert f"{path}, line 41: not UTF-8 text" in result.output
 
 
 def test_embed_store_bad_base_record_names_file(runner, data_dir, tmp_path):
@@ -840,10 +959,7 @@ def test_mutated_checkpoint_exits_0_or_3(data_dir, checkpoint, edits):
         for args in (["query", str(mutated), "cell:5:0:0", "-k", "3"],
                      ["predict", str(mutated), "cell:5:0:0",
                       "--labels", str(data_dir / "labels.csv")]):
-            started = time.monotonic()
-            result = CliRunner().invoke(main, args)
-            assert time.monotonic() - started < 10
-            assert result.exit_code in (0, 3), (args[0], result.output, result.exception)
+            _exits_0_or_3_in_time(args)
 
 
 def test_predict_prints_one_hot(runner, data_dir, tmp_path):
@@ -914,6 +1030,47 @@ def test_negative_subsample_threshold_in_config_exits_3(runner, data_dir, tmp_pa
     assert (tmp_path / "emb" / "checkpoint.bin").exists()
 
 
+def test_negative_train_seed_exits_3_naming_seed(runner, data_dir, tmp_path):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    result = runner.invoke(main, ["embed", str(graph_file), "--out", str(tmp_path / "emb"),
+                                  "--train-seed", "-1"])
+    assert result.exit_code == 3, result.output
+    assert "seed must be >= 0, got -1" in result.output
+    assert not (tmp_path / "emb").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"cell_size=2.0\n\xff\n", "not UTF-8 text"),
+    (b"relation.IFCRELAGGREGATES=AGG:-1:5\n", ":1: relation rule indices must be >= 0"),
+    (b"step=60\nrelation.IFCRELAGGREGATES=AGG:4:-2\n", ":2: relation rule indices must be >= 0"),
+    (b"relation.IFCRELAGGREGATES=AG\tG:4:5\n", "invalid relation label 'AG\\tG'"),
+    (b"relation.IFCRELAGGREGATES=:4:5\n", "invalid relation label ''"),
+], ids=["non-utf8", "negative-relating", "negative-related", "tab-in-label", "empty-label"])
+def test_bad_config_file_exits_2_naming_it(runner, data_dir, tmp_path, text, message):
+    """A config file that cannot be read, or a relation rule that would
+    read from the end of the attribute list or write a graph file nothing
+    can read back, is a usage error: exit 2, nothing written."""
+    config = tmp_path / "run.cfg"
+    config.write_bytes(text)
+    out = tmp_path / "graph.tsv"
+    result = runner.invoke(main, [
+        "--config", str(config), "graph", str(data_dir / "two_space.ifc"),
+        "--footprints", str(data_dir / "two_space.footprints.json"),
+        "--out", str(out), "--cell-size", "2.0",
+    ])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert f"error: {config}" in result.output
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_config_path_that_is_a_directory_exits_2(runner, data_dir, tmp_path):
+    result = runner.invoke(main, ["--config", str(tmp_path), "parse",
+                                  str(data_dir / "minimal.ifc")])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert f"error: {tmp_path}: " in result.output
+
+
 def test_missing_argument_exits_2(runner):
     result = runner.invoke(main, ["graph"])
     assert result.exit_code == 2
@@ -927,6 +1084,35 @@ def test_help_documents_every_command(runner):
         sub = runner.invoke(main, [command, "--help"])
         assert sub.exit_code == 0
         assert "--help" in sub.stdout
+
+
+def test_parse_graph_and_snapshot_never_load_numpy(data_dir, tmp_path):
+    """Only the commands that train or read vectors import numpy: the
+    package, the CLI module and ``parse``, ``graph`` and ``snapshot`` run
+    without it, in a fresh interpreter."""
+    graph_file, store = tmp_path / "graph.tsv", tmp_path / "store"
+    commands = [
+        ["parse", str(data_dir / "two_space.ifc")],
+        ["graph", str(data_dir / "two_space.ifc"),
+         "--footprints", str(data_dir / "two_space.footprints.json"),
+         "--sensors", str(data_dir / "two_space.sensors.json"),
+         "--out", str(graph_file), "--cell-size", "2.0"],
+        ["snapshot", str(graph_file), "--readings", str(data_dir / "readings.csv"),
+         "--fixes", str(data_dir / "fixes.csv"), "--out", str(store)],
+    ]
+    script = (
+        "import sys\n"
+        "import bimvec\n"
+        "import bimvec.cli\n"
+        f"for args in {commands!r}:\n"
+        "    bimvec.cli.main(args, standalone_mode=False)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(bimvec.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (store / "tensor.csv").exists()
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_effective_config_is_echoed(runner, data_dir):

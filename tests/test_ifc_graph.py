@@ -218,6 +218,18 @@ def _independent_pair_count(model) -> int:
     return count
 
 
+def test_edge_label_must_be_a_token():
+    """An edge label is a field of the graph's tab-separated text form, as
+    a node label is."""
+    graph = PropertyGraph()
+    graph.add_node("a", "X")
+    graph.add_node("b", "X")
+    for label in ("", "A B", "A\tB", "A\nB"):
+        with pytest.raises(ValueError, match="invalid edge label"):
+            graph.add_edge("a", "b", label)
+    assert graph.edge_count == 0
+
+
 def test_edge_count_matches_independent_pass(two_space_model, fixture_manifest):
     graph = build_graph(two_space_model)
     expected = _independent_pair_count(two_space_model)
