@@ -216,12 +216,11 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
     timestamps, records = [], 0
     with atomic_open(os.path.join(out_dir, "tensor.csv")) as tensor:
         tensor.write("t,i,j,w\n")
-        for t, snapshot, pairs in temporal.slices(tg):
-            timestamps.append(snapshot.timestamp)
-            atomic_write_text(os.path.join(out_dir, "snapshots", f"{t:06d}.tsv"),
-                              snapshot.graph.to_text())
-            tensor.write("".join(f"{t},{i},{j},{w!r}\n" for i, j, w in pairs))
-            records += len(pairs)
+        for t, (timestamp, text, rows, count) in enumerate(temporal.store_windows(tg)):
+            timestamps.append(timestamp)
+            atomic_write_text(os.path.join(out_dir, "snapshots", f"{t:06d}.tsv"), text)
+            tensor.write(rows)
+            records += count
     manifest = temporal.tensor_manifest(tg, timestamps)
     manifest["step"] = cfg.step
     atomic_write_text(os.path.join(out_dir, "manifest.json"),

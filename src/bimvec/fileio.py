@@ -8,10 +8,14 @@ import csv
 import itertools
 import json
 import os
+import re
 import tempfile
 from typing import Callable
 
 from .errors import BimvecError
+
+# What surrogateescape decodes each byte that is not UTF-8 to.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @contextlib.contextmanager
@@ -54,14 +58,25 @@ def read_json(path):
             raise BimvecError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
+def _utf8_lines(fp, path):
+    """The lines of ``fp``, opened with ``errors="surrogateescape"``; a byte
+    that is not UTF-8 decodes to a lone surrogate, which raises
+    ``BimvecError`` as ``path, line N: not UTF-8 text``."""
+    for line_no, line in enumerate(fp, start=1):
+        if _NOT_UTF8.search(line):
+            raise BimvecError(f"{path}, line {line_no}: not UTF-8 text")
+        yield line
+
+
 def read_csv(path, header: str, min_fields: int, parse: Callable[[list[str]], object]) -> list:
     """``parse`` of each non-blank row of a CSV file, its fields stripped.
     Row 1 is a header, and skipped, only if its first field is ``header``.
     A short row, a row ``parse`` rejects with ``ValueError`` and one the csv
-    module cannot read raise ``BimvecError`` as ``path, row N: reason``."""
+    module cannot read raise ``BimvecError`` as ``path, row N: reason``; a
+    byte that is not UTF-8 as ``path, line N: not UTF-8 text``."""
     out = []
-    with open(path, encoding="utf-8", newline="") as fp:
-        rows = csv.reader(fp)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
+        rows = csv.reader(_utf8_lines(fp, path))
         for row_no in itertools.count(1):
             try:
                 row = next(rows, None)

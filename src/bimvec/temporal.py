@@ -9,9 +9,11 @@ carry their last known cells forward for up to ``max_gap`` windows.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -20,16 +22,17 @@ from .errors import (
     UnknownNodeError,
 )
 from .fileio import read_csv
-from .graph import NodeId, PropertyGraph, check_token
+from .graph import Edge, Node, NodeId, PropertyGraph, check_token
 from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
 
 logger = logging.getLogger(__name__)
 
 OCCUPANT_LABEL = "OCCUPANT"
-# Windows are deltas on the base graph and are built and written one at a
-# time, so memory does not grow with their count, but the time and the store
-# do (each window's full text and tensor rows are written), so one outlying
-# timestamp must not set it; a week of 1-minute windows is 10,080.
+# Windows are deltas on the base graph, written one at a time as the base's
+# rendered lines plus what the window changed, so memory does not grow with
+# their count, but the time and the store do (each window's full text and
+# tensor rows are written), so one outlying timestamp must not set it; a
+# week of 1-minute windows is 10,080.
 MAX_WINDOWS = 100_000
 
 FEEDBACK_ENCODING: dict[str, list[int]] = {
@@ -116,18 +119,31 @@ class _Snapshots(Sequence[Snapshot]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        timestamp, occupants, readings = self.windows[index]
+        timestamp, occupants, at_edges, readings = self.delta(index)
         graph = self.base.copy()
+        for occupant, attributes in occupants:
+            graph.add_node(occupant, OCCUPANT_LABEL, attributes)
+        for occupant, cell_id in at_edges:
+            graph.add_edge(occupant, cell_id, AT_LABEL, 1.0)
+        for (sensor, channel), value in readings.items():
+            graph.set_node_attribute(sensor, channel, value)
+        return Snapshot(timestamp, graph)
+
+    def delta(self, index: int) -> tuple[int, list[tuple[NodeId, dict]],
+                                         list[tuple[NodeId, NodeId]], dict]:
+        """What window ``index`` changes on the base: its timestamp, its
+        occupant nodes' attributes in id order, its AT edges as (occupant,
+        cell) in the order they are added, and its latest value per (sensor,
+        channel)."""
+        timestamp, occupants, readings = self.windows[index]
+        nodes, at_edges = [], []
         for occupant, state in occupants:
             attributes: dict = {"x": state.position[0], "y": state.position[1]}
             if state.feedback is not None:
                 attributes["feedback"] = list(FEEDBACK_ENCODING[state.feedback])
-            graph.add_node(occupant, OCCUPANT_LABEL, attributes)
-            for cell_id in state.cells:
-                graph.add_edge(occupant, cell_id, AT_LABEL, 1.0)
-        for (sensor, channel), value in readings.items():
-            graph.set_node_attribute(sensor, channel, value)
-        return Snapshot(timestamp, graph)
+            nodes.append((occupant, attributes))
+            at_edges += [(occupant, cell_id) for cell_id in state.cells]
+        return timestamp, nodes, at_edges, readings
 
 
 def build_snapshots(
@@ -239,18 +255,17 @@ class TensorExport:
     records: list[tuple[int, int, int, float]]
 
 
-def slices(tg: TemporalGraph) -> Iterator[tuple[int, Snapshot, list[tuple[int, int, float]]]]:
-    """Per window ``t``: its snapshot, read once, and its weighted adjacency
-    under the shared node ordering as sorted (i, j, w) with i < j; parallel
-    edges are summed into one coefficient."""
-    for t, snapshot in enumerate(tg.snapshots):
-        aggregated: dict[tuple[int, int], float] = {}
-        for edge in snapshot.graph.edges():
-            i, j = tg.node_index[edge.a], tg.node_index[edge.b]
-            if i > j:
-                i, j = j, i
-            aggregated[(i, j)] = aggregated.get((i, j), 0.0) + edge.weight
-        yield t, snapshot, [(i, j, w) for (i, j), w in sorted(aggregated.items())]
+def _pair_weights(edges: Iterable[Edge], node_index: dict[NodeId, int]
+                  ) -> dict[tuple[int, int], float]:
+    """``edges`` as {(i, j): w} under ``node_index``, i < j, parallel edges
+    summed in edge order."""
+    aggregated: dict[tuple[int, int], float] = {}
+    for edge in edges:
+        i, j = node_index[edge.a], node_index[edge.b]
+        if i > j:
+            i, j = j, i
+        aggregated[(i, j)] = aggregated.get((i, j), 0.0) + edge.weight
+    return aggregated
 
 
 def tensor_manifest(tg: TemporalGraph, timestamps: list[int]) -> dict:
@@ -264,15 +279,73 @@ def tensor_manifest(tg: TemporalGraph, timestamps: list[int]) -> dict:
 
 
 def adjacency_tensor(tg: TemporalGraph) -> TensorExport:
-    """Every window of :func:`slices` as (t, i, j, w) records."""
+    """Each window's weighted adjacency under the shared node ordering, read
+    from its snapshot graph, as (t, i, j, w) records sorted by (i, j) with
+    i < j; parallel edges are summed into one coefficient."""
     if not tg.snapshots:
         raise ValueError("temporal graph has no snapshots")
     records: list[tuple[int, int, int, float]] = []
     timestamps = []
-    for t, snapshot, pairs in slices(tg):
+    for t, snapshot in enumerate(tg.snapshots):
         timestamps.append(snapshot.timestamp)
-        records += [(t, i, j, w) for i, j, w in pairs]
+        pairs = _pair_weights(snapshot.graph.edges(), tg.node_index)
+        records += [(t, i, j, w) for (i, j), w in sorted(pairs.items())]
     return TensorExport(tensor_manifest(tg, timestamps), records)
+
+
+def _merged(rows: list[str], keys: list, extra: list[tuple]) -> list[str]:
+    """``rows``, sorted by their ``keys``, with the rows of the (key, row)
+    pairs of ``extra``, sorted by key, inserted in order."""
+    out: list[str] = []
+    start = 0
+    for key, row in extra:
+        end = bisect.bisect_left(keys, key, start)
+        out += rows[start:end]
+        out.append(row)
+        start = end
+    out += rows[start:]
+    return out
+
+
+def store_windows(tg: TemporalGraph) -> Iterator[tuple[int, str, str, int]]:
+    """Per window of a :func:`build_snapshots` result, in order: its
+    timestamp, the text of its snapshot graph, its ``tensor.csv`` rows and
+    their count; equal to ``tg.snapshots[t].graph.to_text()`` and
+    :func:`adjacency_tensor`'s records for ``t``.
+
+    The base's node lines, sorted edge lines and tensor rows are rendered
+    once; each window merges in only the records its delta changes."""
+    base, index = tg.base, tg.node_index
+    base_ids = base.node_ids()
+    position = {node_id: k for k, node_id in enumerate(base_ids)}
+    node_lines = [base.node(node_id).line for node_id in base_ids]
+    edge_lines = sorted(edge.line for edge in base.edges())
+    pairs = sorted(_pair_weights(base.edges(), index).items())
+    pair_keys = [pair for pair, _ in pairs]
+    pair_rows = [f"{i},{j},{w!r}\n" for (i, j), w in pairs]
+    for t in range(len(tg.snapshots)):
+        timestamp, occupants, at_edges, readings = tg.snapshots.delta(t)
+        nodes = node_lines
+        if readings:
+            nodes = list(node_lines)
+            channels: dict[NodeId, dict] = {}
+            for (sensor, channel), value in readings.items():
+                channels.setdefault(sensor, {})[channel] = value
+            for sensor, values in channels.items():
+                node = base.node(sensor)
+                nodes[position[sensor]] = Node(sensor, node.label, MappingProxyType(
+                    {**node.attributes, **values})).line
+        nodes = _merged(nodes, base_ids, [
+            (occupant, Node(occupant, OCCUPANT_LABEL, MappingProxyType(attributes)).line)
+            for occupant, attributes in occupants])
+        edges = [Edge(*sorted(pair), AT_LABEL, 1.0, MappingProxyType({})) for pair in at_edges]
+        lines = _merged(edge_lines, edge_lines, sorted((e.line, e.line) for e in edges))
+        rows = _merged(pair_rows, pair_keys, [
+            ((i, j), f"{i},{j},{w!r}\n")
+            for (i, j), w in sorted(_pair_weights(edges, index).items())])
+        prefix = f"{t},"
+        yield (timestamp, "\n".join(nodes + lines) + "\n",
+               prefix + prefix.join(rows) if rows else "", len(rows))
 
 
 # ---------------------------------------------------------------------------

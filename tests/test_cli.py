@@ -336,7 +336,7 @@ def test_snapshot_cells_differing_from_footprint_exit_3(runner, data_dir,
     assert not store_dir.exists()
 
 
-def test_snapshot_builds_each_window_once(runner, data_dir, tmp_path, monkeypatch):
+def test_snapshot_builds_no_window_graph(runner, data_dir, tmp_path, monkeypatch):
     graph_file = _build_graph_file(runner, data_dir, tmp_path)
     copies = []
     copy = PropertyGraph.copy
@@ -352,7 +352,7 @@ def test_snapshot_builds_each_window_once(runner, data_dir, tmp_path, monkeypatc
     assert result.exit_code == 0, result.output
     windows = json.loads((store_dir / "manifest.json").read_text())["T"]
     assert windows == 11
-    assert len(copies) == windows
+    assert copies == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from bimvec.errors import BimvecError
 from bimvec.fileio import atomic_open, read_csv
 
 
@@ -38,3 +41,15 @@ def test_read_csv_header_only_by_name(tmp_path):
     assert read_csv(path, "id", 2, tuple) == [("x", "1")]
     assert read_csv(path, "key", 2, tuple) == [("id", "value"), ("x", "1")]
 
+
+
+def test_read_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # Past the text layer's first decoded chunk, so the byte is decoded
+    # before the csv reader reaches its row.
+    lines = [b"timestamp,sensor_id,channel,value\n"]
+    lines += [b"%d,s1,temperature,21.5\n" % (60 * k) for k in range(2000)]
+    lines[1501] = lines[1501].replace(b"s1", b"s\xff1")
+    path = tmp_path / "readings.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(BimvecError, match=rf"^{re.escape(str(path))}, line 1502: not UTF-8 text$"):
+        read_csv(path, "timestamp", 4, tuple)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bimvec.errors import (
     EmptyTimelineError,
@@ -13,7 +15,13 @@ from bimvec.errors import (
 )
 from bimvec import graph as graph_module
 from bimvec.graph import PropertyGraph
-from bimvec.space_grid import Footprint, attach_fixed_node, discretize, merge_into
+from bimvec.space_grid import (
+    Footprint,
+    attach_fixed_node,
+    discretize,
+    merge_into,
+    spaces_from_graph,
+)
 from bimvec import temporal
 from bimvec.temporal import (
     OccupantFix,
@@ -25,6 +33,7 @@ from bimvec.temporal import (
     flatten,
     load_fixes_csv,
     load_readings_csv,
+    store_windows,
 )
 
 CELL_A = "cell:5:0:0"  # center (1, 1)
@@ -334,6 +343,42 @@ def test_empty_slice_still_counted_in_manifest():
     export = adjacency_tensor(tg)
     assert export.manifest["T"] == 3
     assert export.records == []
+
+
+# ---------------------------------------------------------------------------
+# store_windows
+# ---------------------------------------------------------------------------
+
+# Two-office timelines: "x" overwrites the sensors' own x attribute, and the
+# (99, 99) fix matches no cell.
+_readings = st.lists(st.builds(
+    SensorReading, st.sampled_from(["sensor:s1", "sensor:s2"]), st.integers(0, 1500),
+    st.sampled_from(["temperature", "co2", "x"]), st.floats(-50, 50)), max_size=8)
+_fixes = st.lists(st.builds(
+    OccupantFix, st.sampled_from(["occupant:a", "occupant:b", "occupant:c"]),
+    st.integers(0, 1500), st.sampled_from(["5", "7"]),
+    st.one_of(st.tuples(st.floats(0, 12), st.floats(0, 6)), st.just((99.0, 99.0))),
+    st.sampled_from([None, "comfortable", "uncomfortable", "neutral"])), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(readings=_readings, fixes=_fixes, step=st.sampled_from([60, 300]),
+       max_gap=st.integers(0, 3))
+def test_store_windows_equal_snapshot_text_and_tensor(two_space_graph, readings,
+                                                      fixes, step, max_gap):
+    assume(readings or fixes)
+    tg = build_snapshots(two_space_graph, spaces_from_graph(two_space_graph),
+                         readings, fixes, step, max_gap=max_gap)
+    records = adjacency_tensor(tg).records
+    windows = list(store_windows(tg))
+    assert len(windows) == len(tg)
+    for t, (timestamp, text, rows, count) in enumerate(windows):
+        snapshot = tg.snapshots[t]
+        assert timestamp == snapshot.timestamp
+        assert text == snapshot.graph.to_text()
+        expected = [f"{t},{i},{j},{w!r}\n" for rt, i, j, w in records if rt == t]
+        assert rows == "".join(expected)
+        assert count == len(expected)
 
 
 # ---------------------------------------------------------------------------
