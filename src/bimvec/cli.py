@@ -19,7 +19,7 @@ import click
 
 from . import space_grid, temporal
 from .config import RunConfig, load_config
-from .errors import BimvecError, ConfigError, InternalInvariantError, SliceOutOfRangeError
+from .errors import BimvecError, ConfigError, InternalInvariantError
 from .fileio import atomic_open, atomic_write_text, read_json
 from .graph import PropertyGraph
 from .ifc_graph import attach_properties, build_graph
@@ -232,9 +232,13 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
 
 
 def _read_graph(path) -> PropertyGraph:
+    with open(path, "rb") as fp:
+        data = fp.read()
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return PropertyGraph.from_text(fp.read())
+        return PropertyGraph.from_text(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise BimvecError(f"{path}, line {line_no}: not UTF-8 text") from None
     except (BimvecError, ValueError) as exc:
         raise BimvecError(f"{path}: {exc}") from None
 
@@ -254,8 +258,7 @@ def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
         raise BimvecError(f"{path}: node_index must be a list of distinct strings")
     if mode == "slice":
         if not 0 <= index < windows:
-            raise SliceOutOfRangeError(
-                f"slice {index} out of range for {windows} snapshots")
+            raise BimvecError(f"slice {index} out of range for {windows} snapshots")
         return _read_graph(os.path.join(store_dir, "snapshots", f"{index:06d}.tsv"))
 
     base = _read_graph(os.path.join(store_dir, "base.tsv"))

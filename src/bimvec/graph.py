@@ -16,7 +16,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import UnknownNodeError
+from .errors import BimvecError
 
 NodeId = str
 
@@ -57,10 +57,6 @@ class Edge:
     weight: float
     attributes: Mapping
 
-    @property
-    def endpoints(self) -> tuple[NodeId, NodeId]:
-        return (self.a, self.b)
-
     @cached_property
     def line(self) -> str:
         """This record's line of the text form, rendered once."""
@@ -99,7 +95,7 @@ class PropertyGraph:
         check_token(label, "edge label")
         if u not in self._nodes or v not in self._nodes:
             missing = u if u not in self._nodes else v
-            raise UnknownNodeError(f"edge endpoint {missing!r} is not a node")
+            raise BimvecError(f"edge endpoint {missing!r} is not a node")
         if u == v:
             raise ValueError(f"self-loop on {u!r} is not allowed")
         if not (0 < weight < math.inf):
@@ -130,7 +126,7 @@ class PropertyGraph:
 
     def node(self, node_id: NodeId) -> Node:
         if node_id not in self._nodes:
-            raise UnknownNodeError(f"no node {node_id!r}")
+            raise BimvecError(f"no node {node_id!r}")
         return self._nodes[node_id]
 
     def node_ids(self) -> list[NodeId]:

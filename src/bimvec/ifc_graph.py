@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import DanglingReferenceError
+from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
 from .step_parser import (
     EntityRef,
@@ -96,7 +96,7 @@ def build_graph(
 
     In lenient mode a relationship endpoint that is missing from the model
     is reported and the pair skipped; ``strict=True`` raises
-    :class:`DanglingReferenceError` instead. Endpoints that exist but are
+    a :class:`BimvecError` instead. Endpoints that exist but are
     not whitelisted are skipped silently at debug level.
     """
     mapping = mapping or RelationMapping()
@@ -141,7 +141,7 @@ def _add_relation_edge(
                 f"#{endpoint}"
             )
             if strict:
-                raise DanglingReferenceError(message)
+                raise BimvecError(message)
             logger.warning("%s; edge skipped", message)
             return
     u, v = ifc_node_id(src), ifc_node_id(dst)

@@ -57,11 +57,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroCountsError,
-    EmptyCorpusError,
-    InternalInvariantError,
-)
+from .errors import BimvecError, InternalInvariantError
 from .fileio import atomic_write_bytes
 from .graph import NodeId
 from .walks import AliasTable, WalkCorpus, substream_seed
@@ -197,21 +193,12 @@ class EmbeddingMatrix:
 # Negative sampling
 # ---------------------------------------------------------------------------
 
-class NegativeSampler:
-    """Draw dense indices with probability counts[i]^0.75 / sum."""
-
-    def __init__(self, counts: Sequence[float], power: float = 0.75):
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.size == 0 or not (counts > 0).any():
-            raise AllZeroCountsError("negative sampling needs a nonzero count")
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        weights = counts ** power
-        self.probabilities = weights / weights.sum()
-        self.table = AliasTable.build(list(self.probabilities))
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.table.sample_many(rng, count)
+def negative_table(counts: Sequence[float]) -> AliasTable:
+    """Alias table drawing dense index i with probability counts[i]^0.75 /
+    sum; ``AliasTable.build`` raises ``ValueError`` for counts that are all
+    zero or negative."""
+    w = np.asarray(counts, dtype=np.float64) ** 0.75
+    return AliasTable.build(list(w / w.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +284,7 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     initialization unchanged."""
     ids = sorted({nid for walk in corpus.walks for nid in walk})
     if not ids:
-        raise EmptyCorpusError("corpus has no walks")
+        raise BimvecError("corpus has no walks")
     vocab_size = len(ids)
 
     syn0 = initial_vectors(vocab_size, cfg.dimension, cfg.seed)
@@ -315,7 +302,7 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
 
     total_progress = epoch_pairs * cfg.epochs
     counts = np.bincount(tokens, minlength=vocab_size)
-    table = NegativeSampler(counts).table
+    table = negative_table(counts)
     with np.errstate(divide="ignore"):
         keep_probability = np.clip(np.sqrt(cfg.subsample_threshold / (
             counts / counts.sum())), 0.0, 1.0) if cfg.subsample_threshold > 0 else None

@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    BimvecError,
-    GridError,
-    InvalidPolygonError,
-    NoCellInRangeError,
-    UnknownNodeError,
-)
+from .errors import BimvecError
 from .fileio import read_json
 from .graph import NodeId, PropertyGraph
 
@@ -55,18 +49,14 @@ class Footprint:
         polygon = tuple((float(x), float(y)) for x, y in self.polygon)
         object.__setattr__(self, "polygon", polygon)
         if len(polygon) < 3:
-            raise InvalidPolygonError(
-                f"footprint for {self.space_node!r} has fewer than 3 vertices"
-            )
+            raise BimvecError(f"footprint for {self.space_node!r} has fewer than 3 vertices")
         if signed_area(polygon) <= 0:
-            raise InvalidPolygonError(
+            raise BimvecError(
                 f"footprint for {self.space_node!r} must be counter-clockwise "
                 "with positive area"
             )
         if _self_intersects(polygon):
-            raise InvalidPolygonError(
-                f"footprint for {self.space_node!r} is self-intersecting"
-            )
+            raise BimvecError(f"footprint for {self.space_node!r} is self-intersecting")
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -223,9 +213,9 @@ def discretize(footprint: Footprint, cell_size: float) -> DiscretizedSpace:
         for span in ((max_y - min_y) / cell_size, (max_x - min_x) / cell_size)
     )
     if n_rows * n_cols > MAX_GRID_CELLS:
-        raise GridError(f"grid for space {footprint.space_node!r} would be "
-                        f"{n_rows:.6g} x {n_cols:.6g} cells, above the limit of "
-                        f"{MAX_GRID_CELLS:,}; raise --cell-size")
+        raise BimvecError(f"grid for space {footprint.space_node!r} would be "
+                          f"{n_rows:.6g} x {n_cols:.6g} cells, above the limit of "
+                          f"{MAX_GRID_CELLS:,}; raise --cell-size")
 
     cells: list[GridCell] = []
     for row in range(n_rows):
@@ -261,9 +251,13 @@ def locate_cell(space: DiscretizedSpace, point: Point) -> GridCell | None:
 def cells_near(space: DiscretizedSpace, position: Point,
                radius: float | None = None) -> tuple[NodeId, ...]:
     """Sorted ids of the kept cells whose center lies within ``radius`` of
-    ``position`` (one cell size when None), plus the cell containing it."""
+    ``position`` (one cell size when None), plus the cell containing it. The
+    one placement rule for sensors, anchors and occupants; ``radius`` must
+    be finite and >= 0."""
     if radius is None:
         radius = space.cell_size
+    elif not 0 <= radius < math.inf:
+        raise ValueError(f"placement radius must be finite and >= 0, got {radius}")
     targets = {
         cell.id for cell in space.cells
         if math.dist(cell.center, position) <= radius + _EPS
@@ -285,7 +279,7 @@ def attach_fixed_node(
     """Add AT edges (weight 1.0) from ``node`` to the :func:`cells_near`
     ``position``. Mutates and returns ``graph``."""
     if node not in graph:
-        raise UnknownNodeError(f"no node {node!r} to attach")
+        raise BimvecError(f"no node {node!r} to attach")
     targets = cells_near(space, position, radius)
     if not targets:
         message = (
@@ -293,7 +287,7 @@ def attach_fixed_node(
             f"of {position} for node {node!r} in space {space.space_node!r}"
         )
         if strict:
-            raise NoCellInRangeError(message)
+            raise BimvecError(message)
         logger.warning("%s; no edge added", message)
         return graph
     for cell_id in targets:
@@ -313,7 +307,7 @@ def merge_into(graph: PropertyGraph, space: DiscretizedSpace,
     rebuilt from a serialized graph alone. Mutates and returns ``graph``.
     """
     if space.space_node not in graph:
-        raise UnknownNodeError(f"space node {space.space_node!r} not in graph")
+        raise BimvecError(f"space node {space.space_node!r} not in graph")
     graph.set_node_attribute(space.space_node, "grid_cell_size", space.cell_size)
     graph.set_node_attribute(space.space_node, "grid_origin",
                              [space.origin[0], space.origin[1]])
@@ -353,12 +347,12 @@ def spaces_from_graph(graph: PropertyGraph) -> list[DiscretizedSpace]:
             _finite(node.attributes["grid_cell_size"], f"{where}: grid_cell_size"),
         )
         if cell_ids.pop(node.id, set()) != {c.id for c in space.cells}:
-            raise GridError(f"the CELL nodes of {where} differ from the "
-                            "cells of its stored footprint")
+            raise BimvecError(f"the CELL nodes of {where} differ from the "
+                              "cells of its stored footprint")
         spaces.append(space)
     if cell_ids:
-        raise GridError(f"CELL nodes of space {min(map(str, cell_ids))!r} "
-                        "have no stored grid")
+        raise BimvecError(f"CELL nodes of space {min(map(str, cell_ids))!r} "
+                          "have no stored grid")
     return spaces
 
 
@@ -422,8 +416,8 @@ def load_footprints(path) -> list[Footprint]:
 def load_sensor_manifest(path) -> tuple[list[dict], list[dict]]:
     """Read ``{"sensors": [...], "anchors": [...]}``. Every entry must be an
     object with its id key (``id`` or ``entity_id``), ``space_id`` and a
-    ``position`` of two finite numbers; ``radius``, if given, is finite too.
-    Positions and radii come back as floats."""
+    ``position`` of two finite numbers; ``radius``, if given, is finite and
+    >= 0. Positions and radii come back as floats."""
     manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise BimvecError(f"{path}: sensor manifest must be a JSON object")
@@ -437,4 +431,6 @@ def load_sensor_manifest(path) -> tuple[list[dict], list[dict]]:
             record["position"] = _point(record["position"], f"{where}: position")
             if "radius" in record:
                 record["radius"] = _finite(record["radius"], f"{where}: radius")
+                if record["radius"] < 0:
+                    raise BimvecError(f"{where}: radius must be >= 0, got {record['radius']!r}")
     return sections[0], sections[1]

@@ -15,7 +15,7 @@ comments the tokens are ASCII: keywords ``[A-Za-z_][A-Za-z0-9_-]*`` and digits
 error are computed from its offset only when the error is raised.
 
 Complex entity instances (``#id=(A(...) B(...));``) are not supported and
-raise a positioned :class:`~bimvec.errors.StepSyntaxError`.
+raise a :class:`~bimvec.errors.BimvecError` ending ``(line L, column C)``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .errors import (
-    DuplicateIdError,
-    MalformedFileError,
-    StepSyntaxError,
-)
+from .errors import BimvecError
 
 logger = logging.getLogger(__name__)
 
@@ -114,9 +110,6 @@ class StepModel:
     def __contains__(self, entity_id: int) -> bool:
         return entity_id in self.entities
 
-    def entity(self, entity_id: int) -> StepEntity:
-        return self.entities[entity_id]
-
     def in_id_order(self) -> Iterator[StepEntity]:
         """Iterate entities in ascending id order regardless of file order."""
         for entity_id in sorted(self.entities):
@@ -148,14 +141,12 @@ _LEX_ERRORS = {
 }
 
 
-def _position(text: str, offset: int) -> tuple[int, int]:
-    """1-based (line, column) of a character offset, computed only when an
-    error is reported."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
-def _syntax_error(text: str, message: str, offset: int) -> StepSyntaxError:
-    return StepSyntaxError(message, *_position(text, offset))
+def _syntax_error(text: str, message: str, offset: int) -> BimvecError:
+    """``message`` with the 1-based line and column of a character offset,
+    computed only when an error is reported."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return BimvecError(f"{message} (line {line}, column {column})")
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
@@ -216,7 +207,7 @@ class _Parser:
         self._kind, self._value, self._offset = next(self._tokens)
         return value
 
-    def _error(self, message: str) -> StepSyntaxError:
+    def _error(self, message: str) -> BimvecError:
         return _syntax_error(self._text, message, self._offset)
 
     def _describe(self) -> str:
@@ -239,7 +230,7 @@ class _Parser:
 
     def parse_file(self) -> StepModel:
         if not self._accept("ISO-10303-21"):
-            raise MalformedFileError("missing ISO-10303-21 sentinel at start of file")
+            raise BimvecError("missing ISO-10303-21 sentinel at start of file")
 
         model = StepModel()
         saw_data = False
@@ -252,11 +243,11 @@ class _Parser:
             elif self._accept("END-ISO-10303-21"):
                 break
             elif self._kind == "eof":
-                raise MalformedFileError("missing END-ISO-10303-21 sentinel")
+                raise BimvecError("missing END-ISO-10303-21 sentinel")
             else:
                 raise self._error(f"unexpected {self._describe()} at file level")
         if not saw_data:
-            raise MalformedFileError("file has no DATA section")
+            raise BimvecError("file has no DATA section")
         if self._kind != "eof":
             raise self._error(f"unexpected {self._describe()} after end sentinel")
         return model
@@ -298,11 +289,8 @@ class _Parser:
             self._expect(")")
             self._expect(";")
             if entity_id in model.entities:
-                line, column = _position(self._text, ref_offset)
-                raise DuplicateIdError(
-                    f"duplicate entity id #{entity_id} "
-                    f"(line {line}, column {column})"
-                )
+                raise _syntax_error(self._text, f"duplicate entity id #{entity_id}",
+                                    ref_offset)
             model.entities[entity_id] = StepEntity(entity_id, type_name, attributes)
 
     def _parse_value_list(self, depth: int = 0) -> list:
@@ -353,15 +341,15 @@ def parse_step(source: bytes | str) -> StepModel:
     """Parse a complete STEP file into a :class:`StepModel`.
 
     ``source`` is the file content as bytes (decoded as UTF-8) or text.
-    Raises :class:`MalformedFileError` for missing sentinels or sections,
-    :class:`StepSyntaxError` with a 1-based line/column for lexical and
-    grammatical problems, and :class:`DuplicateIdError` when an id repeats.
+    Raises :class:`BimvecError` for missing sentinels or sections and, with
+    a 1-based ``(line L, column C)`` suffix, for lexical and grammatical
+    problems and a repeated id.
     """
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedFileError(f"file is not valid UTF-8: {exc}") from None
+            raise BimvecError(f"file is not valid UTF-8: {exc}") from None
     return _Parser(source).parse_file()
 
 

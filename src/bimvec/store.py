@@ -15,11 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NoLabeledExamplesError,
-    UnknownNodeError,
-    ZeroVectorError,
-)
+from .errors import BimvecError
 from .fileio import atomic_write_text, read_csv
 from .graph import NodeId, PropertyGraph
 from .sgns import EmbeddingMatrix
@@ -67,19 +63,19 @@ def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     norm_a = np.linalg.norm(a)
     norm_b = np.linalg.norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for zero vectors")
+        raise BimvecError("cosine similarity is undefined for zero vectors")
     return float(a @ b / (norm_a * norm_b))
 
 
 def _similarities(emb: EmbeddingMatrix, query: NodeId) -> np.ndarray:
     """Cosine of the query against every row; zero-norm rows become -inf."""
     if query not in emb.vocabulary:
-        raise UnknownNodeError(f"{query!r} is not in the vocabulary")
+        raise BimvecError(f"{query!r} is not in the vocabulary")
     matrix = emb.vectors.astype(np.float64)
     query_vec = matrix[emb.vocabulary[query]]
     query_norm = np.linalg.norm(query_vec)
     if query_norm == 0.0:
-        raise ZeroVectorError(f"{query!r} has a zero vector")
+        raise BimvecError(f"{query!r} has a zero vector")
     norms = np.linalg.norm(matrix, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = matrix @ query_vec / (norms * query_norm)
@@ -128,15 +124,13 @@ def predict_comfort(
     (comfortable, uncomfortable, neutral).
     """
     if not labeled:
-        raise NoLabeledExamplesError("need at least one labeled example")
+        raise BimvecError("need at least one labeled example")
     if k < 1:
         raise ValueError("k must be >= 1")
     by_node: dict[NodeId, tuple[int, int, int]] = {}
     for example in labeled:
         if example.node not in emb.vocabulary:
-            raise UnknownNodeError(
-                f"labeled node {example.node!r} is not in the vocabulary"
-            )
+            raise BimvecError(f"labeled node {example.node!r} is not in the vocabulary")
         by_node[example.node] = example.one_hot
     candidates = [emb.vocabulary[nid] for nid in sorted(by_node)]
     ranked = _ranked(emb, query, candidates)
@@ -145,7 +139,7 @@ def predict_comfort(
         if query in by_node:
             # The only labeled node was the query itself; keep its label.
             return by_node[query]
-        raise NoLabeledExamplesError("no usable labeled neighbors")
+        raise BimvecError("no usable labeled neighbors")
 
     votes: dict[tuple[int, int, int], int] = {}
     similarity_sums: dict[tuple[int, int, int], float] = {}
@@ -192,16 +186,6 @@ def export_projector(emb: EmbeddingMatrix, graph: PropertyGraph | None,
     atomic_write_text(vectors_path, "\n".join(vector_lines) + "\n")
     atomic_write_text(metadata_path, "\n".join(metadata_lines) + "\n")
     return vectors_path, metadata_path
-
-
-def load_vectors_tsv(path) -> np.ndarray:
-    """Read a vectors.tsv back into a float array (row order preserved)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            if line.strip():
-                rows.append([float(x) for x in line.split("\t")])
-    return np.asarray(rows, dtype=np.float64)
 
 
 def load_labeled_csv(path) -> list[LabeledExample]:

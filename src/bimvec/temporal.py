@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    EmptyTimelineError,
-    SliceOutOfRangeError,
-    UnknownNodeError,
-)
+from .errors import BimvecError
 from .fileio import read_csv
 from .graph import Edge, Node, NodeId, PropertyGraph, check_token
 from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
@@ -97,53 +93,44 @@ class TemporalGraph:
 
 @dataclass(frozen=True)
 class _OccupantState:
-    """The fix of window ``window``, shared by the windows that carry it."""
+    """The records that the fix of window ``window`` adds, built once and
+    shared by the windows that carry it."""
 
-    cells: tuple[NodeId, ...]
-    position: tuple[float, float]
-    feedback: str | None
+    node: Node
+    edges: tuple[Edge, ...]
     window: int
 
 
 @dataclass(frozen=True)
 class _Snapshots(Sequence[Snapshot]):
-    """Per window: timestamp, placed occupants, latest value per (sensor,
-    channel). Each read builds a new graph from the base; none is kept."""
+    """Per window: timestamp, placed occupants in id order, latest value per
+    (sensor, channel). Each read builds a new graph from the base; none is
+    kept."""
 
     base: PropertyGraph
-    windows: list[tuple[int, list[tuple[NodeId, _OccupantState]], dict]]
+    windows: list[tuple[int, list[_OccupantState], dict]]
 
     def __len__(self) -> int:
         return len(self.windows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        timestamp, occupants, at_edges, readings = self.delta(index)
+    def __getitem__(self, index: int) -> Snapshot:
+        timestamp, nodes, edges, readings = self.delta(index)
         graph = self.base.copy()
-        for occupant, attributes in occupants:
-            graph.add_node(occupant, OCCUPANT_LABEL, attributes)
-        for occupant, cell_id in at_edges:
-            graph.add_edge(occupant, cell_id, AT_LABEL, 1.0)
+        for node in nodes:
+            graph.add_node(node.id, node.label, node.attributes)
+        for edge in edges:
+            graph.add_edge(edge.a, edge.b, edge.label, edge.weight)
         for (sensor, channel), value in readings.items():
             graph.set_node_attribute(sensor, channel, value)
         return Snapshot(timestamp, graph)
 
-    def delta(self, index: int) -> tuple[int, list[tuple[NodeId, dict]],
-                                         list[tuple[NodeId, NodeId]], dict]:
+    def delta(self, index: int) -> tuple[int, list[Node], list[Edge], dict]:
         """What window ``index`` changes on the base: its timestamp, its
-        occupant nodes' attributes in id order, its AT edges as (occupant,
-        cell) in the order they are added, and its latest value per (sensor,
-        channel)."""
+        occupant nodes in id order, their AT edges in the order they are
+        added, and its latest value per (sensor, channel)."""
         timestamp, occupants, readings = self.windows[index]
-        nodes, at_edges = [], []
-        for occupant, state in occupants:
-            attributes: dict = {"x": state.position[0], "y": state.position[1]}
-            if state.feedback is not None:
-                attributes["feedback"] = list(FEEDBACK_ENCODING[state.feedback])
-            nodes.append((occupant, attributes))
-            at_edges += [(occupant, cell_id) for cell_id in state.cells]
-        return timestamp, nodes, at_edges, readings
+        return (timestamp, [state.node for state in occupants],
+                [edge for state in occupants for edge in state.edges], readings)
 
 
 def build_snapshots(
@@ -164,20 +151,18 @@ def build_snapshots(
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    if max_gap < 0:
+        raise ValueError(f"max_gap must be >= 0, got {max_gap}")
     if not readings and not fixes:
-        raise EmptyTimelineError("no readings and no fixes")
+        raise BimvecError("no readings and no fixes")
 
     space_index = {space.space_node: space for space in spaces}
     for reading in readings:
         if reading.sensor_node not in base:
-            raise UnknownNodeError(
-                f"reading references missing sensor {reading.sensor_node!r}"
-            )
+            raise BimvecError(f"reading references missing sensor {reading.sensor_node!r}")
     for fix in fixes:
         if fix.space_node not in space_index:
-            raise UnknownNodeError(
-                f"fix references space {fix.space_node!r} with no grid"
-            )
+            raise BimvecError(f"fix references space {fix.space_node!r} with no grid")
 
     timestamps = [r.timestamp for r in readings] + [f.timestamp for f in fixes]
     t0 = min(timestamps)
@@ -223,17 +208,22 @@ def build_snapshots(
                 raise ValueError(f"occupant {occupant!r} is already a base node")
             for cell_id in cells:
                 if cell_id not in base:
-                    raise UnknownNodeError(f"fix places {occupant!r} in missing cell {cell_id!r}")
-            occupant_states[occupant] = _OccupantState(cells, fix.position,
-                                                       fix.feedback, window)
+                    raise BimvecError(f"fix places {occupant!r} in missing cell {cell_id!r}")
+            attributes: dict = {"x": fix.position[0], "y": fix.position[1]}
+            if fix.feedback is not None:
+                attributes["feedback"] = list(FEEDBACK_ENCODING[fix.feedback])
+            occupant_states[occupant] = _OccupantState(
+                Node(occupant, OCCUPANT_LABEL, MappingProxyType(attributes)),
+                tuple(Edge(*sorted((occupant, cell_id)), AT_LABEL, 1.0, MappingProxyType({}))
+                      for cell_id in cells), window)
         for occupant, state in list(occupant_states.items()):
             if occupant not in window_fixes and window - state.window > max_gap:
                 del occupant_states[occupant]
 
-        windows.append((t0 + window * step, sorted(occupant_states.items()),
-                        latest_by_window.get(window, {})))
+        carried = [occupant_states[o] for o in sorted(occupant_states)]
+        windows.append((t0 + window * step, carried, latest_by_window.get(window, {})))
 
-    placed = {occupant for _, occupants, _ in windows for occupant, _ in occupants}
+    placed = {state.node.id for _, occupants, _ in windows for state in occupants}
     node_ids = sorted([*base.node_ids(), *placed])
     node_index = {nid: i for i, nid in enumerate(node_ids)}
     return TemporalGraph(base, _Snapshots(base, windows), node_index)
@@ -324,7 +314,7 @@ def store_windows(tg: TemporalGraph) -> Iterator[tuple[int, str, str, int]]:
     pair_keys = [pair for pair, _ in pairs]
     pair_rows = [f"{i},{j},{w!r}\n" for (i, j), w in pairs]
     for t in range(len(tg.snapshots)):
-        timestamp, occupants, at_edges, readings = tg.snapshots.delta(t)
+        timestamp, occupants, edges, readings = tg.snapshots.delta(t)
         nodes = node_lines
         if readings:
             nodes = list(node_lines)
@@ -335,10 +325,7 @@ def store_windows(tg: TemporalGraph) -> Iterator[tuple[int, str, str, int]]:
                 node = base.node(sensor)
                 nodes[position[sensor]] = Node(sensor, node.label, MappingProxyType(
                     {**node.attributes, **values})).line
-        nodes = _merged(nodes, base_ids, [
-            (occupant, Node(occupant, OCCUPANT_LABEL, MappingProxyType(attributes)).line)
-            for occupant, attributes in occupants])
-        edges = [Edge(*sorted(pair), AT_LABEL, 1.0, MappingProxyType({})) for pair in at_edges]
+        nodes = _merged(nodes, base_ids, [(node.id, node.line) for node in occupants])
         lines = _merged(edge_lines, edge_lines, sorted((e.line, e.line) for e in edges))
         rows = _merged(pair_rows, pair_keys, [
             ((i, j), f"{i},{j},{w!r}\n")
@@ -382,9 +369,7 @@ def flatten(tg: TemporalGraph, mode: str = "union",
     """
     if mode == "slice":
         if index is None or not (0 <= index < len(tg.snapshots)):
-            raise SliceOutOfRangeError(
-                f"slice {index} out of range for {len(tg.snapshots)} snapshots"
-            )
+            raise BimvecError(f"slice {index} out of range for {len(tg.snapshots)} snapshots")
         return tg.snapshots[index].graph.copy()
     if mode != "union":
         raise ValueError(f"unknown flatten mode {mode!r}")

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import IsolatedNodeError
+from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
 
 # Allowed range of the return (p) and in-out (q) parameters; it bounds the
@@ -105,10 +105,7 @@ class AliasTable:
 
     def draw(self, rng) -> int:
         """One outcome index; ``rng`` needs only a ``random()`` method."""
-        k = len(self.prob)
-        slot = int(rng.random() * k)
-        if slot >= k:  # guard against rng.random() returning 1.0-epsilon edge
-            slot = k - 1
+        slot = int(rng.random() * len(self.prob))
         return slot if rng.random() < self.prob[slot] else self.alias[slot]
 
     @functools.cached_property
@@ -156,7 +153,7 @@ def transition_distribution(
     probabilities sum to 1 within 1e-12."""
     weights = graph.neighbor_weights(curr)
     if not weights:
-        raise IsolatedNodeError(f"node {curr!r} has no neighbors")
+        raise BimvecError(f"node {curr!r} has no neighbors")
     neighbors = sorted(weights)
     if prev is None:
         unnormalized = [weights[x] for x in neighbors]

@@ -238,6 +238,21 @@ def test_graph_bad_sensor_manifest_exits_3(runner, data_dir, tmp_path, manifest)
     assert not out.exists()
 
 
+def test_graph_negative_manifest_radius_names_record(runner, data_dir, tmp_path):
+    sensors = tmp_path / "sensors.json"
+    sensors.write_text(json.dumps({"anchors": [
+        {"entity_id": 20, "space_id": 5, "position": [5.5, 3.0], "radius": -1}]}))
+    out = tmp_path / "graph.tsv"
+    result = runner.invoke(main, [
+        "graph", str(data_dir / "two_space.ifc"),
+        "--footprints", str(data_dir / "two_space.footprints.json"),
+        "--sensors", str(sensors), "--out", str(out), "--cell-size", "2.0",
+    ])
+    assert result.exit_code == 3, result.output
+    assert f"error: {sensors}: anchors[0]: radius must be >= 0, got -1.0" in result.output
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # snapshot
 # ---------------------------------------------------------------------------
@@ -297,6 +312,26 @@ def test_snapshot_non_finite_input_exits_3(runner, data_dir, tmp_path,
     ])
     assert result.exit_code == 3, result.output
     assert "finite" in result.output
+    assert not store_dir.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("occupant_radius=nan", "placement radius must be finite and >= 0, got nan"),
+    ("occupant_radius=inf", "placement radius must be finite and >= 0, got inf"),
+    ("occupant_radius=-1", "placement radius must be finite and >= 0, got -1.0"),
+    ("max_gap=-1", "max_gap must be >= 0, got -1"),
+], ids=["nan-radius", "inf-radius", "negative-radius", "negative-max-gap"])
+def test_snapshot_bad_placement_config_exits_3(runner, data_dir, tmp_path, line, message):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    store_dir = tmp_path / "store"
+    result = runner.invoke(main, [
+        "--config", str(config), "snapshot", str(graph_file),
+        "--fixes", str(data_dir / "fixes.csv"), "--out", str(store_dir),
+    ])
+    assert result.exit_code == 3, result.output
+    assert f"error: {message}\n" in result.output
     assert not store_dir.exists()
 
 
@@ -844,6 +879,20 @@ def test_embed_store_non_utf8_tensor_names_line(runner, data_dir, tmp_path):
                                   "--out", str(tmp_path / "emb")])
     assert result.exit_code == 3, result.output
     assert f"{path}, line 41: not UTF-8 text" in result.output
+
+
+@pytest.mark.parametrize("name,source", [("graph.tsv", "graph.tsv"),
+                                         ("store/base.tsv", "store")])
+def test_non_utf8_graph_file_names_line(runner, data_dir, tmp_path, name, source):
+    _build_store(runner, data_dir, tmp_path)
+    path = tmp_path / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b"\t", b"\t\xff", 1)
+    path.write_bytes(b"\n".join(lines))
+    result = runner.invoke(main, ["embed", str(tmp_path / source),
+                                  "--out", str(tmp_path / "emb")])
+    assert result.exit_code == 3, result.output
+    assert f"error: {path}, line 2: not UTF-8 text\n" in result.output
 
 
 def test_embed_store_bad_base_record_names_file(runner, data_dir, tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from bimvec.errors import DanglingReferenceError
+from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
 from bimvec.ifc_graph import (
     DEFAULT_OBJECT_PREFIXES,
@@ -28,7 +28,7 @@ def test_contained_in_spatial_structure_expands_to_contains():
     assert len(graph) == 2
     edges = graph.edges()
     assert len(edges) == 1
-    assert edges[0].endpoints == ("5", "6")
+    assert (edges[0].a, edges[0].b) == ("5", "6")
     assert edges[0].label == "CONTAINS"
     assert edges[0].weight == 1.0
 
@@ -51,7 +51,7 @@ def test_aggregates_expands_one_edge_per_related():
         "#9=IFCRELAGGREGATES('g',$,$,$,#3,(#5,#7));"
     ))
     graph = build_graph(model)
-    labels = sorted((e.endpoints, e.label) for e in graph.edges())
+    labels = sorted(((e.a, e.b), e.label) for e in graph.edges())
     assert labels == [(("3", "5"), "AGGREGATES"), (("3", "7"), "AGGREGATES")]
 
 
@@ -72,7 +72,7 @@ def test_dangling_endpoint_lenient_skips_and_strict_raises():
     ))
     graph = build_graph(model, strict=False)
     assert graph.edge_count == 0
-    with pytest.raises(DanglingReferenceError):
+    with pytest.raises(BimvecError, match="^relationship #10 references missing entity #99$"):
         build_graph(model, strict=True)
 
 

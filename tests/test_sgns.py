@@ -10,12 +10,12 @@ import pytest
 import itertools
 
 from bimvec import sgns
-from bimvec.errors import AllZeroCountsError, EmptyCorpusError, InternalInvariantError
+from bimvec.errors import BimvecError, InternalInvariantError
 from bimvec.sgns import (
     EmbeddingMatrix,
-    NegativeSampler,
     TrainConfig,
     initial_vectors,
+    negative_table,
     pair_loss_and_grads,
     train,
 )
@@ -86,28 +86,26 @@ def test_gradients_with_no_negatives():
 # ---------------------------------------------------------------------------
 
 def test_sampler_symmetric_counts():
-    sampler = NegativeSampler([1, 1])
-    draws = sampler.sample(100000, np.random.default_rng(5))
+    draws = negative_table([1, 1]).sample_many(np.random.default_rng(5), 100000)
     assert (draws == 0).mean() == pytest.approx(0.5, abs=0.01)
 
 
 def test_sampler_three_quarter_power():
     # 16^0.75 = 8, so probabilities are [1/9, 8/9]
-    sampler = NegativeSampler([1, 16])
-    draws = sampler.sample(100000, np.random.default_rng(5))
+    draws = negative_table([1, 16]).sample_many(np.random.default_rng(5), 100000)
     assert (draws == 0).mean() == pytest.approx(1 / 9, abs=0.01)
     assert (draws == 1).mean() == pytest.approx(8 / 9, abs=0.01)
 
 
 def test_sampler_never_draws_zero_count():
-    sampler = NegativeSampler([0, 3])
-    draws = sampler.sample(50000, np.random.default_rng(5))
+    draws = negative_table([0, 3]).sample_many(np.random.default_rng(5), 50000)
     assert not (draws == 0).any()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_sampler_rejects_all_zero():
-    with pytest.raises(AllZeroCountsError):
-        NegativeSampler([0, 0, 0])
+    with pytest.raises(ValueError, match="^probabilities must be finite and non-negative$"):
+        negative_table([0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +113,7 @@ def test_sampler_rejects_all_zero():
 # ---------------------------------------------------------------------------
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(BimvecError, match="^corpus has no walks$"):
         train(WalkCorpus([]), TrainConfig(dimension=4))
 
 
@@ -415,8 +413,9 @@ def test_walk_with_rejected_draw_uses_generator_calls(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
-    """SGNS one (center, context) pair at a time: one ``NegativeSampler``
-    call, one ``pair_loss_and_grads`` call and one ``np.add.at`` each."""
+    """SGNS one (center, context) pair at a time: one ``sample_many`` call
+    on the negative table, one ``pair_loss_and_grads`` call and one
+    ``np.add.at`` each."""
     ids = sorted({nid for walk in corpus.walks for nid in walk})
     syn0 = initial_vectors(len(ids), cfg.dimension, cfg.seed)
     syn1 = np.zeros((len(ids), cfg.dimension), dtype=np.float32)
@@ -435,7 +434,7 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
         return matrix
     total_progress = epoch_pairs * cfg.epochs
     counts = np.bincount(np.concatenate(walks), minlength=len(ids))
-    sampler = NegativeSampler(counts)
+    table = negative_table(counts)
     keep_probability = None
     if cfg.subsample_threshold > 0:
         with np.errstate(divide="ignore"):
@@ -466,7 +465,7 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
                     if o_pos == pos:
                         continue
                     positive = int(walk[o_pos])
-                    negatives = sampler.sample(cfg.negatives, rng)
+                    negatives = table.sample_many(rng, cfg.negatives)
                     negatives = negatives[negatives != positive]
                     v = syn0[center]
                     loss, grad_v, grad_pos, grad_negs = pair_loss_and_grads(

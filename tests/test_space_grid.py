@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimvec import space_grid
-from bimvec.errors import (
-    GridError,
-    InvalidPolygonError,
-    NoCellInRangeError,
-    UnknownNodeError,
-)
+from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
 from bimvec.space_grid import (
     DiscretizedSpace,
@@ -96,11 +91,12 @@ def test_degenerate_footprint_can_keep_zero_cells(caplog):
 
 
 def test_invalid_polygons_rejected():
-    with pytest.raises(InvalidPolygonError):
+    with pytest.raises(BimvecError, match="^footprint for 's' has fewer than 3 vertices$"):
         Footprint("s", ((0, 0), (1, 0)))
-    with pytest.raises(InvalidPolygonError):  # clockwise
+    ccw = "^footprint for 's' must be counter-clockwise with positive area$"
+    with pytest.raises(BimvecError, match=ccw):  # clockwise
         Footprint("s", ((0, 0), (0, 4), (4, 4), (4, 0)))
-    with pytest.raises(InvalidPolygonError):  # bowtie
+    with pytest.raises(BimvecError, match=ccw):  # bowtie, zero signed area
         Footprint("s", ((0, 0), (2, 2), (2, 0), (0, 2)))
 
 
@@ -118,16 +114,21 @@ def test_cell_size_must_be_finite(cell_size):
 def test_grid_size_is_bounded(monkeypatch):
     monkeypatch.setattr(space_grid, "MAX_GRID_CELLS", 16)
     assert len(discretize(SQUARE_4, 1.0).cells) == 16
-    with pytest.raises(GridError, match="8 x 8 cells, above the limit of 16"):
+    with pytest.raises(BimvecError, match="^grid for space 's' would be 8 x 8 cells, "
+                                          "above the limit of 16; raise --cell-size$"):
         discretize(SQUARE_4, 0.5)
 
 
 def test_sliver_grid_is_rejected_before_any_cell_is_visited():
     # 10^10 cell centres at 1 m; at the default bound this must fail fast.
     sliver = Footprint("s", ((0, 0), (100000, 100000), (99999.99, 100000)))
-    with pytest.raises(GridError, match="100000 x 100000 cells"):
+    with pytest.raises(BimvecError, match="^grid for space 's' would be 100000 x 100000 "
+                                          "cells, above the limit of 1,000,000; raise "
+                                          "--cell-size$"):
         discretize(sliver, 1.0)
-    with pytest.raises(GridError, match=r"1e\+305 x 1e\+305 cells"):
+    with pytest.raises(BimvecError, match=r"^grid for space 's' would be 1e\+305 x 1e\+305 "
+                                          "cells, above the limit of 1,000,000; raise "
+                                          "--cell-size$"):
         discretize(sliver, 1e-300)
 
 
@@ -228,7 +229,8 @@ def test_attach_out_of_range_lenient_and_strict():
     graph = _merged(space)
     attach_fixed_node(graph, space, "sensor:x", (10.0, 10.0), 0.5)
     assert not [e for e in graph.edges() if e.label == "AT"]
-    with pytest.raises(NoCellInRangeError):
+    with pytest.raises(BimvecError, match=r"^no cell within 0\.5 m of \(10\.0, 10\.0\) for "
+                                          "node 'sensor:x' in space 's'$"):
         attach_fixed_node(graph, space, "sensor:x", (10.0, 10.0), 0.5,
                           strict=True)
 
@@ -236,7 +238,7 @@ def test_attach_out_of_range_lenient_and_strict():
 def test_attach_unknown_node_rejected():
     space = discretize(SQUARE_4, 2.0)
     graph = _merged(space)
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(BimvecError, match="^no node 'sensor:missing' to attach$"):
         attach_fixed_node(graph, space, "sensor:missing", (1.0, 1.0), 1.0)
 
 
@@ -311,17 +313,19 @@ def test_rebuild_rejects_a_missing_or_extra_cell():
     text = graph.to_text()
 
     missing = PropertyGraph.from_text(_without_lines(text, "cell:s:1:1"))
-    with pytest.raises(GridError, match="differ"):
+    with pytest.raises(BimvecError, match="^the CELL nodes of space node 's' differ from "
+                                          "the cells of its stored footprint$"):
         spaces_from_graph(missing)
 
     extra = PropertyGraph.from_text(text)
     extra.add_node("cell:s:9:9", "CELL", {"space": "s"})
-    with pytest.raises(GridError, match="differ"):
+    with pytest.raises(BimvecError, match="^the CELL nodes of space node 's' differ from "
+                                          "the cells of its stored footprint$"):
         spaces_from_graph(extra)
 
     orphan = PropertyGraph.from_text(text)
     orphan.add_node("cell:t:0:0", "CELL", {"space": "t"})
-    with pytest.raises(GridError, match="no stored grid"):
+    with pytest.raises(BimvecError, match="^CELL nodes of space 't' have no stored grid$"):
         spaces_from_graph(orphan)
 
 

@@ -9,11 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimvec.errors import (
-    DuplicateIdError,
-    MalformedFileError,
-    StepSyntaxError,
-)
+from bimvec.errors import BimvecError
 from bimvec.step_parser import (
     DERIVED,
     MAX_NESTING,
@@ -44,7 +40,7 @@ def test_parses_single_wall_record():
         "DATA; #1=IFCWALL('g',$,'W1',$,$,$,$,$); ENDSEC; END-ISO-10303-21;"
     )
     assert len(model) == 1
-    entity = model.entity(1)
+    entity = model.entities[1]
     assert entity.type_name == "IFCWALL"
     assert len(entity.attributes) == 8
     assert entity.attributes[0] == "g"
@@ -58,20 +54,20 @@ def test_empty_data_section():
 
 def test_aggregate_enum_and_real():
     model = parse_step(wrap("#2=IFCDOOR(('a',#3),.T.,1.5E0);"))
-    entity = model.entity(2)
+    entity = model.entities[2]
     assert entity.attributes == [["a", EntityRef(3)], EnumToken("T"), 1.5]
 
 
 def test_typed_values_and_markers():
     model = parse_step(wrap("#4=IFCX(IFCBOOLEAN(.F.),*,$,-2,());"))
-    assert model.entity(4).attributes == [
+    assert model.entities[4].attributes == [
         TypedValue("IFCBOOLEAN", EnumToken("F")), DERIVED, None, -2, [],
     ]
 
 
 def test_quote_escape_and_control_directive_passthrough():
     model = parse_step(wrap(r"#5=IFCX('it''s','\X2\00E9\X0\ raw');"))
-    assert model.entity(5).attributes == ["it's", "\\X2\\00E9\\X0\\ raw"]
+    assert model.entities[5].attributes == ["it's", "\\X2\\00E9\\X0\\ raw"]
 
 
 def test_multi_line_record_and_comments():
@@ -79,7 +75,7 @@ def test_multi_line_record_and_comments():
         "/* a comment with #9=FAKE(); inside */\n"
         "#6=IFCX(1,\n  2,\n  3);"
     ))
-    assert model.entity(6).attributes == [1, 2, 3]
+    assert model.entities[6].attributes == [1, 2, 3]
 
 
 def test_header_records_are_kept():
@@ -97,33 +93,31 @@ def test_in_id_order_regardless_of_file_order():
 # ---------------------------------------------------------------------------
 
 def test_missing_sentinel_is_malformed():
-    with pytest.raises(MalformedFileError):
+    with pytest.raises(BimvecError, match="^missing ISO-10303-21 sentinel at start of file$"):
         parse_step("DATA; #1=IFCX(0); ENDSEC; END-ISO-10303-21;")
 
 
 def test_missing_data_section_is_malformed():
-    with pytest.raises(MalformedFileError):
+    with pytest.raises(BimvecError, match="^file has no DATA section$"):
         parse_step("ISO-10303-21; HEADER; ENDSEC; END-ISO-10303-21;")
 
 
 def test_missing_end_sentinel_is_malformed():
-    with pytest.raises(MalformedFileError):
+    with pytest.raises(BimvecError, match="^missing END-ISO-10303-21 sentinel$"):
         parse_step("ISO-10303-21; DATA; #1=IFCX(0); ENDSEC;")
 
 
 def test_unterminated_string_position():
     text = "ISO-10303-21;\nDATA;\n#1=IFCWALL('oops);\nENDSEC;\nEND-ISO-10303-21;"
-    with pytest.raises(StepSyntaxError) as exc_info:
+    with pytest.raises(BimvecError, match=r"^unterminated string \(line 3, column 12\)$"):
         parse_step(text)
-    assert exc_info.value.line == 3
-    assert exc_info.value.column == 12
 
 
 def test_unbalanced_parentheses_position():
     text = "ISO-10303-21;\nDATA;\n#1=IFCWALL(1,(2);\nENDSEC;\nEND-ISO-10303-21;"
-    with pytest.raises(StepSyntaxError) as exc_info:
+    with pytest.raises(BimvecError,
+                       match=r"^expected '\)', found ';' \(line 3, column 17\)$"):
         parse_step(text)
-    assert (exc_info.value.line, exc_info.value.column) == (3, 17)
 
 
 _HEAD = "ISO-10303-21;\nDATA;\n"
@@ -142,10 +136,9 @@ _HEAD = "ISO-10303-21;\nDATA;\n"
 ], ids=["comment", "hash", "hash-zero", "enum", "exponent", "form-feed",
         "quote-at-end", "multi-line"])
 def test_lexical_error_positions(text, message, position):
-    with pytest.raises(StepSyntaxError) as exc_info:
+    with pytest.raises(BimvecError) as exc_info:
         parse_step(text)
-    assert str(exc_info.value).startswith(message)
-    assert (exc_info.value.line, exc_info.value.column) == position
+    assert str(exc_info.value) == "{} (line {}, column {})".format(message, *position)
 
 
 def _nested(kind: str, levels: int) -> str:
@@ -156,13 +149,13 @@ def _nested(kind: str, levels: int) -> str:
 @pytest.mark.parametrize("kind", ["aggregate", "typed"])
 @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 1000, 5000])
 def test_deep_nesting_is_a_positioned_syntax_error(kind, levels):
-    with pytest.raises(StepSyntaxError) as exc_info:
+    with pytest.raises(BimvecError) as exc_info:
         parse_step(_nested(kind, levels))
-    assert f"nested deeper than {MAX_NESTING}" in str(exc_info.value)
     # The error points at the opening of level MAX_NESTING + 1.
     opening_width = 1 if kind == "aggregate" else len("IFCLABEL(")
-    assert (exc_info.value.line, exc_info.value.column) == \
-        (6, len("#1=IFCX(") + MAX_NESTING * opening_width + 1)
+    column = len("#1=IFCX(") + MAX_NESTING * opening_width + 1
+    assert str(exc_info.value) == \
+        f"values nested deeper than {MAX_NESTING} levels (line 6, column {column})"
 
 
 @pytest.mark.parametrize("kind", ["aggregate", "typed"])
@@ -174,17 +167,19 @@ def test_nesting_at_the_limit_parses(kind):
 
 
 def test_duplicate_id_rejected():
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(BimvecError, match=r"^duplicate entity id #1 \(line 7, column 1\)$"):
         parse_step(wrap("#1=IFCX(0);\n#1=IFCY(1);"))
 
 
 def test_complex_instances_rejected_with_position():
-    with pytest.raises(StepSyntaxError):
+    with pytest.raises(BimvecError, match=r"^complex entity instances are not supported "
+                                          r"\(line 6, column 4\)$"):
         parse_step(wrap("#1=(IFCA(0) IFCB(1));"))
 
 
 def test_invalid_bytes_are_malformed():
-    with pytest.raises(MalformedFileError):
+    with pytest.raises(BimvecError, match="^file is not valid UTF-8: 'utf-8' codec can't "
+                                          "decode byte 0xff in position 0: invalid start byte$"):
         parse_step(b"\xff\xfe\x00 not utf8")
 
 

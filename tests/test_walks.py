@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimvec.errors import IsolatedNodeError
+from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
 from bimvec.sgns import TrainConfig, train
 from bimvec.walks import (
@@ -65,7 +65,7 @@ def test_probabilities_sum_to_one():
 def test_isolated_node_raises():
     graph = PropertyGraph()
     graph.add_node("lonely", "N")
-    with pytest.raises(IsolatedNodeError):
+    with pytest.raises(BimvecError, match="^node 'lonely' has no neighbors$"):
         transition_distribution(graph, None, "lonely", 1.0, 1.0)
 
 
