@@ -25,25 +25,14 @@ writes the rows back: by assignment when their indices are distinct, by
 ``np.subtract.at`` when a negative repeats. Losses are computed after the
 block from the stored sigmoids and summed pair by pair, walk by walk.
 
-Draws. Each walk has its own substream: its random numbers are those of
-``np.random.default_rng(s)``, s = ``substream_seed(seed, epoch, walk)``, for
-the calls ``random(len(walk))`` (subsampling only), then per center
-``integers(1, window + 1)`` (dynamic window only) and per context
-``integers(0, vocab, size=negatives)`` and ``random(negatives)``, the
-negatives resolved through the alias table. They are computed from one
-``PCG64(s).random_raw`` call per walk, read a block at a time, by numpy's
-rules:
-
-- ``random`` takes one 64-bit word w and returns (w >> 11) * 2**-53;
-- ``integers`` over a range of n values draws a 32-bit x and returns
-  (x * n) >> 32 (Lemire). 32-bit draws share one buffer: a fresh word
-  gives its low half first and holds its high half for the next 32-bit
-  draw; ``random`` does not touch the buffer;
-- a range of one value consumes nothing;
-- x is rejected, and numpy draws again, when (x * n) mod 2**32 < 2**32 mod n.
-
-A block with a rejected draw, at most about n / 2**32 per draw, is drawn
-walk by walk through the ``Generator`` calls instead.
+Draws. Walk w of epoch e reads ``PCG64(substream_seed(seed, e, w))`` in
+training order: one uniform per token for subsampling (threshold > 0 only),
+one per kept token for its reach (dynamic window only), then per (center,
+context) pair ``negatives`` slot and ``negatives`` alias uniforms. A uniform
+is (x >> 11) * 2**-53 of a 64-bit word x, and a draw over n values is
+floor(u * n), so a reach is 1 + floor(u * window). Only raw words are read,
+which numpy keeps stable across versions (NEP 19), and a walk's draws do not
+depend on its block.
 """
 
 from __future__ import annotations
@@ -52,6 +41,7 @@ import itertools
 import logging
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -65,7 +55,7 @@ from .walks import AliasTable, WalkCorpus, substream_seed
 logger = logging.getLogger(__name__)
 
 _CHECKPOINT_MAGIC = b"BMV1"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -137,21 +127,18 @@ class EmbeddingMatrix:
     # -- checkpoint ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Binary checkpoint: header, row-major float32 tables, vocabulary."""
-        parts = [struct.pack(
-            "<4sIII", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
-            self.dimension, len(self.ids),
-        )]
-        parts.append(self.vectors.astype("<f4").tobytes())
-        parts.append(self.context_vectors.astype("<f4").tobytes())
+        """Binary checkpoint: header, row-major float32 tables, vocabulary,
+        then the CRC32 of all but the header."""
+        parts = [table.astype("<f4").tobytes() for table in (self.vectors, self.context_vectors)]
         for node_id in self.ids:
             id_bytes = node_id.encode("utf-8")
             label_bytes = self.labels.get(node_id, "").encode("utf-8")
-            parts.append(struct.pack("<H", len(id_bytes)))
-            parts.append(id_bytes)
-            parts.append(struct.pack("<H", len(label_bytes)))
-            parts.append(label_bytes)
-        atomic_write_bytes(path, b"".join(parts))
+            parts += [struct.pack("<H", len(id_bytes)), id_bytes,
+                      struct.pack("<H", len(label_bytes)), label_bytes]
+        body = b"".join(parts)
+        atomic_write_bytes(path, struct.pack(
+            "<4sIII", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, self.dimension, len(self.ids),
+        ) + body + struct.pack("<I", zlib.crc32(body)))
 
     @classmethod
     def load(cls, path) -> "EmbeddingMatrix":
@@ -160,13 +147,14 @@ class EmbeddingMatrix:
         if len(data) < 16 or data[:4] != _CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not an embedding checkpoint")
         _, version, dimension, vocab_size = struct.unpack_from("<4sIII", data)
-        if version != _CHECKPOINT_VERSION:
+        if version not in (1, _CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
-        offset = 16
+        # a version 1 checkpoint ends with its vocabulary, a later one with a CRC32
+        offset, end = 16, len(data) - 4 * (version > 1)
 
         def take(size: int) -> bytes:
             nonlocal offset
-            if offset + size > len(data):
+            if offset + size > end:
                 raise ValueError(f"{path} is truncated at byte {len(data)}")
             offset += size
             return data[offset - size:offset]
@@ -184,8 +172,10 @@ class EmbeddingMatrix:
             ids.append(node_id)
             if label:
                 labels[node_id] = label
-        if offset != len(data):
-            raise ValueError(f"{path} has {len(data) - offset} bytes after its vocabulary")
+        if offset != end:
+            raise ValueError(f"{path} has {end - offset} bytes after its vocabulary")
+        if version > 1 and zlib.crc32(data[16:end]) != struct.unpack_from("<I", data, end)[0]:
+            raise ValueError(f"{path} fails its CRC32 check")
         return cls(vectors, context, ids, labels)
 
 
@@ -272,10 +262,40 @@ def _block_pairs(lengths: np.ndarray, reaches):
     return centers, centers - left[centers] + step + (step >= left[centers]), walk_starts
 
 
+def _uniforms(streams, counts) -> np.ndarray:
+    """The next ``counts[i]`` uniforms of each of ``streams``, end to end:
+    the top 53 bits of a 64-bit word times 2**-53."""
+    words = np.concatenate([stream.random_raw(count) for stream, count in zip(
+        streams, np.asarray(counts).tolist())])
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def block_draws(seeds, walks: np.ndarray, lengths: np.ndarray, keep_probability,
+                cfg: TrainConfig, vocab_size: int):
+    """The random numbers a block of walks trains with (see Draws above).
+    ``walks`` holds the walks' tokens end to end, ``lengths`` their lengths
+    and ``seeds`` their substream seeds. Returns, laid out the same way, the
+    tokens that survive subsampling and the walks' new lengths, the reach of
+    each token, and for each (center, context) pair in order the
+    ``cfg.negatives`` alias slots and uniforms."""
+    streams = [np.random.PCG64(seed) for seed in seeds]
+    kept, kept_lengths = walks, lengths
+    if keep_probability is not None:
+        keep = _uniforms(streams, lengths) < keep_probability[walks]
+        walk_of = np.repeat(np.arange(len(lengths)), lengths)
+        kept, kept_lengths = walks[keep], np.bincount(walk_of[keep], minlength=len(lengths))
+    reaches = 1 + (_uniforms(streams, kept_lengths) * cfg.window).astype(np.int64) \
+        if cfg.dynamic_window else np.full(len(kept), cfg.window)
+    pairs = np.diff(_context_counts(kept_lengths, reaches)[2])
+    draws = _uniforms(streams, pairs * 2 * cfg.negatives).reshape(-1, 2, cfg.negatives)
+    return kept, kept_lengths, reaches, (draws[:, 0] * vocab_size).astype(np.int64), draws[:, 1]
+
+
 def initial_vectors(vocab_size: int, dimension: int, seed: int) -> np.ndarray:
-    """Seeded uniform [-0.5/n, 0.5/n] initialization for the input table."""
-    rng = np.random.default_rng(seed)
-    return ((rng.random((vocab_size, dimension)) - 0.5) / dimension).astype(np.float32)
+    """Seeded uniform [-0.5/n, 0.5/n] initialization for the input table,
+    read row by row from ``PCG64(seed)`` (see Draws above)."""
+    uniforms = _uniforms([np.random.PCG64(seed)], [vocab_size * dimension])
+    return ((uniforms.reshape(vocab_size, dimension) - 0.5) / dimension).astype(np.float32)
 
 
 def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
@@ -388,124 +408,6 @@ def _train_pairs(syn0, syn1, centers, positives, negatives, rates) -> np.ndarray
         negative_sums[selected] = terms[selected, :count].sum(axis=1)
     return (-np.log(np.maximum(sig[firsts].astype(np.float64), 1e-30))
             - negative_sums.astype(np.float64))
-
-
-# ---------------------------------------------------------------------------
-# Random draws of a block of walks
-# ---------------------------------------------------------------------------
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """``Generator.random`` on 64-bit words: the top 53 bits times 2**-53."""
-    return (words >> np.uint64(11)) * 2.0 ** -53
-
-
-def _bounded(x, n: int):
-    """Lemire's bounded draw, as ``Generator.integers(0, n)`` makes it from
-    32-bit ``x``: the values, and which draws numpy would reject and redraw."""
-    product = x * np.uint64(n)
-    return product >> np.uint64(32), (product & _LOW32) < 2 ** 32 % n
-
-
-def block_draws(seeds, walks: np.ndarray, lengths: np.ndarray, keep_probability,
-                cfg: TrainConfig, vocab_size: int):
-    """The random numbers a block of walks trains with, each walk's those of
-    its seed's ``Generator`` calls (see Draws above). ``walks`` holds the
-    walks' tokens end to end, ``lengths`` their lengths and ``seeds`` their
-    substream seeds. Returns, laid out the same way, the tokens that survive
-    subsampling and the walks' new lengths, the reach of each token, and for
-    each (center, context) pair in order the ``cfg.negatives`` alias slots
-    and uniforms."""
-    window, negatives = cfg.window, cfg.negatives
-    # A range of one consumes nothing: the reach at window 1, the slots of a
-    # one-node vocabulary.
-    draws_reach = cfg.dynamic_window and window > 1
-    slot_draws = negatives if vocab_size > 1 else 0
-    # each walk's words: its uniforms for subsampling, then at most one
-    # reach per token and the draws of its full-window pairs
-    most_pairs = np.diff(_context_counts(lengths, window)[2])
-    most_32 = (lengths if draws_reach else 0) + most_pairs * slot_draws
-    subsample_words = lengths if keep_probability is not None else 0
-    sizes = subsample_words + (most_32 + 1) // 2 + most_pairs * negatives
-    words = np.concatenate([np.random.PCG64(seed).random_raw(size)
-                            for seed, size in zip(seeds, sizes.tolist())])
-    word_starts = np.cumsum(sizes) - sizes
-    kept, kept_lengths = walks, lengths
-    if keep_probability is not None:
-        walk_of = np.repeat(np.arange(len(lengths)), lengths)
-        keep = _uniforms(words[np.arange(len(walks)) + (word_starts - np.cumsum(
-            lengths) + lengths)[walk_of]]) < keep_probability[walks]
-        kept, kept_lengths = walks[keep], np.bincount(walk_of[keep], minlength=len(lengths))
-    bases, starts = word_starts + subsample_words, np.cumsum(kept_lengths) - kept_lengths
-
-    # 32-bit draws share one buffer: an even draw takes a fresh word's low
-    # half and holds its high half for the next one; a uniform takes a
-    # fresh word and leaves the buffer alone. So after j 32-bit draws and d
-    # uniforms the next fresh word is base + ceil(j / 2) + d, and an odd
-    # draw reads the word of the one before, ``since`` uniforms back.
-    reaches = np.full(len(kept), window)
-    threshold = 2 ** 32 % window
-    for base, start, length in zip(bases.tolist(), starts.tolist(), kept_lengths.tolist()):
-        drawn, uniforms_drawn, since = 0, 0, 0
-        for position in range(length if draws_reach and length > 1 else 0):
-            word = int(words[base + (drawn >> 1) + uniforms_drawn - since * (drawn & 1)])
-            product = (word >> 32 if drawn & 1 else word & 0xFFFFFFFF) * window
-            if product & 0xFFFFFFFF < threshold:
-                return _draws_from_generator(seeds, walks, lengths, keep_probability,
-                                             cfg, vocab_size)
-            reaches[start + position] = reach = 1 + (product >> 32)
-            contexts = min(position, reach) + min(length - 1 - position, reach)
-            drawn += 1 + contexts * slot_draws
-            uniforms_drawn += contexts * negatives
-            since = negatives if slot_draws else contexts * negatives
-
-    centers, _, pair_starts = _block_pairs(kept_lengths, reaches)
-    walk = np.repeat(np.arange(len(kept_lengths)), np.diff(pair_starts))
-    pair = np.arange(len(centers)) - pair_starts[walk]
-    reach_draws = centers - starts[walk] + 1 if draws_reach else np.zeros_like(centers)
-    base = bases[walk]
-    # A context's 32-bit draws follow the uniforms of the contexts before it.
-    # An odd draw reads the word of the draw before it, which precedes the
-    # previous context's uniforms when it was that context's last slot.
-    k = np.arange(slot_draws)
-    drawn = reach_draws[:, None] + pair[:, None] * slot_draws + k
-    odd = (drawn & 1).astype(bool)
-    first = np.diff(centers, prepend=-1) > 0
-    after_uniforms = odd & (k == 0) & ~(first & draws_reach)[:, None]
-    word = words[base[:, None] + (drawn >> 1) + negatives * (pair[:, None] - after_uniforms)]
-    slots, rejected = _bounded(
-        np.where(odd, word >> np.uint64(32), word & _LOW32), vocab_size)
-    if rejected.any():
-        return _draws_from_generator(seeds, walks, lengths, keep_probability, cfg, vocab_size)
-    if not slot_draws:
-        slots = np.zeros((len(pair), negatives), dtype=np.uint64)
-    before = reach_draws + (pair + 1) * slot_draws
-    uniforms = _uniforms(words[(base + (before + 1) // 2 + negatives * pair)[:, None]
-                               + np.arange(negatives)])
-    return kept, kept_lengths, reaches, slots.astype(np.int64), uniforms
-
-
-def _draws_from_generator(seeds, walks, lengths, keep_probability, cfg, vocab_size):
-    kept, reaches, slots, uniforms = [], [], [], []
-    for seed, walk in zip(seeds, np.split(walks, np.cumsum(lengths)[:-1])):
-        rng = np.random.default_rng(seed)
-        if keep_probability is not None:
-            walk = walk[rng.random(len(walk)) < keep_probability[walk]]
-        kept.append(walk)
-        length = len(walk)
-        for position in range(length):
-            reach = int(rng.integers(1, cfg.window + 1)) \
-                if cfg.dynamic_window and length > 1 else cfg.window
-            reaches.append(reach)
-            for _ in range(min(position, reach) + min(length - 1 - position, reach)):
-                slots.append(rng.integers(0, vocab_size, size=cfg.negatives))
-                uniforms.append(rng.random(cfg.negatives))
-    return (np.concatenate(kept), np.array([len(walk) for walk in kept], dtype=np.int64),
-            np.array(reaches, dtype=np.int64),
-            np.array(slots, dtype=np.int64).reshape(-1, cfg.negatives),
-            np.array(uniforms).reshape(-1, cfg.negatives))
 
 
 def attach_labels(matrix: EmbeddingMatrix, labels: Mapping[NodeId, str]) -> None:

@@ -50,13 +50,13 @@ class Footprint:
         object.__setattr__(self, "polygon", polygon)
         if len(polygon) < 3:
             raise BimvecError(f"footprint for {self.space_node!r} has fewer than 3 vertices")
+        if _self_intersects(polygon):
+            raise BimvecError(f"footprint for {self.space_node!r} is self-intersecting")
         if signed_area(polygon) <= 0:
             raise BimvecError(
                 f"footprint for {self.space_node!r} must be counter-clockwise "
                 "with positive area"
             )
-        if _self_intersects(polygon):
-            raise BimvecError(f"footprint for {self.space_node!r} is self-intersecting")
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:

@@ -977,6 +977,18 @@ def test_checkpoint_with_nan_entry_exits_3(runner, data_dir, checkpoint, tmp_pat
     assert f"{bad} has non-finite vector entries" in result.output
 
 
+def test_checkpoint_with_flipped_vector_byte_exits_3(runner, checkpoint, tmp_path):
+    """A finite value changed inside the vector table fails the CRC32."""
+    bad = tmp_path / "checkpoint.bin"
+    data = bytearray(checkpoint.read_bytes())
+    assert struct.unpack_from("<I", data, 4) == (2,)
+    data[16 + 4 * 3] ^= 0x01  # the lowest mantissa bit of the fourth entry
+    bad.write_bytes(bytes(data))
+    result = runner.invoke(main, ["query", str(bad), "cell:5:0:0"])
+    assert result.exit_code == 3, result.output
+    assert f"{bad} fails its CRC32 check" in result.output
+
+
 _CHECKPOINT_BYTES = [b"\x00", b"\xff", b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
                      b"\xff\xff\xff\x7f", b"\xff\xff\xff\xff", b"\x00\x00\x00\x00",
                      b"\x01\x00\x00\x00", b"BMV1", b"\xc3\x28", b"\x00\x01"]

@@ -1,6 +1,7 @@
 """Trainer tests: finite-difference gradient oracle, sampler frequencies,
-structural quality on the barbell fixture, determinism, and byte identity
-with a per-pair reference trainer and numpy's ``Generator`` draws."""
+structural quality on the barbell fixture, determinism, checkpoints, and
+byte identity with a per-pair reference trainer that reads the same draw
+rule from numpy's own ``random_raw``."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import itertools
+import struct
 
 from bimvec import sgns
 from bimvec.errors import BimvecError, InternalInvariantError
@@ -258,6 +260,21 @@ def test_checkpoint_rejects_wrong_length(tmp_path, cut, extra):
         EmbeddingMatrix.load(path)
 
 
+def test_version_1_checkpoint_loads(tmp_path):
+    """A checkpoint from before the CRC32 (version 1) still loads."""
+    vectors = np.arange(6, dtype="<f4").reshape(2, 3)
+    data = struct.pack("<4sIII", b"BMV1", 1, 3, 2) + vectors.tobytes() + (-vectors).tobytes()
+    for node_id, label in (("a", "ROOM"), ("b", "")):
+        data += struct.pack("<H", len(node_id)) + node_id.encode() \
+            + struct.pack("<H", len(label)) + label.encode()
+    path = tmp_path / "v1.bin"
+    path.write_bytes(data)
+    matrix = EmbeddingMatrix.load(path)
+    assert np.array_equal(matrix.vectors, vectors)
+    assert np.array_equal(matrix.context_vectors, -vectors)
+    assert (matrix.ids, matrix.labels) == (["a", "b"], {"a": "ROOM"})
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", ["initial_lr", "min_lr", "subsample_threshold"])
 def test_config_rejects_non_finite_rates(name, value):
@@ -276,136 +293,26 @@ def test_checkpoint_rejects_non_finite_entries(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# random draws: a block's random_raw calls reproduce the Generator calls
+# random draws
 # ---------------------------------------------------------------------------
 
-def generator_draws(seed, walk, keep_probability, cfg, vocab_size):
-    """The call sequence of the per-pair trainer, through ``Generator``."""
-    rng = np.random.default_rng(seed)
-    if keep_probability is not None:
-        walk = walk[rng.random(len(walk)) < keep_probability[walk]]
-    reaches, slots, uniforms = [], [], []
-    length = len(walk)
-    for pos in range(length if length > 1 else 0):
-        reach = int(rng.integers(1, cfg.window + 1)) if cfg.dynamic_window \
-            else cfg.window
-        reaches.append(reach)
-        for _ in range(min(pos, reach) + min(length - 1 - pos, reach)):
-            slots.append(rng.integers(0, vocab_size, size=cfg.negatives))
-            uniforms.append(rng.random(cfg.negatives))
-    return walk, reaches, slots, uniforms
+def test_initialization_equals_generator_random():
+    """The input table is what ``Generator.random`` gives on the same seed."""
+    for seed in (0, 7, 2 ** 40):
+        expected = (np.random.default_rng(seed).random((50, 16)) - 0.5) / 16
+        assert initial_vectors(50, 16, seed).tobytes() == expected.astype(np.float32).tobytes()
 
 
-def assert_same_draws(draws, expected):
-    walk, reaches, slots, uniforms = draws
-    want_walk, want_reaches, want_slots, want_uniforms = expected
-    assert walk.tolist() == want_walk.tolist()
-    if len(walk) < 2:
-        assert len(slots) == len(uniforms) == 0
-        return
-    assert reaches.tolist() == want_reaches
-    assert slots.tolist() == [row.tolist() for row in want_slots]
-    assert uniforms.tolist() == [row.tolist() for row in want_uniforms]
+def test_training_calls_no_generator(monkeypatch):
+    """Training reads raw bit-generator words only, with subsampling and the
+    dynamic window on."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("training made a numpy Generator")
 
-
-def _draw_cases(count, vocab_sizes, subsample=True):
-    rng = np.random.default_rng(2024)
-    for case in range(count):
-        vocab_size = int(rng.choice(vocab_sizes))
-        walk = rng.integers(0, min(vocab_size, 100), size=int(rng.integers(0, 30)))
-        keep = None
-        if subsample and case % 3 == 0:
-            keep = rng.random(vocab_size)
-        cfg = TrainConfig(window=int(rng.choice([1, 2, 3, 10])),
-                          negatives=int(rng.integers(1, 9)),
-                          dynamic_window=bool(case % 2))
-        yield int(rng.integers(0, 2 ** 63)), walk, keep, cfg, vocab_size
-
-
-def _block_of(cases):
-    """``block_draws`` arguments for the walks of ``cases``, each with its
-    own seed, under the first case's config, keep probabilities and
-    vocabulary."""
-    _, _, keep, cfg, vocab_size = cases[0]
-    walks = [walk % vocab_size for _, walk, *_ in cases]
-    return ([seed for seed, *_ in cases], np.concatenate(walks),
-            np.array([len(walk) for walk in walks], dtype=np.int64), keep, cfg, vocab_size)
-
-
-def assert_block_replays(block, draws):
-    """Compare a block's draws, walk by walk, with each walk's Generator calls."""
-    seeds, walks, lengths, keep, cfg, vocab_size = block
-    kept, kept_lengths, reaches, slots, uniforms = draws
-    assert len(kept_lengths) == len(seeds)
-    token = pair = 0
-    for seed, walk, length in zip(seeds, np.split(walks, np.cumsum(lengths)[:-1]),
-                                  kept_lengths.tolist()):
-        expected = generator_draws(seed, walk, keep, cfg, vocab_size)
-        pairs = len(expected[2])
-        assert_same_draws((kept[token:token + length], reaches[token:token + length],
-                           slots[pair:pair + pairs], uniforms[pair:pair + pairs]), expected)
-        token, pair = token + length, pair + pairs
-    assert (len(kept), len(reaches), len(slots), len(uniforms)) == (token, token, pair, pair)
-
-
-def _count_fallbacks(monkeypatch) -> list:
-    """Record each call of the ``Generator`` fallback, which still runs."""
-    calls, fallback = [], sgns._draws_from_generator
-    monkeypatch.setattr(sgns, "_draws_from_generator",
-                        lambda *args: calls.append(args) or fallback(*args))
-    return calls
-
-
-def test_words_replay_generator_calls(monkeypatch):
-    """Reaches, slots and uniforms read from the PCG64 words of a block of
-    walks equal each walk's Generator calls, with and without subsampling,
-    including a one-node vocabulary and window 1, where a range of one
-    consumes nothing, and walks left with 0 or 1 tokens."""
-    fallbacks = _count_fallbacks(monkeypatch)
-    cases = list(_draw_cases(300, [1, 2, 3, 5, 37, 1000, 65_537]))
-    for index, case in enumerate(cases):
-        for block in (_block_of([case]), _block_of(cases[index:index + 4])):
-            assert_block_replays(block, sgns.block_draws(*block))
-    # at these sizes a rejection has odds of about n / 2**32 per draw, and
-    # these seeded cases meet none: every block was read from its words
-    assert fallbacks == []
-
-
-def test_bounded_draw_rejects_where_numpy_redraws():
-    """At n = 3 * 2**30 a quarter of 32-bit draws are rejected; the accepted
-    ones, in order, are what ``integers(0, n)`` returns."""
-    n = 3 * 2 ** 30
-    for seed in range(20):
-        words = np.random.PCG64(seed).random_raw(200)
-        halves = np.stack((words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)),
-                          axis=1).reshape(-1)
-        values, rejected = sgns._bounded(halves, n)
-        assert 0.15 < rejected.mean() < 0.35
-        accepted = values[~rejected].astype(np.int64)
-        expected = np.random.default_rng(seed).integers(0, n, size=len(accepted))
-        assert accepted.tolist() == expected.tolist()
-
-
-def test_walk_with_rejected_draw_uses_generator_calls(monkeypatch):
-    """A block with a rejected draw is drawn through the Generator calls,
-    also when it mixes rejected walks with clean ones."""
-    fallbacks = _count_fallbacks(monkeypatch)
-    cases = list(_draw_cases(40, [3 * 2 ** 30], subsample=False))
-    for case in cases:
-        block = _block_of([case])
-        assert_block_replays(block, sgns.block_draws(*block))
-    assert len(fallbacks) >= 20
-    _, _, keep, cfg, vocab_size = cases[0]
-    clean = []
-    for seed, walk, *_ in cases:
-        before = len(fallbacks)
-        sgns.block_draws(*_block_of([(seed, walk, keep, cfg, vocab_size)]))
-        clean.append(len(fallbacks) == before)
-    assert any(clean) and not all(clean)
-    mixed = _block_of(cases)
-    before = len(fallbacks)
-    assert_block_replays(mixed, sgns.block_draws(*mixed))
-    assert len(fallbacks) == before + 1
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    matrix = train(_barbell_corpus(), TrainConfig(dimension=8, epochs=2, seed=5,
+                                                  subsample_threshold=0.05))
+    assert np.isfinite(matrix.vectors).all() and len(matrix.epoch_losses) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +320,10 @@ def test_walk_with_rejected_draw_uses_generator_calls(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
-    """SGNS one (center, context) pair at a time: one ``sample_many`` call
-    on the negative table, one ``pair_loss_and_grads`` call and one
-    ``np.add.at`` each."""
+    """SGNS one (center, context) pair at a time: each walk reads its PCG64
+    stream in training order (subsampling, reaches, then per pair the slot
+    and alias uniforms, resolved through the negative table), with one
+    ``pair_loss_and_grads`` call and one ``np.add.at`` per pair."""
     ids = sorted({nid for walk in corpus.walks for nid in walk})
     syn0 = initial_vectors(len(ids), cfg.dimension, cfg.seed)
     syn1 = np.zeros((len(ids), cfg.dimension), dtype=np.float32)
@@ -428,6 +336,10 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
 
     def walk_pairs(length):
         return sum(full_pairs(length, pos) for pos in range(length))
+
+    def uniforms(stream, count):
+        """(x >> 11) * 2**-53 for each of the stream's next ``count`` words x."""
+        return [(int(word) >> 11) * 2.0 ** -53 for word in stream.random_raw(count)]
 
     epoch_pairs = sum(walk_pairs(len(walk)) for walk in walks)
     if epoch_pairs == 0:
@@ -445,27 +357,31 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     for epoch in range(cfg.epochs):
         loss_total, pair_total = 0.0, 0
         for walk_index, walk in enumerate(walks):
-            rng = np.random.default_rng(substream_seed(cfg.seed, epoch, walk_index))
+            stream = np.random.PCG64(substream_seed(cfg.seed, epoch, walk_index))
             progress = offset
             offset += walk_pairs(len(walk))
             if keep_probability is not None:
-                walk = walk[rng.random(len(walk)) < keep_probability[walk]]
-            loss_sum = 0.0
+                walk = walk[np.array(uniforms(stream, len(walk))) < keep_probability[walk]]
             length = len(walk)
+            reaches = [1 + int(u * cfg.window) for u in uniforms(stream, length)] \
+                if cfg.dynamic_window else [cfg.window] * length
+            loss_sum = 0.0
             for pos in range(length):
                 full = full_pairs(length, pos)
                 if full == 0:
                     continue
                 lr = max(cfg.min_lr,
                          cfg.initial_lr - span * progress / total_progress)
-                reach = cfg.window if not cfg.dynamic_window \
-                    else int(rng.integers(1, cfg.window + 1))
+                reach = reaches[pos]
                 center = int(walk[pos])
                 for o_pos in range(max(0, pos - reach), min(length, pos + reach + 1)):
                     if o_pos == pos:
                         continue
                     positive = int(walk[o_pos])
-                    negatives = table.sample_many(rng, cfg.negatives)
+                    draws = uniforms(stream, 2 * cfg.negatives)
+                    negatives = table.resolve(
+                        np.array([int(u * len(ids)) for u in draws[:cfg.negatives]]),
+                        np.array(draws[cfg.negatives:]))
                     negatives = negatives[negatives != positive]
                     v = syn0[center]
                     loss, grad_v, grad_pos, grad_negs = pair_loss_and_grads(

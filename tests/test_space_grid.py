@@ -96,8 +96,13 @@ def test_invalid_polygons_rejected():
     ccw = "^footprint for 's' must be counter-clockwise with positive area$"
     with pytest.raises(BimvecError, match=ccw):  # clockwise
         Footprint("s", ((0, 0), (0, 4), (4, 4), (4, 0)))
-    with pytest.raises(BimvecError, match=ccw):  # bowtie, zero signed area
+    crossing = "^footprint for 's' is self-intersecting$"
+    with pytest.raises(BimvecError, match=crossing):  # bowtie, zero signed area
         Footprint("s", ((0, 0), (2, 2), (2, 0), (0, 2)))
+    clockwise_bowtie = ((0, 0), (0, 4), (4, 0), (4, 2))
+    assert space_grid.signed_area(clockwise_bowtie) < 0
+    with pytest.raises(BimvecError, match=crossing):
+        Footprint("s", clockwise_bowtie)
 
 
 def test_cell_size_must_be_positive():
