@@ -20,7 +20,7 @@ import click
 from . import space_grid, temporal
 from .config import RunConfig, load_config
 from .errors import BimvecError, ConfigError, InternalInvariantError
-from .fileio import atomic_open, atomic_write_text, read_json
+from .fileio import atomic_open, atomic_write_text, read_json, read_text, text_lines
 from .graph import PropertyGraph
 from .ifc_graph import attach_properties, build_graph
 from .step_parser import parse_step_file, serialize_step, validate_references
@@ -34,20 +34,6 @@ SENSOR_LABEL = "SENSOR"
 _EXIT_USAGE = 2
 _EXIT_DATA = 3
 _EXIT_INTERNAL = 4
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("BIMVEC_LOG", "INFO").upper()
-    level = getattr(logging, level_name, logging.INFO)
-    root = logging.getLogger()
-    # Rebind the handler each invocation so the stream follows the current
-    # sys.stderr (test runners swap it per command).
-    for handler in list(root.handlers):
-        root.removeHandler(handler)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root.addHandler(handler)
-    root.setLevel(level)
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -81,7 +67,11 @@ def _command(fn):
 @click.pass_context
 def main(ctx, config_path):
     """Convert IFC building models into property graphs and embeddings."""
-    _setup_logging()
+    # force=True rebinds the handler each invocation so the stream follows
+    # the current sys.stderr (test runners swap it per command).
+    logging.basicConfig(
+        level=getattr(logging, os.environ.get("BIMVEC_LOG", "INFO").upper(), logging.INFO),
+        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr, force=True)
     try:
         ctx.obj = load_config(config_path) if config_path else RunConfig()
     except ConfigError as exc:
@@ -232,13 +222,9 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
 
 
 def _read_graph(path) -> PropertyGraph:
-    with open(path, "rb") as fp:
-        data = fp.read()
+    text = read_text(path)
     try:
-        return PropertyGraph.from_text(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise BimvecError(f"{path}, line {line_no}: not UTF-8 text") from None
+        return PropertyGraph.from_text(text)
     except (BimvecError, ValueError) as exc:
         raise BimvecError(f"{path}: {exc}") from None
 
@@ -266,22 +252,21 @@ def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
     if missing:
         raise BimvecError(f"{path}: node_index lacks base node {missing[0]!r}")
     path = os.path.join(store_dir, "tensor.csv")
-    with open(path, encoding="utf-8", errors="replace") as fp:
-        if fp.readline().rstrip("\n") != "t,i,j,w":
-            raise BimvecError(f"{path}, line 1: expected the header t,i,j,w")
-        return temporal.union_graph(base, order, _tensor_rows(fp, path, windows, len(order)),
-                                    windows)
+    lines = text_lines(path)
+    if next(lines, "").rstrip("\r\n") != "t,i,j,w":
+        raise BimvecError(f"{path}, line 1: expected the header t,i,j,w")
+    return temporal.union_graph(base, order, _tensor_rows(lines, path, windows, len(order)),
+                                windows)
 
 
-def _tensor_rows(fp, path, windows: int, nodes: int):
+def _tensor_rows(lines, path, windows: int, nodes: int):
     """The (t, i, j, w) records of ``tensor.csv`` after its header, checked."""
-    for line_no, line in enumerate(fp, start=2):
+    for line_no, line in enumerate(lines, start=2):
         try:
             t, i, j, w = line.split(",")
             t, i, j, w = int(t), int(i), int(j), float(w)
         except ValueError as exc:
-            reason = "not UTF-8 text" if "\ufffd" in line else exc
-            raise BimvecError(f"{path}, line {line_no}: {reason}") from None
+            raise BimvecError(f"{path}, line {line_no}: {exc}") from None
         if not (0 <= t < windows and 0 <= i < j < nodes and math.isfinite(w)):
             raise BimvecError(
                 f"{path}, line {line_no}: need 0 <= t < {windows}, "

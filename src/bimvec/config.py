@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .errors import BimvecError, ConfigError
+from .fileio import text_lines
 from .graph import check_token
 from .ifc_graph import DEFAULT_OBJECT_PREFIXES, RelationMapping, RelationRule
 from .walks import WalkConfig
@@ -56,7 +58,7 @@ class RunConfig:
         if self.adjacency not in ("rook", "queen"):
             raise ConfigError(f"adjacency must be rook or queen, "
                               f"got {self.adjacency!r}")
-        if self.flatten != "union" and not self.flatten.startswith("slice:"):
+        if not re.fullmatch(r"union|slice:-?\d+", self.flatten):
             raise ConfigError(f"flatten must be union or slice:<t>, "
                               f"got {self.flatten!r}")
 
@@ -92,10 +94,7 @@ class RunConfig:
     def flatten_mode(self) -> tuple[str, int | None]:
         if self.flatten == "union":
             return "union", None
-        try:
-            return "slice", int(self.flatten.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad flatten value {self.flatten!r}") from None
+        return "slice", int(self.flatten[len("slice:"):])
 
     def updated(self, **overrides) -> "RunConfig":
         """New config with non-None override values applied."""
@@ -136,10 +135,9 @@ def load_config(path) -> RunConfig:
     overrides: dict[str, RelationRule] = {}
     field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            lines = fp.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        lines = list(text_lines(path))
+    except BimvecError as exc:
+        raise ConfigError(str(exc)) from None
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     for line_no, line in enumerate(lines, start=1):
@@ -161,8 +159,8 @@ def load_config(path) -> RunConfig:
         values["relation_overrides"] = overrides
     try:
         return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_rule(raw: str, where: str) -> RelationRule:

@@ -1,5 +1,6 @@
-"""Atomic file writes (temp file, then rename); JSON and CSV reads naming the
-file."""
+"""Atomic file writes (temp file, then rename), and the one input-text rule:
+every file is UTF-8, its lines end at ``\n``, and a byte that is not UTF-8
+raises ``BimvecError`` as ``path, line N: not UTF-8 text``."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import json
 import os
 import re
 import tempfile
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import BimvecError
 
@@ -46,26 +47,38 @@ def atomic_write_text(path, text: str) -> None:
         fp.write(text)
 
 
+def _not_utf8(path, line_no: int) -> BimvecError:
+    return BimvecError(f"{path}, line {line_no}: not UTF-8 text")
+
+
+def read_text(path) -> str:
+    """The whole of ``path`` as text, decoded in one pass."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def text_lines(path) -> Iterator[str]:
+    """The lines of ``path``, each ending at ``\n`` only, read as they are
+    needed. Surrogateescape decodes a byte that is not UTF-8 to a lone
+    surrogate, which only a line that is not ASCII can hold."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise _not_utf8(path, line_no)
+            yield line
+
+
 def read_json(path):
-    with open(path, encoding="utf-8") as fp:
-        try:
-            return json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None
-        except RecursionError:
-            raise BimvecError(f"{path}: JSON nested too deeply") from None
-        except UnicodeDecodeError as exc:
-            raise BimvecError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-
-
-def _utf8_lines(fp, path):
-    """The lines of ``fp``, opened with ``errors="surrogateescape"``; a byte
-    that is not UTF-8 decodes to a lone surrogate, which raises
-    ``BimvecError`` as ``path, line N: not UTF-8 text``."""
-    for line_no, line in enumerate(fp, start=1):
-        if _NOT_UTF8.search(line):
-            raise BimvecError(f"{path}, line {line_no}: not UTF-8 text")
-        yield line
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise BimvecError(f"{path}, line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise BimvecError(f"{path}: JSON nested too deeply") from None
 
 
 def read_csv(path, header: str, min_fields: int, parse: Callable[[list[str]], object]) -> list:
@@ -75,18 +88,17 @@ def read_csv(path, header: str, min_fields: int, parse: Callable[[list[str]], ob
     module cannot read raise ``BimvecError`` as ``path, row N: reason``; a
     byte that is not UTF-8 as ``path, line N: not UTF-8 text``."""
     out = []
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
-        rows = csv.reader(_utf8_lines(fp, path))
-        for row_no in itertools.count(1):
-            try:
-                row = next(rows, None)
-                if row is None:
-                    return out
-                row = [cell.strip() for cell in row]
-                if not any(row) or (row_no == 1 and row[0] == header):
-                    continue
-                if len(row) < min_fields:
-                    raise ValueError(f"has {len(row)} fields, expected at least {min_fields}")
-                out.append(parse(row))
-            except (csv.Error, ValueError) as exc:
-                raise BimvecError(f"{path}, row {row_no}: {exc}") from None
+    rows = csv.reader(text_lines(path))
+    for row_no in itertools.count(1):
+        try:
+            row = next(rows, None)
+            if row is None:
+                return out
+            row = [cell.strip() for cell in row]
+            if not any(row) or (row_no == 1 and row[0] == header):
+                continue
+            if len(row) < min_fields:
+                raise ValueError(f"has {len(row)} fields, expected at least {min_fields}")
+            out.append(parse(row))
+        except (csv.Error, ValueError) as exc:
+            raise BimvecError(f"{path}, row {row_no}: {exc}") from None

@@ -188,7 +188,7 @@ class PropertyGraph:
     @classmethod
     def from_text(cls, text: str) -> "PropertyGraph":
         graph = cls()
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             fields = line.split("\t")

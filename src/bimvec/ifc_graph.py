@@ -16,11 +16,11 @@ from typing import Mapping
 from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
 from .step_parser import (
-    EntityRef,
     EnumToken,
     StepEntity,
     StepModel,
     TypedValue,
+    reference_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -171,18 +171,7 @@ def _object_attributes(entity: StepEntity) -> dict:
 def _refs_at(entity: StepEntity, index: int) -> list[int]:
     if index >= len(entity.attributes):
         return []
-    return _flatten_refs(entity.attributes[index])
-
-
-def _flatten_refs(value) -> list[int]:
-    if isinstance(value, EntityRef):
-        return [value.entity_id]
-    if isinstance(value, list):
-        out: list[int] = []
-        for item in value:
-            out.extend(_flatten_refs(item))
-        return out
-    return []
+    return list(reference_ids(entity.attributes[index]))
 
 
 # ---------------------------------------------------------------------------

@@ -164,18 +164,18 @@ class EmbeddingMatrix:
             .reshape(vocab_size, dimension).copy() for _ in range(2))
         if not (np.isfinite(vectors).all() and np.isfinite(context).all()):
             raise ValueError(f"{path} has non-finite vector entries")
-        ids: list[NodeId] = []
-        labels: dict[NodeId, str] = {}
-        for _ in range(vocab_size):
-            node_id = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
-            label = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
-            ids.append(node_id)
-            if label:
-                labels[node_id] = label
+        # each node's id, then its label; decoded once the CRC32 has passed
+        entries = [take(struct.unpack("<H", take(2))[0]) for _ in range(2 * vocab_size)]
         if offset != end:
             raise ValueError(f"{path} has {end - offset} bytes after its vocabulary")
         if version > 1 and zlib.crc32(data[16:end]) != struct.unpack_from("<I", data, end)[0]:
             raise ValueError(f"{path} fails its CRC32 check")
+        try:
+            ids = [entry.decode("utf-8") for entry in entries[0::2]]
+            labels = {node_id: label.decode("utf-8")
+                      for node_id, label in zip(ids, entries[1::2]) if label}
+        except UnicodeDecodeError:
+            raise ValueError(f"{path} has a vocabulary entry that is not UTF-8 text") from None
         return cls(vectors, context, ids, labels)
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import BimvecError
+from .fileio import read_text
 
 logger = logging.getLogger(__name__)
 
@@ -337,26 +338,19 @@ class _Parser:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def parse_step(source: bytes | str) -> StepModel:
-    """Parse a complete STEP file into a :class:`StepModel`.
+def parse_step(source: str) -> StepModel:
+    """Parse the text of a complete STEP file into a :class:`StepModel`.
 
-    ``source`` is the file content as bytes (decoded as UTF-8) or text.
     Raises :class:`BimvecError` for missing sentinels or sections and, with
     a 1-based ``(line L, column C)`` suffix, for lexical and grammatical
     problems and a repeated id.
     """
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BimvecError(f"file is not valid UTF-8: {exc}") from None
     return _Parser(source).parse_file()
 
 
 def parse_step_file(path) -> StepModel:
     """Read and parse a ``.ifc`` file from disk."""
-    with open(path, "rb") as fp:
-        return parse_step(fp.read())
+    return parse_step(read_text(path))
 
 
 def validate_references(model: StepModel) -> list[tuple[int, int]]:
@@ -367,20 +361,22 @@ def validate_references(model: StepModel) -> list[tuple[int, int]]:
     """
     dangling: set[tuple[int, int]] = set()
     for entity in model.in_id_order():
-        for ref_id in _iter_reference_ids(entity.attributes):
+        for ref_id in reference_ids(entity.attributes):
             if ref_id not in model.entities:
                 dangling.add((entity.id, ref_id))
     return sorted(dangling)
 
 
-def _iter_reference_ids(value: StepValue) -> Iterator[int]:
+def reference_ids(value: StepValue) -> Iterator[int]:
+    """The entity ids ``value`` refers to, in order, within lists and typed
+    values too."""
     if isinstance(value, EntityRef):
         yield value.entity_id
     elif isinstance(value, list):
         for item in value:
-            yield from _iter_reference_ids(item)
+            yield from reference_ids(item)
     elif isinstance(value, TypedValue):
-        yield from _iter_reference_ids(value.value)
+        yield from reference_ids(value.value)
 
 
 # ---------------------------------------------------------------------------

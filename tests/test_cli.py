@@ -709,7 +709,7 @@ def test_non_utf8_json_names_file(runner, data_dir, tmp_path, name):
     path.write_bytes(text[:7] + b"\xff" + text[7:])
     result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
-    assert f"{path}: not UTF-8 text at byte 7" in result.output
+    assert f"error: {path}, line 2: not UTF-8 text\n" in result.output
 
 
 _JSON_FUZZ_FIELDS = [
@@ -895,6 +895,27 @@ def test_non_utf8_graph_file_names_line(runner, data_dir, tmp_path, name, source
     assert f"error: {path}, line 2: not UTF-8 text\n" in result.output
 
 
+@pytest.mark.parametrize("sensor_id", ["s\u20281", "s\f1"], ids=["line-separator", "form-feed"])
+def test_graph_file_with_any_id_reads_back(runner, data_dir, tmp_path, sensor_id):
+    """Graph records end at a newline only, the one character besides
+    space, tab and carriage return that an id may not hold."""
+    manifest = json.loads((data_dir / "two_space.sensors.json").read_text())
+    manifest["sensors"][0]["id"] = sensor_id
+    sensors = tmp_path / "sensors.json"
+    sensors.write_text(json.dumps(manifest))
+    graph_file, store_dir = tmp_path / "graph.tsv", tmp_path / "store"
+    for args in (["graph", str(data_dir / "two_space.ifc"),
+                  "--footprints", str(data_dir / "two_space.footprints.json"),
+                  "--sensors", str(sensors), "--out", str(graph_file), "--cell-size", "2.0"],
+                 ["snapshot", str(graph_file), "--fixes", str(data_dir / "fixes.csv"),
+                  "--out", str(store_dir)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    _embed(runner, graph_file, tmp_path / "emb")
+    metadata = (tmp_path / "emb" / "metadata.tsv").read_text(encoding="utf-8")
+    assert f"\nsensor:{sensor_id}\tSENSOR\t" in metadata
+
+
 def test_embed_store_bad_base_record_names_file(runner, data_dir, tmp_path):
     store_dir = _build_store(runner, data_dir, tmp_path)
     path = store_dir / "base.tsv"
@@ -987,6 +1008,26 @@ def test_checkpoint_with_flipped_vector_byte_exits_3(runner, checkpoint, tmp_pat
     result = runner.invoke(main, ["query", str(bad), "cell:5:0:0"])
     assert result.exit_code == 3, result.output
     assert f"{bad} fails its CRC32 check" in result.output
+
+
+def test_checkpoint_with_non_utf8_vocabulary_byte_fails_its_crc32(runner, checkpoint, tmp_path):
+    """The CRC32 is checked before the vocabulary is decoded."""
+    bad = tmp_path / "checkpoint.bin"
+    data = bytearray(checkpoint.read_bytes())
+    data[-10] = 0xff  # inside the last vocabulary entry
+    bad.write_bytes(bytes(data))
+    result = runner.invoke(main, ["query", str(bad), "cell:5:0:0"])
+    assert result.exit_code == 3, result.output
+    assert f"{bad} fails its CRC32 check" in result.output
+
+
+def test_version_1_checkpoint_with_non_utf8_id_names_file(runner, tmp_path):
+    path = tmp_path / "v1.bin"
+    data = struct.pack("<4sIII", b"BMV1", 1, 2, 1) + struct.pack("<4f", 1, 0, 0, 1)
+    path.write_bytes(data + struct.pack("<H", 2) + b"a\xff" + struct.pack("<H", 0))
+    result = runner.invoke(main, ["query", str(path), "a"])
+    assert result.exit_code == 3, result.output
+    assert f"error: {path} has a vocabulary entry that is not UTF-8 text\n" in result.output
 
 
 _CHECKPOINT_BYTES = [b"\x00", b"\xff", b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
@@ -1106,7 +1147,10 @@ def test_negative_train_seed_exits_3_naming_seed(runner, data_dir, tmp_path):
     (b"step=60\nrelation.IFCRELAGGREGATES=AGG:4:-2\n", ":2: relation rule indices must be >= 0"),
     (b"relation.IFCRELAGGREGATES=AG\tG:4:5\n", "invalid relation label 'AG\\tG'"),
     (b"relation.IFCRELAGGREGATES=:4:5\n", "invalid relation label ''"),
-], ids=["non-utf8", "negative-relating", "negative-related", "tab-in-label", "empty-label"])
+    (b"adjacency=hex\n", "adjacency must be rook or queen, got 'hex'"),
+    (b"flatten=slice:abc\n", "flatten must be union or slice:<t>, got 'slice:abc'"),
+], ids=["non-utf8", "negative-relating", "negative-related", "tab-in-label", "empty-label",
+        "bad-adjacency", "bad-flatten"])
 def test_bad_config_file_exits_2_naming_it(runner, data_dir, tmp_path, text, message):
     """A config file that cannot be read, or a relation rule that would
     read from the end of the attribute list or write a graph file nothing

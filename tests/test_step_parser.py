@@ -177,10 +177,11 @@ def test_complex_instances_rejected_with_position():
         parse_step(wrap("#1=(IFCA(0) IFCB(1));"))
 
 
-def test_invalid_bytes_are_malformed():
-    with pytest.raises(BimvecError, match="^file is not valid UTF-8: 'utf-8' codec can't "
-                                          "decode byte 0xff in position 0: invalid start byte$"):
-        parse_step(b"\xff\xfe\x00 not utf8")
+def test_invalid_bytes_are_malformed(tmp_path):
+    path = tmp_path / "model.ifc"
+    path.write_bytes(b"ISO-10303-21;\n\xff\xfe\x00 not utf8")
+    with pytest.raises(BimvecError, match=rf"^{re.escape(str(path))}, line 2: not UTF-8 text$"):
+        parse_step_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def _independent_record_count(raw: str) -> int:
 
 
 def test_parse_is_deterministic(data_dir):
-    raw = (data_dir / "two_space.ifc").read_bytes()
+    raw = (data_dir / "two_space.ifc").read_text(encoding="utf-8")
     first = parse_step(raw)
     second = parse_step(raw)
     assert first.entities == second.entities

@@ -3,11 +3,17 @@ hand-built expected structures."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bimvec.cli import main
+from bimvec.config import RunConfig
 from bimvec.errors import BimvecError
 from bimvec import graph as graph_module
 from bimvec.graph import PropertyGraph
@@ -463,3 +469,43 @@ def test_load_fixes_csv(data_dir):
     assert fixes[0].space_node == "5"
     assert fixes[0].feedback == "comfortable"
     assert fixes[2].feedback is None  # blank feedback column
+
+
+def test_snapshot_store_equals_reference_path(tmp_path, monkeypatch):
+    """On bench/gen.py's tower-timeline inputs (36 windows), every file
+    ``bimvec snapshot`` writes equals the one written from
+    ``build_snapshots``, each snapshot graph's ``to_text`` and
+    ``adjacency_tensor``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import gen
+
+    inputs = gen.tower(str(tmp_path / "inputs"), 1)
+    paths, step = inputs["paths"], inputs["step"]
+    graph_path, store = tmp_path / "graph.tsv", tmp_path / "store"
+    for args in (["graph", paths["ifc"], "--footprints", paths["footprints"],
+                  "--sensors", paths["sensors"], "--cell-size", str(inputs["cell_size"]),
+                  "--out", str(graph_path)],
+                 ["snapshot", str(graph_path), "--readings", paths["readings"],
+                  "--fixes", paths["fixes"], "--step", str(step), "--out", str(store)]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+
+    base = PropertyGraph.from_text(graph_path.read_text(encoding="utf-8"))
+    cfg = RunConfig()
+    tg = build_snapshots(base, spaces_from_graph(base), load_readings_csv(paths["readings"]),
+                         load_fixes_csv(paths["fixes"]), step,
+                         occupant_radius=cfg.occupant_radius, max_gap=cfg.max_gap)
+    export = adjacency_tensor(tg)
+    reference = {
+        "base.tsv": base.to_text(),
+        "manifest.json": json.dumps({**export.manifest, "step": step}, indent=2) + "\n",
+        "tensor.csv": "t,i,j,w\n" + "".join(f"{t},{i},{j},{w!r}\n"
+                                            for t, i, j, w in export.records),
+    }
+    for t, snapshot in enumerate(tg.snapshots):
+        reference[f"snapshots/{t:06d}.tsv"] = snapshot.graph.to_text()
+    assert len(tg) == 36
+    written = sorted(p.relative_to(store).as_posix() for p in store.rglob("*") if p.is_file())
+    assert written == sorted(reference)
+    for name, text in reference.items():
+        assert (store / name).read_bytes() == text.encode("utf-8"), name
