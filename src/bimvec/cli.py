@@ -22,10 +22,7 @@ from .config import RunConfig, load_config
 from .errors import BimvecError, ConfigError, InternalInvariantError
 from .fileio import atomic_open, atomic_write_text, read_json, read_text, text_lines
 from .graph import PropertyGraph
-from .ifc_graph import attach_properties, build_graph
-from .step_parser import parse_step_file, serialize_step, validate_references
 from .temporal import build_snapshots
-from .walks import generate_walks
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +88,8 @@ def main(ctx, config_path):
 @_command
 def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
     """Parse an IFC file and print an entity summary."""
+    from .step_parser import parse_step_file, serialize_step, validate_references
+
     _echo_config(cfg)
     model = parse_step_file(ifc_path)
     type_counts: dict[str, int] = {}
@@ -127,6 +126,9 @@ def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
 def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
               out_path, cell_size, strict):
     """Build the building property graph with cells and sensors."""
+    from .ifc_graph import attach_properties, build_graph
+    from .step_parser import parse_step_file
+
     cfg = cfg.updated(cell_size=cell_size, strict=strict)
     _echo_config(cfg)
     model = parse_step_file(ifc_path)
@@ -305,6 +307,7 @@ def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
     """Walk a graph (or flattened temporal store) and train embeddings."""
     from .sgns import attach_labels, train
     from .store import export_projector
+    from .walks import generate_walks
 
     cfg = cfg.updated(flatten=flatten_mode, **overrides)
     _echo_config(cfg)

@@ -17,13 +17,51 @@ from typing import TYPE_CHECKING
 from .errors import BimvecError, ConfigError
 from .fileio import text_lines
 from .graph import check_token
-from .ifc_graph import DEFAULT_OBJECT_PREFIXES, RelationMapping, RelationRule
-from .walks import WalkConfig
 
 if TYPE_CHECKING:
+    from .ifc_graph import RelationMapping
     from .sgns import TrainConfig
+    from .walks import WalkConfig
 
 logger = logging.getLogger(__name__)
+
+
+# The relation rule record and the object whitelist live here rather than in
+# ``ifc_graph``, so that a command that builds no graph never loads it or the
+# STEP parser.
+@dataclass(frozen=True)
+class RelationRule:
+    """How one relationship entity type expands into edges.
+
+    ``relating_index``/``related_index`` are attribute positions holding an
+    entity reference or an aggregate of references; every (relating, related)
+    pair becomes one edge labeled ``edge_label``.
+    """
+
+    edge_label: str
+    relating_index: int
+    related_index: int
+
+
+# Lexical whitelist of node-worthy object types; any entity whose type name
+# starts with one of these becomes a graph node.
+DEFAULT_OBJECT_PREFIXES: tuple[str, ...] = (
+    "IFCSPACE",
+    "IFCWALL",
+    "IFCDOOR",
+    "IFCWINDOW",
+    "IFCSLAB",
+    "IFCCOVERING",
+    "IFCBUILDING",
+    "IFCSITE",
+    "IFCFLOW",
+    "IFCOPENINGELEMENT",
+    "IFCROOF",
+    "IFCSTAIR",
+    "IFCCOLUMN",
+    "IFCBEAM",
+    "IFCFURNISHINGELEMENT",
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +103,8 @@ class RunConfig:
     # -- derived module configs ---------------------------------------------
 
     def walk_config(self) -> WalkConfig:
+        from .walks import WalkConfig  # the walker loads only for commands that walk
+
         return WalkConfig(self.p, self.q, self.walk_length,
                           self.walks_per_node, self.walk_seed)
 
@@ -84,6 +124,8 @@ class RunConfig:
         )
 
     def relation_mapping(self) -> RelationMapping:
+        from .ifc_graph import RelationMapping  # and the IFC mapping for `graph`
+
         mapping = RelationMapping(object_prefixes=self.object_prefixes)
         if self.relation_overrides:
             rules = dict(mapping.rules)

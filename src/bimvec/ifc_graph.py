@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .config import DEFAULT_OBJECT_PREFIXES, RelationRule
 from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
 from .step_parser import (
@@ -25,21 +26,6 @@ from .step_parser import (
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class RelationRule:
-    """How one relationship entity type expands into edges.
-
-    ``relating_index``/``related_index`` are attribute positions holding an
-    entity reference or an aggregate of references; every (relating, related)
-    pair becomes one edge labeled ``edge_label``.
-    """
-
-    edge_label: str
-    relating_index: int
-    related_index: int
-
-
 DEFAULT_RELATION_RULES: dict[str, RelationRule] = {
     "IFCRELAGGREGATES": RelationRule("AGGREGATES", 4, 5),
     "IFCRELCONTAINEDINSPATIALSTRUCTURE": RelationRule("CONTAINS", 5, 4),
@@ -48,26 +34,6 @@ DEFAULT_RELATION_RULES: dict[str, RelationRule] = {
     "IFCRELSPACEBOUNDARY": RelationRule("BOUNDED_BY", 4, 5),
     "IFCRELCONNECTSELEMENTS": RelationRule("CONNECTS", 5, 6),
 }
-
-# Lexical whitelist of node-worthy object types; any entity whose type name
-# starts with one of these becomes a graph node.
-DEFAULT_OBJECT_PREFIXES: tuple[str, ...] = (
-    "IFCSPACE",
-    "IFCWALL",
-    "IFCDOOR",
-    "IFCWINDOW",
-    "IFCSLAB",
-    "IFCCOVERING",
-    "IFCBUILDING",
-    "IFCSITE",
-    "IFCFLOW",
-    "IFCOPENINGELEMENT",
-    "IFCROOF",
-    "IFCSTAIR",
-    "IFCCOLUMN",
-    "IFCBEAM",
-    "IFCFURNISHINGELEMENT",
-)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,25 @@ Training runs single-threaded, one seeded substream per (epoch, walk), and
 yields bit-identical embeddings for identical inputs.
 
 Kernel. Walks train in blocks of about ``_BLOCK_PAIRS`` pairs. A block's
-draws, pair positions, negatives and learning rates are computed at once;
-then its pairs are applied one at a time, in walk order, so every update
-sees the ones before it. Per pair the loop only gathers the ``syn1`` rows of
-the positive and the kept negatives (those unequal to the positive), takes
-``rows @ v``, the clamped sigmoid, ``dscores @ rows`` and the outer product
-with ``v`` in ``pair_loss_and_grads``'s float32 operations and order, and
-writes the rows back: by assignment when their indices are distinct, by
-``np.subtract.at`` when a negative repeats. Losses are computed after the
-block from the stored sigmoids and summed pair by pair, walk by walk.
+draws, pair positions, negatives and learning rates are computed at once.
+A pair's rows are the ``syn1`` rows of its positive and of the negatives
+unequal to it. Each walk's pairs, in training order, then go in batches of
+``width = min(32, max(1, floor(0.8 / initial_lr)))`` consecutive pairs, its
+last batch shorter; a batch never spans two walks, so the bytes do not
+depend on the blocks. Since lr only decays, lr × width <= 0.8 at every step
+(Hogwild, Recht et al. 2011, and HogBatch, Ji et al. 2016, batch SGNS on the
+same ground: a stale read does little harm when steps are small).
+
+At width 1 (``initial_lr`` above 0.4) pairs apply one at a time, so every
+update sees the ones before it: the loop takes ``rows @ v``, the clamped
+sigmoid, ``dscores @ rows`` and the outer product with ``v`` in
+``pair_loss_and_grads``'s float32 operations and order, and writes the rows
+back, by ``np.subtract.at`` when a negative repeats. At a larger width every
+pair of a batch reads the rows as they were at the batch's start and takes
+the same float32 quantities, each row's score by a float32 dot product and
+the center gradient summed in row order; the batch's updates are then
+subtracted in pair order by ``np.subtract.at``. Losses are computed after
+the block from the stored sigmoids and summed pair by pair, walk by walk.
 
 Draws. Walk w of epoch e reads ``PCG64(substream_seed(seed, e, w))`` in
 training order: one uniform per token for subsampling (threshold > 0 only),
@@ -43,14 +53,16 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BimvecError, InternalInvariantError
 from .fileio import atomic_write_bytes
 from .graph import NodeId
-from .walks import AliasTable, WalkCorpus, substream_seed
+
+if TYPE_CHECKING:
+    from .walks import AliasTable, WalkCorpus
 
 logger = logging.getLogger(__name__)
 
@@ -187,6 +199,8 @@ def negative_table(counts: Sequence[float]) -> AliasTable:
     """Alias table drawing dense index i with probability counts[i]^0.75 /
     sum; ``AliasTable.build`` raises ``ValueError`` for counts that are all
     zero or negative."""
+    from .walks import AliasTable  # `query` and `predict` load no walker
+
     w = np.asarray(counts, dtype=np.float64) ** 0.75
     return AliasTable.build(list(w / w.sum()))
 
@@ -227,6 +241,16 @@ def pair_loss_and_grads(center, positive, negatives):
 # A training block is a run of walks with at most this many full-window
 # pairs, or one longer walk; its arrays take memory in proportion to them.
 _BLOCK_PAIRS = 4096
+
+# A walk's pairs train in batches of up to _MAX_BATCH consecutive pairs that
+# read the tables as they were at the batch's start. The width is at most
+# _BATCH_LR / initial_lr, so lr × width <= _BATCH_LR at every step. The batch
+# kernel's arrays take about 50 bytes per row of a pair, so it runs on
+# _PART_BATCHES batches at a time, which keeps training's peak memory at or
+# under the per-pair loop's.
+_BATCH_LR = 0.8
+_MAX_BATCH = 32
+_PART_BATCHES = 16
 
 
 def _blocks(walk_pairs: np.ndarray) -> list[tuple[int, int]]:
@@ -302,6 +326,8 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     """Run SGNS over the corpus and return the input vectors as the
     embedding. A corpus with no (center, context) pairs returns the seeded
     initialization unchanged."""
+    from .walks import substream_seed
+
     ids = sorted({nid for walk in corpus.walks for nid in walk})
     if not ids:
         raise BimvecError("corpus has no walks")
@@ -332,6 +358,7 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     offsets = np.cumsum(walk_pairs) - walk_pairs
     token_starts = np.concatenate(([0], np.cumsum(lengths)))
     blocks = _blocks(walk_pairs)
+    width = _batch_width(cfg.initial_lr)
     for epoch in range(cfg.epochs):
         loss_total, pair_total = 0.0, 0
         for first, stop in blocks:
@@ -346,7 +373,8 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
             rates = np.maximum(cfg.min_lr, cfg.initial_lr - span * progress / total_progress)
             centers, contexts, pair_starts = _block_pairs(kept_lengths, reaches)
             losses = _train_pairs(syn0, syn1, kept[centers], kept[contexts],
-                                  table.resolve(slots, uniforms), rates[centers]).tolist()
+                                  table.resolve(slots, uniforms), rates[centers],
+                                  width, pair_starts).tolist()
             for start, end in zip(pair_starts[:-1].tolist(), pair_starts[1:].tolist()):
                 walk_loss = 0.0
                 for loss in losses[start:end]:
@@ -359,23 +387,69 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     return matrix
 
 
-def _train_pairs(syn0, syn1, centers, positives, negatives, rates) -> np.ndarray:
-    """Apply one SGNS update per (center, positive, negatives row, rate), in
-    order, and return each pair's loss.
+def _batch_width(initial_lr: float) -> int:
+    """Pairs per batch: floor(_BATCH_LR / initial_lr), from 1 to _MAX_BATCH."""
+    return min(_MAX_BATCH, max(1, math.floor(_BATCH_LR / initial_lr)))
 
-    The loop gathers each pair's ``syn1`` rows once and repeats
-    ``pair_loss_and_grads``'s float32 operations; the losses are computed
-    afterwards from the stored sigmoids, with the same operations.
+
+def _batch_starts(pair_starts: np.ndarray, width: int) -> np.ndarray:
+    """Where each batch starts, plus the end, for walks whose pairs start at
+    ``pair_starts``: each walk's pairs in runs of ``width``, its last run
+    shorter, so that no batch spans two walks."""
+    per_walk = -(-np.diff(pair_starts) // width)
+    step = np.arange(per_walk.sum()) - np.repeat(np.cumsum(per_walk) - per_walk, per_walk)
+    return np.append(np.repeat(pair_starts[:-1], per_walk) + step * width, pair_starts[-1])
+
+
+def _train_pairs(syn0, syn1, centers, positives, negatives, rates, width,
+                 pair_starts) -> np.ndarray:
+    """Apply one SGNS update per (center, positive, negatives row, rate), in
+    batches of ``width`` pairs within the walks whose pairs start at
+    ``pair_starts``, and return each pair's loss.
+
+    A pair's rows are its positive and the negatives unequal to it. The
+    losses are computed afterwards from the stored sigmoids, with
+    ``pair_loss_and_grads``'s float32 operations.
     """
     kept = negatives != positives[:, None]
     kept_counts = kept.sum(axis=1)
     rows_of = np.concatenate((positives[:, None], negatives), axis=1)[
         np.concatenate((np.ones((len(kept), 1), dtype=bool), kept), axis=1)]
     bounds = np.concatenate(([0], np.cumsum(kept_counts + 1)))
+    sig = np.empty(len(rows_of), dtype=np.float32)
+    if width == 1:
+        _apply_pairs(syn0, syn1, centers, rates, kept, negatives, rows_of, bounds, sig)
+    elif len(centers):
+        starts = _batch_starts(pair_starts, width)
+        for part in range(0, len(starts) - 1, _PART_BATCHES):
+            part_starts = starts[part:part + _PART_BATCHES + 1]
+            first, stop = part_starts[0], part_starts[-1]
+            low, high = bounds[first], bounds[stop]
+            _apply_batches(syn0, syn1, centers[first:stop], rates[first:stop], rows_of[low:high],
+                           bounds[first:stop + 1] - low, part_starts - first, sig[low:high])
+
+    firsts = bounds[:-1]
+    is_negative = np.ones(len(sig), dtype=bool)
+    is_negative[firsts] = False
+    # each pair's kept terms, moved to the front of its row
+    terms = np.zeros(negatives.shape, dtype=np.float32)
+    terms[np.arange(negatives.shape[1]) < kept_counts[:, None]] = np.log(
+        np.maximum(1.0 - sig[is_negative], 1e-30))
+    negative_sums = np.zeros(len(kept), dtype=np.float32)
+    for count in np.flatnonzero(np.bincount(kept_counts)).tolist():
+        selected = kept_counts == count
+        negative_sums[selected] = terms[selected, :count].sum(axis=1)
+    return (-np.log(np.maximum(sig[firsts].astype(np.float64), 1e-30))
+            - negative_sums.astype(np.float64))
+
+
+def _apply_pairs(syn0, syn1, centers, rates, kept, negatives, rows_of, bounds, sig):
+    """One pair at a time, each seeing the updates before it: gather the
+    pair's ``syn1`` rows once, repeat ``pair_loss_and_grads``'s float32
+    operations, and write the rows back by assignment, or by
+    ``np.subtract.at`` when a negative repeats."""
     ordered = np.sort(np.where(kept, negatives, -1), axis=1)
     repeats = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)
-
-    sig = np.empty(len(rows_of), dtype=np.float32)
     for center, lr, start, stop, repeat in zip(
             centers.tolist(), rates.tolist(), bounds[:-1].tolist(),
             bounds[1:].tolist(), repeats.tolist()):
@@ -395,19 +469,54 @@ def _train_pairs(syn0, syn1, centers, positives, negatives, rates) -> np.ndarray
             syn1[index] = rows
         v -= lr * grad_v
 
-    firsts = bounds[:-1]
-    is_negative = np.ones(len(sig), dtype=bool)
-    is_negative[firsts] = False
-    # each pair's kept terms, moved to the front of its row
-    terms = np.zeros(negatives.shape, dtype=np.float32)
-    terms[np.arange(negatives.shape[1]) < kept_counts[:, None]] = np.log(
-        np.maximum(1.0 - sig[is_negative], 1e-30))
-    negative_sums = np.zeros(len(kept), dtype=np.float32)
-    for count in np.flatnonzero(np.bincount(kept_counts)).tolist():
-        selected = kept_counts == count
-        negative_sums[selected] = terms[selected, :count].sum(axis=1)
-    return (-np.log(np.maximum(sig[firsts].astype(np.float64), 1e-30))
-            - negative_sums.astype(np.float64))
+
+def _apply_batches(syn0, syn1, centers, rates, rows_of, bounds, starts, sig):
+    """A batch at a time: every pair of a batch reads the rows as they were
+    at its start, and the batch's updates are then subtracted in pair order
+    by ``np.subtract.at``. A row's score is its float32 dot product with the
+    center, and a pair's center gradient adds its rows' terms in row order."""
+    pair_rates = rates.astype(np.float32)[:, None]
+    rows_per_pair = np.diff(bounds)
+    row_pairs = np.repeat(np.arange(len(centers)), rows_per_pair)
+    row_centers, row_rates = centers[row_pairs], pair_rates[row_pairs]
+    positive = np.zeros(len(rows_of), dtype=np.float32)
+    positive[bounds[:-1]] = 1.0
+    # A pair's terms fill a column of a grid, its first row first and the
+    # others negated, so that p0 - (-p1) - (-p2) down the column is
+    # p0 + p1 + p2 exactly; zeros pad the columns, and x - 0 is x.
+    sign = 2.0 * positive - 1.0
+    depth = int(rows_per_pair.max())
+    widths = np.diff(starts)
+    places = np.arange(len(centers)) - np.repeat(starts[:-1], widths)
+    term_slots = (np.arange(len(rows_of)) - bounds[row_pairs]) \
+        * np.repeat(widths, widths)[row_pairs] + places[row_pairs]
+    row_starts = bounds[starts]
+    for first, stop, low, high in zip(starts[:-1].tolist(), starts[1:].tolist(),
+                                      row_starts[:-1].tolist(), row_starts[1:].tolist()):
+        index = rows_of[low:high]
+        rows = syn1.take(index, axis=0)
+        vs = syn0.take(row_centers[low:high], axis=0)
+        dscores = _sigmoid(np.matmul(rows[:, None, :], vs[:, :, None])[:, 0, 0])
+        sig[low:high] = dscores
+        dscores -= positive[low:high]
+        vs *= dscores[:, None]
+        vs *= row_rates[low:high]
+        rows *= (dscores * sign[low:high])[:, None]
+        terms = np.zeros((depth * (stop - first), syn0.shape[1]), dtype=np.float32)
+        terms[term_slots[low:high]] = rows
+        grads = np.subtract.reduce(terms.reshape(depth, stop - first, -1), axis=0)
+        grads *= pair_rates[first:stop]
+        _subtract_rows(syn1, index, vs)
+        _subtract_rows(syn0, centers[first:stop], grads)
+
+
+def _subtract_rows(table, index, updates) -> None:
+    """``np.subtract.at(table, index, updates)`` for rows, with the same
+    bytes, through the flat table: numpy's one-dimensional ``at`` is
+    several times faster."""
+    width = table.shape[1]
+    np.subtract.at(table.reshape(-1), (index[:, None] * width + np.arange(width)).reshape(-1),
+                   updates.reshape(-1))
 
 
 def attach_labels(matrix: EmbeddingMatrix, labels: Mapping[NodeId, str]) -> None:

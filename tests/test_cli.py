@@ -1220,6 +1220,36 @@ def test_parse_graph_and_snapshot_never_load_numpy(data_dir, tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_snapshot_query_and_predict_never_load_parser_or_walker(data_dir, checkpoint,
+                                                                 tmp_path):
+    """``snapshot``, ``query`` and ``predict`` run in a fresh interpreter
+    without importing the STEP parser, the IFC mapping or the walker."""
+    graph_file, store = _build_graph_file(CliRunner(), data_dir, tmp_path), tmp_path / "store"
+    labels = tmp_path / "labels.csv"
+    labels.write_text("node_id,feedback\ncell:5:0:1,comfortable\ncell:7:0:0,neutral\n")
+    commands = [
+        ["snapshot", str(graph_file), "--readings", str(data_dir / "readings.csv"),
+         "--fixes", str(data_dir / "fixes.csv"), "--out", str(store)],
+        ["query", str(checkpoint), "cell:5:0:0", "-k", "3"],
+        ["predict", str(checkpoint), "cell:5:0:0", "--labels", str(labels), "-k", "1"],
+    ]
+    unused = ["bimvec.ifc_graph", "bimvec.step_parser", "bimvec.walks"]
+    script = (
+        "import sys\n"
+        "import bimvec.cli\n"
+        f"for args in {commands!r}:\n"
+        "    bimvec.cli.main(args, standalone_mode=False)\n"
+        f"print([name for name in {unused!r} if name in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(bimvec.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (store / "tensor.csv").exists()
+    lines = result.stdout.splitlines()
+    assert [line.split("\t")[0] for line in lines[3:6]] == ["1", "2", "3"]
+    assert lines[6].startswith("[") and lines[-1] == "[]"
+
+
 def test_effective_config_is_echoed(runner, data_dir):
     result = runner.invoke(main, ["parse", str(data_dir / "minimal.ifc")])
     assert result.exit_code == 0

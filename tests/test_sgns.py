@@ -316,14 +316,19 @@ def test_training_calls_no_generator(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# byte identity with the per-pair reference trainer
+# byte identity with the reference trainer
 # ---------------------------------------------------------------------------
 
-def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
+def reference_train(corpus: WalkCorpus, cfg: TrainConfig, width: int = 1) -> EmbeddingMatrix:
     """SGNS one (center, context) pair at a time: each walk reads its PCG64
     stream in training order (subsampling, reaches, then per pair the slot
-    and alias uniforms, resolved through the negative table), with one
-    ``pair_loss_and_grads`` call and one ``np.add.at`` per pair."""
+    and alias uniforms, resolved through the negative table).
+
+    At ``width`` 1 each pair makes one ``pair_loss_and_grads`` call and one
+    ``np.add.at`` at once. At a larger width a walk's pairs go in batches of
+    ``width`` consecutive pairs, the last one shorter. Every pair of a batch
+    reads the tables as they were at the batch's start, and the batch's
+    updates are subtracted in pair order once it is full or its walk ends."""
     ids = sorted({nid for walk in corpus.walks for nid in walk})
     syn0 = initial_vectors(len(ids), cfg.dimension, cfg.seed)
     syn1 = np.zeros((len(ids), cfg.dimension), dtype=np.float32)
@@ -341,6 +346,29 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
         """(x >> 11) * 2**-53 for each of the stream's next ``count`` words x."""
         return [(int(word) >> 11) * 2.0 ** -53 for word in stream.random_raw(count)]
 
+    def batched_pair(v, rows, lr):
+        """One pair's loss and updates in a batch: each row's float32 dot
+        product with ``v`` (by the kernel's matmul of a 1 x d and a d x 1
+        matrix), the clamped sigmoid, the center gradient summed in row
+        order, and the rows' updates lr * dscore * v."""
+        sig = sgns._sigmoid(np.matmul(rows[:, None, :], v[:, None])[:, 0, 0])
+        loss = -np.log(max(float(sig[0]), 1e-30)) \
+            - np.log(np.maximum(1.0 - sig[1:], 1e-30)).sum()
+        dscores = sig.copy()
+        dscores[0] -= 1.0
+        grad_v = dscores[0] * rows[0]
+        for dscore, row in zip(dscores[1:], rows[1:]):
+            grad_v = grad_v + dscore * row
+        return float(loss), grad_v * np.float32(lr), [dscore * v * np.float32(lr)
+                                                      for dscore in dscores]
+
+    def apply(pending):
+        for center, index, center_update, row_updates in pending:
+            for row, update in zip(index, row_updates):
+                syn1[row] -= update
+            syn0[center] -= center_update
+        pending.clear()
+
     epoch_pairs = sum(walk_pairs(len(walk)) for walk in walks)
     if epoch_pairs == 0:
         return matrix
@@ -354,6 +382,7 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
                 np.sqrt(cfg.subsample_threshold / (counts / counts.sum())), 0.0, 1.0)
     span = cfg.initial_lr - cfg.min_lr
     offset = 0
+    pending = []
     for epoch in range(cfg.epochs):
         loss_total, pair_total = 0.0, 0
         for walk_index, walk in enumerate(walks):
@@ -384,15 +413,24 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
                         np.array(draws[cfg.negatives:]))
                     negatives = negatives[negatives != positive]
                     v = syn0[center]
-                    loss, grad_v, grad_pos, grad_negs = pair_loss_and_grads(
-                        v, syn1[positive], syn1[negatives])
-                    syn1[positive] -= lr * grad_pos
-                    if negatives.size:
-                        np.add.at(syn1, negatives, -lr * grad_negs)
-                    syn0[center] = v - lr * grad_v
+                    if width == 1:
+                        loss, grad_v, grad_pos, grad_negs = pair_loss_and_grads(
+                            v, syn1[positive], syn1[negatives])
+                        syn1[positive] -= lr * grad_pos
+                        if negatives.size:
+                            np.add.at(syn1, negatives, -lr * grad_negs)
+                        syn0[center] = v - lr * grad_v
+                    else:
+                        index = [positive, *negatives.tolist()]
+                        loss, center_update, row_updates = batched_pair(
+                            v.copy(), syn1[index], lr)
+                        pending.append((center, index, center_update, row_updates))
+                        if len(pending) == width:
+                            apply(pending)
                     loss_sum += loss
                     pair_total += 1
                 progress += full
+            apply(pending)
             loss_total += loss_sum
         matrix.epoch_losses.append(loss_total / max(pair_total, 1))
         if not (np.isfinite(syn0).all() and np.isfinite(syn1).all()):
@@ -409,43 +447,80 @@ _IDENTITY_CORPORA = {
 }
 
 
+def test_batch_width_table():
+    """The width is floor(0.8 / initial_lr) between 1 and 32, so that
+    lr x width <= 0.8 at every step."""
+    table = {0.0001: 32, 0.025: 32, 0.05: 16, 0.1: 8, 0.2: 4, 0.3: 2, 0.4: 2,
+             0.41: 1, 0.5: 1, 1.0: 1, 4.0: 1}
+    assert {lr: sgns._batch_width(lr) for lr in table} == table
+    for lr in np.linspace(0.001, 0.8, 400).tolist():
+        assert 1 <= sgns._batch_width(lr) <= 32
+        assert lr * sgns._batch_width(lr) <= 0.8 + 1e-12
+        assert sgns._batch_width(lr) == 32 or lr * (sgns._batch_width(lr) + 1) > 0.8
+
+
 @pytest.mark.parametrize("dynamic_window", [True, False], ids=["dynamic", "fixed"])
 @pytest.mark.parametrize("window", [1, 3, 10])
 @pytest.mark.parametrize("corpus_name", sorted(_IDENTITY_CORPORA))
 def test_train_equals_per_pair_reference(corpus_name, window, dynamic_window):
-    """Vectors, context vectors and epoch losses are byte-identical to the
-    per-pair trainer's over subsampling, negatives, epochs and learning
-    rates; on star5 negatives often equal the positive and repeat."""
+    """At width 1 (initial_lr above 0.4), vectors, context vectors and epoch
+    losses are byte-identical to the per-pair trainer's over subsampling,
+    negatives, epochs and learning rates; on star5 negatives often equal the
+    positive and repeat."""
     corpus = _IDENTITY_CORPORA[corpus_name]()
     with np.errstate(over="ignore", invalid="ignore"):
         for threshold, negatives, epochs, initial_lr in itertools.product(
-                [0.0, 0.05], [1, 5, 7], [1, 2, 3], [0.025, 1.0]):
+                [0.0, 0.05], [1, 5, 7], [1, 2, 3], [0.5, 1.0]):
             cfg = TrainConfig(dimension=8, window=window, negatives=negatives,
                               epochs=epochs, initial_lr=initial_lr, seed=window + negatives,
                               dynamic_window=dynamic_window,
                               subsample_threshold=threshold)
+            assert sgns._batch_width(initial_lr) == 1
             assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg), cfg
 
 
-def _outcome(trainer, corpus, cfg):
+@pytest.mark.parametrize("initial_lr, width", [(0.4, 2), (0.1, 8), (0.025, 32)])
+@pytest.mark.parametrize("corpus_name", sorted(_IDENTITY_CORPORA))
+def test_train_equals_batched_reference(corpus_name, initial_lr, width):
+    """Below initial_lr 0.4, training is byte-identical to the batched
+    reference at the width the learning rate gives: over windows, the
+    dynamic window, subsampling, negatives (on star5 they often equal the
+    positive and repeat) and epochs."""
+    corpus = _IDENTITY_CORPORA[corpus_name]()
+    for window, dynamic_window, threshold, negatives, epochs in itertools.product(
+            [1, 3, 10], [True, False], [0.0, 0.05], [1, 5], [1, 2]):
+        cfg = TrainConfig(dimension=8, window=window, negatives=negatives,
+                          epochs=epochs, initial_lr=initial_lr, seed=window + negatives,
+                          dynamic_window=dynamic_window, subsample_threshold=threshold)
+        assert _outcome(train, corpus, cfg) == _outcome(
+            reference_train, corpus, cfg, width), cfg
+
+
+def _outcome(trainer, corpus, cfg, *width):
     try:
-        matrix = trainer(corpus, cfg)
+        matrix = trainer(corpus, cfg, *width)
     except InternalInvariantError as exc:  # diverged at initial_lr 1.0
         return str(exc)
     return (matrix.vectors.tobytes(), matrix.context_vectors.tobytes(),
             matrix.epoch_losses)
 
 
+def _block_corpus():
+    """Walks of 1 to 40 tokens, so that blocks of a few pairs end in
+    mid-epoch and hold several walks, some of them left with 0 or 1 tokens
+    after subsampling, and a walk longer than the budget is a block by
+    itself."""
+    walks = _barbell_corpus(walk_length=40, walks_per_node=2).walks
+    return WalkCorpus([walk[:length] for walk, length in zip(
+        walks, itertools.cycle([1, 2, 3, 1, 2, 5, 40, 4, 2]))])
+
+
 @pytest.mark.parametrize("block_pairs", [2, 8, 40])
 def test_train_equals_reference_across_block_boundaries(monkeypatch, block_pairs):
-    """With blocks of a few pairs, training stays byte-identical to the
-    per-pair trainer: blocks end in mid-epoch, hold several walks, some of
-    them left with 0 or 1 tokens after subsampling, and a walk longer than
-    the budget is a block by itself."""
+    """With blocks of a few pairs, training at width 1 stays byte-identical
+    to the per-pair trainer."""
     monkeypatch.setattr(sgns, "_BLOCK_PAIRS", block_pairs)
-    walks = _barbell_corpus(walk_length=40, walks_per_node=2).walks
-    corpus = WalkCorpus([walk[:length] for walk, length in zip(
-        walks, itertools.cycle([1, 2, 3, 1, 2, 5, 40, 4, 2]))])
+    corpus = _block_corpus()
     lengths = np.array([len(walk) for walk in corpus.walks])
     for window, dynamic_window, threshold, epochs in itertools.product(
             [1, 3], [True, False], [0.0, 0.05], [1, 2, 3]):
@@ -457,6 +532,24 @@ def test_train_equals_reference_across_block_boundaries(monkeypatch, block_pairs
         assert any(stop - first == 1 and walk_pairs[first] > block_pairs
                    for first, stop in blocks)
         cfg = TrainConfig(dimension=8, window=window, negatives=5, epochs=epochs,
-                          seed=window + epochs, dynamic_window=dynamic_window,
-                          subsample_threshold=threshold)
+                          initial_lr=0.5, seed=window + epochs,
+                          dynamic_window=dynamic_window, subsample_threshold=threshold)
         assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg), cfg
+
+
+@pytest.mark.parametrize("block_pairs, part_batches", [(2, 16), (8, 1), (40, 3)])
+def test_batched_train_is_independent_of_blocks(monkeypatch, block_pairs, part_batches):
+    """At width 32 a batch never spans two walks, so blocks of a few pairs,
+    and parts of a few batches in the kernel, give the bytes of the default
+    budgets and of the batched reference."""
+    corpus = _block_corpus()
+    configs = [TrainConfig(dimension=8, window=window, negatives=5, epochs=2, seed=window,
+                           dynamic_window=dynamic_window, subsample_threshold=threshold)
+               for window, dynamic_window, threshold in itertools.product(
+                   [1, 3], [True, False], [0.0, 0.05])]
+    outcomes = [[_outcome(train, corpus, cfg) for cfg in configs]]
+    monkeypatch.setattr(sgns, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(sgns, "_PART_BATCHES", part_batches)
+    outcomes.append([_outcome(train, corpus, cfg) for cfg in configs])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][-1] == _outcome(reference_train, corpus, configs[-1], 32)
