@@ -9,9 +9,7 @@ plus rename). Exit codes: 0 success, 2 usage error, 3 input data error,
 from __future__ import annotations
 
 import functools
-import json
 import logging
-import math
 import os
 import sys
 
@@ -20,8 +18,8 @@ import click
 from . import space_grid, temporal
 from .config import RunConfig, load_config
 from .errors import BimvecError, ConfigError, InternalInvariantError
-from .fileio import atomic_open, atomic_write_text, read_json, read_text, text_lines
-from .graph import PropertyGraph
+from .fileio import atomic_write_text
+from .graph import read_graph
 from .temporal import build_snapshots
 
 logger = logging.getLogger(__name__)
@@ -69,11 +67,7 @@ def main(ctx, config_path):
     logging.basicConfig(
         level=getattr(logging, os.environ.get("BIMVEC_LOG", "INFO").upper(), logging.INFO),
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr, force=True)
-    try:
-        ctx.obj = load_config(config_path) if config_path else RunConfig()
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_EXIT_USAGE)
+    ctx.obj = _command(load_config)(config_path) if config_path else RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
     """Build per-window snapshots and export the adjacency tensor."""
     cfg = cfg.updated(step=step)
     _echo_config(cfg)
-    base = _read_graph(graph_path)
+    base = read_graph(graph_path)
     spaces = space_grid.spaces_from_graph(base)
     readings = temporal.load_readings_csv(readings_path) if readings_path else []
     fixes = temporal.load_fixes_csv(fixes_path) if fixes_path else []
@@ -204,76 +198,10 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
         occupant_radius=cfg.occupant_radius, max_gap=cfg.max_gap,
     )
 
-    os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
-    timestamps, records = [], 0
-    with atomic_open(os.path.join(out_dir, "tensor.csv")) as tensor:
-        tensor.write("t,i,j,w\n")
-        for t, (timestamp, text, rows, count) in enumerate(temporal.store_windows(tg)):
-            timestamps.append(timestamp)
-            atomic_write_text(os.path.join(out_dir, "snapshots", f"{t:06d}.tsv"), text)
-            tensor.write(rows)
-            records += count
-    manifest = temporal.tensor_manifest(tg, timestamps)
-    manifest["step"] = cfg.step
-    atomic_write_text(os.path.join(out_dir, "manifest.json"),
-                      json.dumps(manifest, indent=2) + "\n")
-    atomic_write_text(os.path.join(out_dir, "base.tsv"), base.to_text())
+    records = temporal.write_store(tg, out_dir, cfg.step)
     click.echo(f"snapshots\t{len(tg)}")
     click.echo(f"tensor_records\t{records}")
     click.echo(f"store\t{out_dir}")
-
-
-def _read_graph(path) -> PropertyGraph:
-    text = read_text(path)
-    try:
-        return PropertyGraph.from_text(text)
-    except (BimvecError, ValueError) as exc:
-        raise BimvecError(f"{path}: {exc}") from None
-
-
-def _read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
-    """The graph ``embed`` walks from a store: the union of ``base.tsv`` and
-    ``tensor.csv``, or one file of ``snapshots/``."""
-    path = os.path.join(store_dir, "manifest.json")
-    manifest = read_json(path)
-    if not isinstance(manifest, dict):
-        raise BimvecError(f"{path}: expected a JSON object")
-    windows, order = manifest.get("T"), manifest.get("node_index")
-    if type(windows) is not int or windows < 1:
-        raise BimvecError(f"{path}: T must be an integer >= 1, got {windows!r}")
-    if (not isinstance(order, list) or not all(isinstance(n, str) for n in order)
-            or len(set(order)) != len(order)):
-        raise BimvecError(f"{path}: node_index must be a list of distinct strings")
-    if mode == "slice":
-        if not 0 <= index < windows:
-            raise BimvecError(f"slice {index} out of range for {windows} snapshots")
-        return _read_graph(os.path.join(store_dir, "snapshots", f"{index:06d}.tsv"))
-
-    base = _read_graph(os.path.join(store_dir, "base.tsv"))
-    missing = sorted(set(base.node_ids()) - set(order))
-    if missing:
-        raise BimvecError(f"{path}: node_index lacks base node {missing[0]!r}")
-    path = os.path.join(store_dir, "tensor.csv")
-    lines = text_lines(path)
-    if next(lines, "").rstrip("\r\n") != "t,i,j,w":
-        raise BimvecError(f"{path}, line 1: expected the header t,i,j,w")
-    return temporal.union_graph(base, order, _tensor_rows(lines, path, windows, len(order)),
-                                windows)
-
-
-def _tensor_rows(lines, path, windows: int, nodes: int):
-    """The (t, i, j, w) records of ``tensor.csv`` after its header, checked."""
-    for line_no, line in enumerate(lines, start=2):
-        try:
-            t, i, j, w = line.split(",")
-            t, i, j, w = int(t), int(i), int(j), float(w)
-        except ValueError as exc:
-            raise BimvecError(f"{path}, line {line_no}: {exc}") from None
-        if not (0 <= t < windows and 0 <= i < j < nodes and math.isfinite(w)):
-            raise BimvecError(
-                f"{path}, line {line_no}: need 0 <= t < {windows}, "
-                f"0 <= i < j < {nodes} and a finite w")
-        yield t, i, j, w
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +234,17 @@ def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
               **overrides):
     """Walk a graph (or flattened temporal store) and train embeddings."""
     from .sgns import attach_labels, train
-    from .store import export_projector
+    from .store import check_checkpoint_entries, export_projector
     from .walks import generate_walks
 
     cfg = cfg.updated(flatten=flatten_mode, **overrides)
     _echo_config(cfg)
     walk_config, train_config = cfg.walk_config(), cfg.train_config()
     if os.path.isdir(input_path):
-        graph = _read_store(input_path, *cfg.flatten_mode())
+        graph = temporal.read_store(input_path, *cfg.flatten_mode())
     else:
-        graph = _read_graph(input_path)
+        graph = read_graph(input_path)
+    check_checkpoint_entries(graph.labels())
 
     corpus = generate_walks(graph, walk_config, workers=cfg.workers)
     matrix = train(corpus, train_config)
@@ -348,8 +277,7 @@ def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
 @_command
 def cmd_query(cfg: RunConfig, checkpoint, node_id, k, label_filter):
     """Print the top-k most similar nodes."""
-    from .sgns import EmbeddingMatrix
-    from .store import knn
+    from .store import EmbeddingMatrix, knn
 
     _echo_config(cfg)
     matrix = EmbeddingMatrix.load(checkpoint)
@@ -369,8 +297,8 @@ def cmd_query(cfg: RunConfig, checkpoint, node_id, k, label_filter):
 @_command
 def cmd_predict(cfg: RunConfig, checkpoint, node_id, labels_path, k):
     """Predict a comfort label by majority vote of nearest labeled nodes."""
-    from .sgns import EmbeddingMatrix
-    from .store import CLASS_NAMES, ONE_HOT_CLASSES, load_labeled_csv, predict_comfort
+    from .store import (CLASS_NAMES, ONE_HOT_CLASSES, EmbeddingMatrix, load_labeled_csv,
+                        predict_comfort)
 
     _echo_config(cfg)
     matrix = EmbeddingMatrix.load(checkpoint)

@@ -4,31 +4,83 @@ Unknown keys are rejected. ``relation.<IFCTYPE>=<LABEL>:<relating>:<related>``
 entries override or extend the relationship rule table; every other key maps
 one-to-one onto a :class:`RunConfig` field. Command-line flags override file
 values, and each command echoes the fully resolved configuration.
+
+:class:`RunConfig` takes its defaults from, and builds on demand, each
+stage's record (:class:`WalkConfig`, :class:`TrainConfig`,
+:class:`RelationMapping`), so the command that uses a bad value rejects it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import Mapping
 
 from .errors import BimvecError, ConfigError
 from .fileio import text_lines
 from .graph import check_token
 
-if TYPE_CHECKING:
-    from .ifc_graph import RelationMapping
-    from .sgns import TrainConfig
-    from .walks import WalkConfig
-
 logger = logging.getLogger(__name__)
 
 
-# The relation rule record and the object whitelist live here rather than in
-# ``ifc_graph``, so that a command that builds no graph never loads it or the
-# STEP parser.
+# Allowed range of the return (p) and in-out (q) parameters; it bounds the
+# expected number of rejection trials per step by P_Q_MAX / P_Q_MIN = 100.
+P_Q_MIN = 0.1
+P_Q_MAX = 10.0
+
+
+@dataclass(frozen=True)
+class WalkConfig:
+    p: float = 1.0
+    q: float = 1.0
+    walk_length: int = 80
+    walks_per_node: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        if not (P_Q_MIN <= self.p <= P_Q_MAX and P_Q_MIN <= self.q <= P_Q_MAX):
+            raise ValueError(f"p and q must lie in [{P_Q_MIN}, {P_Q_MAX}], "
+                             f"got p={self.p}, q={self.q}")
+        if self.walk_length < 1:
+            raise ValueError("walk_length must be >= 1")
+        if self.walks_per_node < 1:
+            raise ValueError("walks_per_node must be >= 1")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    dimension: int = 128
+    window: int = 10
+    negatives: int = 5
+    epochs: int = 5
+    initial_lr: float = 0.025
+    min_lr: float = 0.0001
+    seed: int = 0
+    dynamic_window: bool = True
+    subsample_threshold: float = 0.0
+
+    def __post_init__(self):
+        for name in ("initial_lr", "min_lr", "subsample_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.dimension < 1 or self.window < 1:
+            raise ValueError("dimension and window must be >= 1")
+        if self.negatives < 1 or self.epochs < 1:
+            raise ValueError("negatives and epochs must be >= 1")
+        if not (self.initial_lr > 0) or self.min_lr < 0:
+            raise ValueError("initial_lr must be > 0 and min_lr >= 0")
+        if self.min_lr > self.initial_lr:
+            raise ValueError("min_lr must not exceed initial_lr")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.subsample_threshold < 0:
+            raise ValueError(f"subsample_threshold must be >= 0 (0 is off), "
+                             f"got {self.subsample_threshold}")
+
+
 @dataclass(frozen=True)
 class RelationRule:
     """How one relationship entity type expands into edges.
@@ -42,6 +94,15 @@ class RelationRule:
     relating_index: int
     related_index: int
 
+
+DEFAULT_RELATION_RULES: dict[str, RelationRule] = {
+    "IFCRELAGGREGATES": RelationRule("AGGREGATES", 4, 5),
+    "IFCRELCONTAINEDINSPATIALSTRUCTURE": RelationRule("CONTAINS", 5, 4),
+    "IFCRELFILLSELEMENT": RelationRule("FILLS", 4, 5),
+    "IFCRELVOIDSELEMENT": RelationRule("VOIDS", 4, 5),
+    "IFCRELSPACEBOUNDARY": RelationRule("BOUNDED_BY", 4, 5),
+    "IFCRELCONNECTSELEMENTS": RelationRule("CONNECTS", 5, 6),
+}
 
 # Lexical whitelist of node-worthy object types; any entity whose type name
 # starts with one of these becomes a graph node.
@@ -65,6 +126,17 @@ DEFAULT_OBJECT_PREFIXES: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
+class RelationMapping:
+    rules: Mapping[str, RelationRule] = field(
+        default_factory=lambda: dict(DEFAULT_RELATION_RULES)
+    )
+    object_prefixes: tuple[str, ...] = DEFAULT_OBJECT_PREFIXES
+
+    def is_object_type(self, type_name: str) -> bool:
+        return type_name.startswith(self.object_prefixes)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     cell_size: float = 1.0
     adjacency: str = "rook"
@@ -73,20 +145,20 @@ class RunConfig:
     step: int = 300
     max_gap: int = 10
     strict: bool = False
-    p: float = 1.0
-    q: float = 1.0
-    walk_length: int = 80
-    walks_per_node: int = 10
-    walk_seed: int = 0
-    dimension: int = 128
-    window: int = 10
-    negatives: int = 5
-    epochs: int = 5
-    initial_lr: float = 0.025
-    min_lr: float = 0.0001
-    train_seed: int = 0
-    dynamic_window: bool = True
-    subsample_threshold: float = 0.0
+    p: float = WalkConfig.p
+    q: float = WalkConfig.q
+    walk_length: int = WalkConfig.walk_length
+    walks_per_node: int = WalkConfig.walks_per_node
+    walk_seed: int = WalkConfig.seed
+    dimension: int = TrainConfig.dimension
+    window: int = TrainConfig.window
+    negatives: int = TrainConfig.negatives
+    epochs: int = TrainConfig.epochs
+    initial_lr: float = TrainConfig.initial_lr
+    min_lr: float = TrainConfig.min_lr
+    train_seed: int = TrainConfig.seed
+    dynamic_window: bool = TrainConfig.dynamic_window
+    subsample_threshold: float = TrainConfig.subsample_threshold
     workers: int = 1
     flatten: str = "union"
     object_prefixes: tuple[str, ...] = DEFAULT_OBJECT_PREFIXES
@@ -103,35 +175,19 @@ class RunConfig:
     # -- derived module configs ---------------------------------------------
 
     def walk_config(self) -> WalkConfig:
-        from .walks import WalkConfig  # the walker loads only for commands that walk
-
-        return WalkConfig(self.p, self.q, self.walk_length,
-                          self.walks_per_node, self.walk_seed)
+        return self._stage_config(WalkConfig, self.walk_seed)
 
     def train_config(self) -> TrainConfig:
-        from .sgns import TrainConfig  # numpy loads only for commands that train
+        return self._stage_config(TrainConfig, self.train_seed)
 
-        return TrainConfig(
-            dimension=self.dimension,
-            window=self.window,
-            negatives=self.negatives,
-            epochs=self.epochs,
-            initial_lr=self.initial_lr,
-            min_lr=self.min_lr,
-            seed=self.train_seed,
-            dynamic_window=self.dynamic_window,
-            subsample_threshold=self.subsample_threshold,
-        )
+    def _stage_config(self, cls, seed: int):
+        """``cls`` built from this config's same-named fields, with ``seed``."""
+        return cls(**{f.name: seed if f.name == "seed" else getattr(self, f.name)
+                      for f in dataclasses.fields(cls)})
 
     def relation_mapping(self) -> RelationMapping:
-        from .ifc_graph import RelationMapping  # and the IFC mapping for `graph`
-
-        mapping = RelationMapping(object_prefixes=self.object_prefixes)
-        if self.relation_overrides:
-            rules = dict(mapping.rules)
-            rules.update(self.relation_overrides)
-            mapping = RelationMapping(rules, self.object_prefixes)
-        return mapping
+        return RelationMapping({**DEFAULT_RELATION_RULES, **self.relation_overrides},
+                               self.object_prefixes)
 
     def flatten_mode(self) -> tuple[str, int | None]:
         if self.flatten == "union":

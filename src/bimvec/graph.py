@@ -17,6 +17,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import BimvecError
+from .fileio import read_text
 
 NodeId = str
 
@@ -206,6 +207,16 @@ class PropertyGraph:
             else:
                 raise ValueError(f"unknown record kind {kind!r} on line {line_no}")
         return graph
+
+
+def read_graph(path) -> PropertyGraph:
+    """The graph in the text file ``path``; a bad record raises
+    ``BimvecError`` naming the file."""
+    text = read_text(path)
+    try:
+        return PropertyGraph.from_text(text)
+    except (BimvecError, ValueError) as exc:
+        raise BimvecError(f"{path}: {exc}") from None
 
 
 def _json_object(text: str, line_no: int) -> dict:

@@ -10,10 +10,8 @@ variants can be mapped without code changes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Mapping
 
-from .config import DEFAULT_OBJECT_PREFIXES, RelationRule
+from .config import RelationMapping, RelationRule
 from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
 from .step_parser import (
@@ -25,26 +23,6 @@ from .step_parser import (
 )
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_RELATION_RULES: dict[str, RelationRule] = {
-    "IFCRELAGGREGATES": RelationRule("AGGREGATES", 4, 5),
-    "IFCRELCONTAINEDINSPATIALSTRUCTURE": RelationRule("CONTAINS", 5, 4),
-    "IFCRELFILLSELEMENT": RelationRule("FILLS", 4, 5),
-    "IFCRELVOIDSELEMENT": RelationRule("VOIDS", 4, 5),
-    "IFCRELSPACEBOUNDARY": RelationRule("BOUNDED_BY", 4, 5),
-    "IFCRELCONNECTSELEMENTS": RelationRule("CONNECTS", 5, 6),
-}
-
-
-@dataclass(frozen=True)
-class RelationMapping:
-    rules: Mapping[str, RelationRule] = field(
-        default_factory=lambda: dict(DEFAULT_RELATION_RULES)
-    )
-    object_prefixes: tuple[str, ...] = DEFAULT_OBJECT_PREFIXES
-
-    def is_object_type(self, type_name: str) -> bool:
-        return type_name.startswith(self.object_prefixes)
 
 
 def ifc_node_id(entity_id: int) -> NodeId:

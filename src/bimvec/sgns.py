@@ -50,146 +50,17 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import struct
-import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import BimvecError, InternalInvariantError
-from .fileio import atomic_write_bytes
 from .graph import NodeId
-
-if TYPE_CHECKING:
-    from .walks import AliasTable, WalkCorpus
+from .store import EmbeddingMatrix
+from .walks import AliasTable, WalkCorpus, substream_seed
 
 logger = logging.getLogger(__name__)
-
-_CHECKPOINT_MAGIC = b"BMV1"
-_CHECKPOINT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    dimension: int = 128
-    window: int = 10
-    negatives: int = 5
-    epochs: int = 5
-    initial_lr: float = 0.025
-    min_lr: float = 0.0001
-    seed: int = 0
-    dynamic_window: bool = True
-    subsample_threshold: float = 0.0
-
-    def __post_init__(self):
-        for name in ("initial_lr", "min_lr", "subsample_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dimension < 1 or self.window < 1:
-            raise ValueError("dimension and window must be >= 1")
-        if self.negatives < 1 or self.epochs < 1:
-            raise ValueError("negatives and epochs must be >= 1")
-        if not (self.initial_lr > 0) or self.min_lr < 0:
-            raise ValueError("initial_lr must be > 0 and min_lr >= 0")
-        if self.min_lr > self.initial_lr:
-            raise ValueError("min_lr must not exceed initial_lr")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.subsample_threshold < 0:
-            raise ValueError(f"subsample_threshold must be >= 0 (0 is off), "
-                             f"got {self.subsample_threshold}")
-
-
-@dataclass
-class EmbeddingMatrix:
-    """Learned vectors plus the NodeId <-> dense index mapping.
-
-    ``vectors`` (the input vectors) are the embedding; ``context_vectors``
-    are kept so training can resume and checkpoints round-trip.
-    """
-
-    vectors: np.ndarray
-    context_vectors: np.ndarray
-    ids: list[NodeId]
-    labels: dict[NodeId, str] = field(default_factory=dict)
-    epoch_losses: list[float] = field(default_factory=list)
-    vocabulary: dict[NodeId, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.vectors.shape != self.context_vectors.shape:
-            raise ValueError("vector tables must have matching shapes")
-        if len(self.ids) != self.vectors.shape[0]:
-            raise ValueError("row count must equal vocabulary size")
-        self.vocabulary = {nid: i for i, nid in enumerate(self.ids)}
-
-    @property
-    def dimension(self) -> int:
-        return int(self.vectors.shape[1])
-
-    def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self.vocabulary
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def vector(self, node_id: NodeId) -> np.ndarray:
-        return self.vectors[self.vocabulary[node_id]]
-
-    # -- checkpoint ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Binary checkpoint: header, row-major float32 tables, vocabulary,
-        then the CRC32 of all but the header."""
-        parts = [table.astype("<f4").tobytes() for table in (self.vectors, self.context_vectors)]
-        for node_id in self.ids:
-            id_bytes = node_id.encode("utf-8")
-            label_bytes = self.labels.get(node_id, "").encode("utf-8")
-            parts += [struct.pack("<H", len(id_bytes)), id_bytes,
-                      struct.pack("<H", len(label_bytes)), label_bytes]
-        body = b"".join(parts)
-        atomic_write_bytes(path, struct.pack(
-            "<4sIII", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, self.dimension, len(self.ids),
-        ) + body + struct.pack("<I", zlib.crc32(body)))
-
-    @classmethod
-    def load(cls, path) -> "EmbeddingMatrix":
-        with open(path, "rb") as fp:
-            data = fp.read()
-        if len(data) < 16 or data[:4] != _CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not an embedding checkpoint")
-        _, version, dimension, vocab_size = struct.unpack_from("<4sIII", data)
-        if version not in (1, _CHECKPOINT_VERSION):
-            raise ValueError(f"unsupported checkpoint version {version}")
-        # a version 1 checkpoint ends with its vocabulary, a later one with a CRC32
-        offset, end = 16, len(data) - 4 * (version > 1)
-
-        def take(size: int) -> bytes:
-            nonlocal offset
-            if offset + size > end:
-                raise ValueError(f"{path} is truncated at byte {len(data)}")
-            offset += size
-            return data[offset - size:offset]
-
-        vectors, context = (
-            np.frombuffer(take(dimension * vocab_size * 4), dtype="<f4")
-            .reshape(vocab_size, dimension).copy() for _ in range(2))
-        if not (np.isfinite(vectors).all() and np.isfinite(context).all()):
-            raise ValueError(f"{path} has non-finite vector entries")
-        # each node's id, then its label; decoded once the CRC32 has passed
-        entries = [take(struct.unpack("<H", take(2))[0]) for _ in range(2 * vocab_size)]
-        if offset != end:
-            raise ValueError(f"{path} has {end - offset} bytes after its vocabulary")
-        if version > 1 and zlib.crc32(data[16:end]) != struct.unpack_from("<I", data, end)[0]:
-            raise ValueError(f"{path} fails its CRC32 check")
-        try:
-            ids = [entry.decode("utf-8") for entry in entries[0::2]]
-            labels = {node_id: label.decode("utf-8")
-                      for node_id, label in zip(ids, entries[1::2]) if label}
-        except UnicodeDecodeError:
-            raise ValueError(f"{path} has a vocabulary entry that is not UTF-8 text") from None
-        return cls(vectors, context, ids, labels)
-
 
 # ---------------------------------------------------------------------------
 # Negative sampling
@@ -199,8 +70,6 @@ def negative_table(counts: Sequence[float]) -> AliasTable:
     """Alias table drawing dense index i with probability counts[i]^0.75 /
     sum; ``AliasTable.build`` raises ``ValueError`` for counts that are all
     zero or negative."""
-    from .walks import AliasTable  # `query` and `predict` load no walker
-
     w = np.asarray(counts, dtype=np.float64) ** 0.75
     return AliasTable.build(list(w / w.sum()))
 
@@ -326,8 +195,6 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     """Run SGNS over the corpus and return the input vectors as the
     embedding. A corpus with no (center, context) pairs returns the seeded
     initialization unchanged."""
-    from .walks import substream_seed
-
     ids = sorted({nid for walk in corpus.walks for nid in walk})
     if not ids:
         raise BimvecError("corpus has no walks")

@@ -1,4 +1,5 @@
-"""Similarity queries, comfort-label prediction, and projector export.
+"""The embedding checkpoint and its readers: similarity queries,
+comfort-label prediction, and projector export.
 
 Cosine similarity is the metric throughout; ranking ties always break by
 ascending node id so results are independent of vocabulary insertion order.
@@ -10,17 +11,24 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import struct
+import zlib
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BimvecError
-from .fileio import atomic_write_text, read_csv
+from .fileio import atomic_write_bytes, atomic_write_text, read_csv
 from .graph import NodeId, PropertyGraph
-from .sgns import EmbeddingMatrix
 
 logger = logging.getLogger(__name__)
+
+_CHECKPOINT_MAGIC = b"BMV1"
+_CHECKPOINT_VERSION = 2
+# A checkpoint stores each node's id and label after its length in UTF-8
+# bytes, a 16-bit unsigned integer.
+_MAX_ENTRY_BYTES = 0xFFFF
 
 ONE_HOT_CLASSES: tuple[tuple[int, int, int], ...] = (
     (1, 0, 0),  # comfortable
@@ -29,6 +37,104 @@ ONE_HOT_CLASSES: tuple[tuple[int, int, int], ...] = (
 )
 
 CLASS_NAMES = ("comfortable", "uncomfortable", "neutral")
+
+
+@dataclass
+class EmbeddingMatrix:
+    """Learned vectors plus the NodeId <-> dense index mapping.
+
+    ``vectors`` (the input vectors) are the embedding; ``context_vectors``
+    are kept so training can resume and checkpoints round-trip.
+    """
+
+    vectors: np.ndarray
+    context_vectors: np.ndarray
+    ids: list[NodeId]
+    labels: dict[NodeId, str] = field(default_factory=dict)
+    epoch_losses: list[float] = field(default_factory=list)
+    vocabulary: dict[NodeId, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.vectors.shape != self.context_vectors.shape:
+            raise ValueError("vector tables must have matching shapes")
+        if len(self.ids) != self.vectors.shape[0]:
+            raise ValueError("row count must equal vocabulary size")
+        self.vocabulary = {nid: i for i, nid in enumerate(self.ids)}
+
+    @property
+    def dimension(self) -> int:
+        return int(self.vectors.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def vector(self, node_id: NodeId) -> np.ndarray:
+        return self.vectors[self.vocabulary[node_id]]
+
+    # -- checkpoint ---------------------------------------------------------
+
+    def save(self, path) -> None:
+        """Binary checkpoint: header, row-major float32 tables, vocabulary,
+        then the CRC32 of all but the header."""
+        parts = [table.astype("<f4").tobytes() for table in (self.vectors, self.context_vectors)]
+        for node_id in self.ids:
+            id_bytes = node_id.encode("utf-8")
+            label_bytes = self.labels.get(node_id, "").encode("utf-8")
+            parts += [struct.pack("<H", len(id_bytes)), id_bytes,
+                      struct.pack("<H", len(label_bytes)), label_bytes]
+        body = b"".join(parts)
+        atomic_write_bytes(path, struct.pack(
+            "<4sIII", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, self.dimension, len(self.ids),
+        ) + body + struct.pack("<I", zlib.crc32(body)))
+
+    @classmethod
+    def load(cls, path) -> "EmbeddingMatrix":
+        with open(path, "rb") as fp:
+            data = fp.read()
+        if len(data) < 16 or data[:4] != _CHECKPOINT_MAGIC:
+            raise ValueError(f"{path} is not an embedding checkpoint")
+        _, version, dimension, vocab_size = struct.unpack_from("<4sIII", data)
+        if version not in (1, _CHECKPOINT_VERSION):
+            raise ValueError(f"unsupported checkpoint version {version}")
+        # a version 1 checkpoint ends with its vocabulary, a later one with a CRC32
+        offset, end = 16, len(data) - 4 * (version > 1)
+
+        def take(size: int) -> bytes:
+            nonlocal offset
+            if offset + size > end:
+                raise ValueError(f"{path} is truncated at byte {len(data)}")
+            offset += size
+            return data[offset - size:offset]
+
+        vectors, context = (
+            np.frombuffer(take(dimension * vocab_size * 4), dtype="<f4")
+            .reshape(vocab_size, dimension).copy() for _ in range(2))
+        if not (np.isfinite(vectors).all() and np.isfinite(context).all()):
+            raise ValueError(f"{path} has non-finite vector entries")
+        # each node's id, then its label; decoded once the CRC32 has passed
+        entries = [take(struct.unpack("<H", take(2))[0]) for _ in range(2 * vocab_size)]
+        if offset != end:
+            raise ValueError(f"{path} has {end - offset} bytes after its vocabulary")
+        if version > 1 and zlib.crc32(data[16:end]) != struct.unpack_from("<I", data, end)[0]:
+            raise ValueError(f"{path} fails its CRC32 check")
+        try:
+            ids = [entry.decode("utf-8") for entry in entries[0::2]]
+            labels = {node_id: label.decode("utf-8")
+                      for node_id, label in zip(ids, entries[1::2]) if label}
+        except UnicodeDecodeError:
+            raise ValueError(f"{path} has a vocabulary entry that is not UTF-8 text") from None
+        return cls(vectors, context, ids, labels)
+
+
+def check_checkpoint_entries(labels: Mapping[NodeId, str]) -> None:
+    """Raise ``BimvecError`` for a node whose id or label, in ``labels``
+    (id to label), is too long for a checkpoint to hold."""
+    for node_id, label in labels.items():
+        for what, text in (("id", node_id), ("label", label)):
+            if (size := len(text.encode("utf-8"))) > _MAX_ENTRY_BYTES:
+                shown = node_id if len(node_id) <= 40 else node_id[:40] + "..."
+                raise BimvecError(f"node {shown!r}: its {what} is {size:,} UTF-8 bytes; "
+                                  f"a checkpoint holds at most {_MAX_ENTRY_BYTES:,}")
 
 
 @dataclass(frozen=True)

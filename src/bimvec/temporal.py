@@ -10,15 +10,17 @@ carry their last known cells forward for up to ``max_gap`` windows.
 from __future__ import annotations
 
 import bisect
+import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BimvecError
-from .fileio import read_csv
-from .graph import Edge, Node, NodeId, PropertyGraph, check_token
+from .fileio import atomic_open, atomic_write_text, read_csv, read_json, text_lines
+from .graph import Edge, Node, NodeId, PropertyGraph, check_token, read_graph
 from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
 
 logger = logging.getLogger(__name__)
@@ -258,7 +260,7 @@ def _pair_weights(edges: Iterable[Edge], node_index: dict[NodeId, int]
     return aggregated
 
 
-def tensor_manifest(tg: TemporalGraph, timestamps: list[int]) -> dict:
+def _tensor_manifest(tg: TemporalGraph, timestamps: list[int]) -> dict:
     """The store manifest's tensor keys: shape, node ordering, timestamps."""
     return {
         "T": len(tg.snapshots),
@@ -280,7 +282,7 @@ def adjacency_tensor(tg: TemporalGraph) -> TensorExport:
         timestamps.append(snapshot.timestamp)
         pairs = _pair_weights(snapshot.graph.edges(), tg.node_index)
         records += [(t, i, j, w) for (i, j), w in sorted(pairs.items())]
-    return TensorExport(tensor_manifest(tg, timestamps), records)
+    return TensorExport(_tensor_manifest(tg, timestamps), records)
 
 
 def _merged(rows: list[str], keys: list, extra: list[tuple]) -> list[str]:
@@ -333,6 +335,83 @@ def store_windows(tg: TemporalGraph) -> Iterator[tuple[int, str, str, int]]:
         prefix = f"{t},"
         yield (timestamp, "\n".join(nodes + lines) + "\n",
                prefix + prefix.join(rows) if rows else "", len(rows))
+
+
+# ---------------------------------------------------------------------------
+# Store layout
+# ---------------------------------------------------------------------------
+
+_TENSOR_HEADER = "t,i,j,w"
+
+
+def _snapshot_path(store_dir, t: int) -> str:
+    return os.path.join(store_dir, "snapshots", f"{t:06d}.tsv")
+
+
+def write_store(tg: TemporalGraph, out_dir, step: int) -> int:
+    """Write the store of a :func:`build_snapshots` result: one
+    ``snapshots/<t>.tsv`` per window, ``tensor.csv``, ``manifest.json``
+    (with ``step``) and ``base.tsv``. Returns the tensor record count."""
+    os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
+    timestamps, records = [], 0
+    with atomic_open(os.path.join(out_dir, "tensor.csv")) as tensor:
+        tensor.write(_TENSOR_HEADER + "\n")
+        for t, (timestamp, text, rows, count) in enumerate(store_windows(tg)):
+            timestamps.append(timestamp)
+            atomic_write_text(_snapshot_path(out_dir, t), text)
+            tensor.write(rows)
+            records += count
+    manifest = _tensor_manifest(tg, timestamps)
+    manifest["step"] = step
+    atomic_write_text(os.path.join(out_dir, "manifest.json"),
+                      json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(os.path.join(out_dir, "base.tsv"), tg.base.to_text())
+    return records
+
+
+def read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
+    """A store's static graph: :func:`union_graph` of ``base.tsv`` and
+    ``tensor.csv`` (``mode`` union) or snapshot ``index`` (``mode`` slice).
+    A bad file it reads raises ``BimvecError`` naming it."""
+    path = os.path.join(store_dir, "manifest.json")
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise BimvecError(f"{path}: expected a JSON object")
+    windows, order = manifest.get("T"), manifest.get("node_index")
+    if type(windows) is not int or windows < 1:
+        raise BimvecError(f"{path}: T must be an integer >= 1, got {windows!r}")
+    if (not isinstance(order, list) or not all(isinstance(n, str) for n in order)
+            or len(set(order)) != len(order)):
+        raise BimvecError(f"{path}: node_index must be a list of distinct strings")
+    if mode == "slice":
+        if not 0 <= index < windows:
+            raise BimvecError(f"slice {index} out of range for {windows} snapshots")
+        return read_graph(_snapshot_path(store_dir, index))
+
+    base = read_graph(os.path.join(store_dir, "base.tsv"))
+    missing = sorted(set(base.node_ids()) - set(order))
+    if missing:
+        raise BimvecError(f"{path}: node_index lacks base node {missing[0]!r}")
+    path = os.path.join(store_dir, "tensor.csv")
+    lines = text_lines(path)
+    if next(lines, "").rstrip("\r\n") != _TENSOR_HEADER:
+        raise BimvecError(f"{path}, line 1: expected the header {_TENSOR_HEADER}")
+    return union_graph(base, order, _tensor_rows(lines, path, windows, len(order)), windows)
+
+
+def _tensor_rows(lines, path, windows: int, nodes: int):
+    """The (t, i, j, w) records of ``tensor.csv`` after its header, checked."""
+    for line_no, line in enumerate(lines, start=2):
+        try:
+            t, i, j, w = line.split(",")
+            t, i, j, w = int(t), int(i), int(j), float(w)
+        except ValueError as exc:
+            raise BimvecError(f"{path}, line {line_no}: {exc}") from None
+        if not (0 <= t < windows and 0 <= i < j < nodes and math.isfinite(w)):
+            raise BimvecError(
+                f"{path}, line {line_no}: need 0 <= t < {windows}, "
+                f"0 <= i < j < {nodes} and a finite w")
+        yield t, i, j, w
 
 
 # ---------------------------------------------------------------------------

@@ -29,35 +29,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import WalkConfig
 from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
-
-# Allowed range of the return (p) and in-out (q) parameters; it bounds the
-# expected number of rejection trials per step by P_Q_MAX / P_Q_MIN = 100.
-P_Q_MIN = 0.1
-P_Q_MAX = 10.0
-
-
-def _check_p_q(p: float, q: float) -> None:
-    if not (P_Q_MIN <= p <= P_Q_MAX and P_Q_MIN <= q <= P_Q_MAX):
-        raise ValueError(f"p and q must lie in [{P_Q_MIN}, {P_Q_MAX}], "
-                         f"got p={p}, q={q}")
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    p: float = 1.0
-    q: float = 1.0
-    walk_length: int = 80
-    walks_per_node: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_p_q(self.p, self.q)
-        if self.walk_length < 1:
-            raise ValueError("walk_length must be >= 1")
-        if self.walks_per_node < 1:
-            raise ValueError("walks_per_node must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +162,7 @@ class WalkSampler:
     def __init__(self, graph: PropertyGraph, p: float, q: float):
         if len(graph) == 0:
             raise ValueError("graph is empty")
-        _check_p_q(p, q)
+        WalkConfig(p, q)  # checks p and q
         self.inv_p = 1.0 / p
         self.inv_q = 1.0 / q
         self.upper = max(1.0, self.inv_p, self.inv_q)

@@ -13,14 +13,14 @@ import pytest
 from click.testing import CliRunner
 
 from bimvec.cli import main
+from bimvec.config import TrainConfig, WalkConfig
 from bimvec.graph import PropertyGraph
-from bimvec.sgns import TrainConfig, pair_loss_and_grads, train
+from bimvec.sgns import pair_loss_and_grads, train
 from bimvec.step_parser import parse_step, parse_step_file, serialize_step, validate_references
 from bimvec.store import LabeledExample, cosine, predict_comfort
 from bimvec.temporal import adjacency_tensor, build_snapshots, flatten
 from bimvec.walks import (
     AliasTable,
-    WalkConfig,
     WalkSampler,
     generate_walks,
     transition_distribution,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import bimvec
 from bimvec.cli import main
-from bimvec.config import RunConfig
+from bimvec.config import RelationMapping, RunConfig, TrainConfig, WalkConfig
 from bimvec.graph import PropertyGraph
 from bimvec.space_grid import spaces_from_graph
 from bimvec.temporal import (
@@ -986,6 +987,33 @@ def test_embed_non_finite_learning_rate_exits_3(runner, data_dir, tmp_path, opti
     assert not (tmp_path / "emb").exists()
 
 
+@pytest.mark.parametrize("long_id,long_label,message", [
+    ("x" * 70_001, "CELL", f"node {'x' * 40 + '...'!r}: its id is 70,001 UTF-8 bytes"),
+    ("c", "L" * 70_001, "node 'c': its label is 70,001 UTF-8 bytes"),
+    ("\u00e9" * 32_768, "CELL", "its id is 65,536 UTF-8 bytes"),
+], ids=["long-id", "long-label", "long-utf8-id"])
+def test_embed_id_or_label_too_long_for_checkpoint_exits_3(runner, tmp_path, monkeypatch,
+                                                           long_id, long_label, message):
+    """A checkpoint stores each id and label with a 16-bit byte length, so a
+    longer one is rejected before any walk, and no output is made."""
+    import bimvec.walks
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walked a graph that cannot be saved")
+
+    monkeypatch.setattr(bimvec.walks, "generate_walks", no_walks)
+    graph_file = tmp_path / "graph.tsv"
+    graph_file.write_text(f"N\ta\tCELL\t{{}}\nN\tb\tCELL\t{{}}\n"
+                          f"N\t{long_id}\t{long_label}\t{{}}\n"
+                          f"E\ta\tb\tADJACENT\t1.0\t{{}}\n"
+                          f"E\tb\t{long_id}\tADJACENT\t1.0\t{{}}\n", encoding="utf-8")
+    result = runner.invoke(main, ["embed", str(graph_file), "--out", str(tmp_path / "emb")])
+    assert result.exit_code == 3, result.output
+    assert message in result.output
+    assert "a checkpoint holds at most 65,535" in result.output
+    assert not (tmp_path / "emb").exists()
+
+
 @pytest.mark.parametrize("command", ["query", "predict"])
 def test_checkpoint_with_nan_entry_exits_3(runner, data_dir, checkpoint, tmp_path, command):
     bad = tmp_path / "checkpoint.bin"
@@ -1233,7 +1261,7 @@ def test_snapshot_query_and_predict_never_load_parser_or_walker(data_dir, checkp
         ["query", str(checkpoint), "cell:5:0:0", "-k", "3"],
         ["predict", str(checkpoint), "cell:5:0:0", "--labels", str(labels), "-k", "1"],
     ]
-    unused = ["bimvec.ifc_graph", "bimvec.step_parser", "bimvec.walks"]
+    unused = ["bimvec.ifc_graph", "bimvec.sgns", "bimvec.step_parser", "bimvec.walks"]
     script = (
         "import sys\n"
         "import bimvec.cli\n"
@@ -1248,6 +1276,37 @@ def test_snapshot_query_and_predict_never_load_parser_or_walker(data_dir, checkp
     lines = result.stdout.splitlines()
     assert [line.split("\t")[0] for line in lines[3:6]] == ["1", "2", "3"]
     assert lines[6].startswith("[") and lines[-1] == "[]"
+
+
+def test_run_config_defaults_are_the_stage_defaults():
+    assert RunConfig().train_config() == TrainConfig()
+    assert RunConfig().walk_config() == WalkConfig()
+    assert RunConfig().relation_mapping() == RelationMapping()
+
+
+def test_only_the_cli_imports_package_modules_inside_functions():
+    """Each module imports what it needs at its top, so its imports show its
+    dependencies; only the CLI defers them, so a command loads what it runs."""
+    found = []
+    for path in sorted(Path(bimvec.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}: TYPE_CHECKING" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"]
+        if path.name == "cli.py":
+            continue
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [("." * node.level) + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}: {module}" for module in modules
+                          if module.startswith(".") or module.split(".")[0] == "bimvec"]
+    assert found == []
 
 
 def test_effective_config_is_echoed(runner, data_dir):

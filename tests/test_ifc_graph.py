@@ -5,14 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from bimvec.config import DEFAULT_OBJECT_PREFIXES, DEFAULT_RELATION_RULES
 from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
-from bimvec.ifc_graph import (
-    DEFAULT_OBJECT_PREFIXES,
-    DEFAULT_RELATION_RULES,
-    attach_properties,
-    build_graph,
-)
+from bimvec.ifc_graph import attach_properties, build_graph
 from bimvec.step_parser import parse_step
 
 from conftest import wrap

@@ -12,17 +12,11 @@ import itertools
 import struct
 
 from bimvec import sgns
+from bimvec.config import TrainConfig, WalkConfig
 from bimvec.errors import BimvecError, InternalInvariantError
-from bimvec.sgns import (
-    EmbeddingMatrix,
-    TrainConfig,
-    initial_vectors,
-    negative_table,
-    pair_loss_and_grads,
-    train,
-)
-from bimvec.store import cosine
-from bimvec.walks import WalkConfig, WalkCorpus, generate_walks, substream_seed
+from bimvec.sgns import initial_vectors, negative_table, pair_loss_and_grads, train
+from bimvec.store import EmbeddingMatrix, cosine
+from bimvec.walks import WalkCorpus, generate_walks, substream_seed
 
 from conftest import SMALL_GRAPHS, graph_from_edges, make_barbell
 

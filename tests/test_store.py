@@ -7,8 +7,8 @@ import pytest
 
 from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
-from bimvec.sgns import EmbeddingMatrix
 from bimvec.store import (
+    EmbeddingMatrix,
     LabeledExample,
     cosine,
     export_projector,

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimvec.config import TrainConfig, WalkConfig
 from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
-from bimvec.sgns import TrainConfig, train
+from bimvec.sgns import train
 from bimvec.walks import (
     AliasTable,
-    WalkConfig,
     WalkSampler,
     generate_walks,
     transition_distribution,
