@@ -15,12 +15,10 @@ import sys
 
 import click
 
-from . import space_grid, temporal
 from .config import RunConfig, load_config
 from .errors import BimvecError, ConfigError, InternalInvariantError
 from .fileio import atomic_write_text
 from .graph import read_graph
-from .temporal import build_snapshots
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +118,7 @@ def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
 def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
               out_path, cell_size, strict):
     """Build the building property graph with cells and sensors."""
+    from . import space_grid, temporal
     from .ifc_graph import attach_properties, build_graph
     from .step_parser import parse_step_file
 
@@ -162,7 +161,7 @@ def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
     click.echo(f"graph\t{out_path}")
 
 
-def _space_for(spaces: dict, record: dict) -> space_grid.DiscretizedSpace:
+def _space_for(spaces: dict, record: dict):
     space_node = str(record["space_id"])
     if space_node not in spaces:
         raise BimvecError(f"manifest references space {space_node!r} "
@@ -187,13 +186,15 @@ def _space_for(spaces: dict, record: dict) -> space_grid.DiscretizedSpace:
 def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
                  out_dir, step):
     """Build per-window snapshots and export the adjacency tensor."""
+    from . import space_grid, temporal
+
     cfg = cfg.updated(step=step)
     _echo_config(cfg)
     base = read_graph(graph_path)
     spaces = space_grid.spaces_from_graph(base)
     readings = temporal.load_readings_csv(readings_path) if readings_path else []
     fixes = temporal.load_fixes_csv(fixes_path) if fixes_path else []
-    tg = build_snapshots(
+    tg = temporal.build_snapshots(
         base, spaces, readings, fixes, cfg.step,
         occupant_radius=cfg.occupant_radius, max_gap=cfg.max_gap,
     )
@@ -233,6 +234,7 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
 def cmd_embed(cfg: RunConfig, input_path, out_dir, flatten_mode, dump_walks,
               **overrides):
     """Walk a graph (or flattened temporal store) and train embeddings."""
+    from . import temporal
     from .sgns import attach_labels, train
     from .store import check_checkpoint_entries, export_projector
     from .walks import generate_walks

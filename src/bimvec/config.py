@@ -8,6 +8,8 @@ values, and each command echoes the fully resolved configuration.
 :class:`RunConfig` takes its defaults from, and builds on demand, each
 stage's record (:class:`WalkConfig`, :class:`TrainConfig`,
 :class:`RelationMapping`), so the command that uses a bad value rejects it.
+The other run parameters' defaults are its own, and functions taking one
+as an argument default to :class:`RunConfig`'s value.
 """
 
 from __future__ import annotations

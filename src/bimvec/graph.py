@@ -153,9 +153,6 @@ class PropertyGraph:
             self._adjacency = adjacency
         return self._adjacency
 
-    def neighbors(self, node_id: NodeId) -> list[NodeId]:
-        return sorted(self.adjacency()[self.node(node_id).id])
-
     def neighbor_weights(self, node_id: NodeId) -> dict[NodeId, float]:
         """Total edge weight per neighbor (parallel edges summed), a copy."""
         return dict(self.adjacency()[self.node(node_id).id])

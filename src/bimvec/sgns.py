@@ -145,16 +145,6 @@ def _context_counts(lengths: np.ndarray, reaches):
         np.concatenate(([0], np.cumsum(lengths)))]
 
 
-def _block_pairs(lengths: np.ndarray, reaches):
-    """Center and context token indices of a block's pairs, in training
-    order (each center's contexts from left to right within its reach and
-    its walk), and where each walk's pairs start, plus the end."""
-    left, per_center, walk_starts = _context_counts(lengths, reaches)
-    centers = np.repeat(np.arange(len(left)), per_center)
-    step = np.arange(len(centers)) - np.repeat(np.cumsum(per_center) - per_center, per_center)
-    return centers, centers - left[centers] + step + (step >= left[centers]), walk_starts
-
-
 def _uniforms(streams, counts) -> np.ndarray:
     """The next ``counts[i]`` uniforms of each of ``streams``, end to end:
     the top 53 bits of a 64-bit word times 2**-53."""
@@ -168,8 +158,10 @@ def block_draws(seeds, walks: np.ndarray, lengths: np.ndarray, keep_probability,
     """The random numbers a block of walks trains with (see Draws above).
     ``walks`` holds the walks' tokens end to end, ``lengths`` their lengths
     and ``seeds`` their substream seeds. Returns, laid out the same way, the
-    tokens that survive subsampling and the walks' new lengths, the reach of
-    each token, and for each (center, context) pair in order the
+    tokens that survive subsampling and the walks' new lengths; the center
+    and context token indices of the pairs, in training order (each center's
+    contexts from left to right within its reach and its walk), and where
+    each walk's pairs start, plus the end; and for each pair the
     ``cfg.negatives`` alias slots and uniforms."""
     streams = [np.random.PCG64(seed) for seed in seeds]
     kept, kept_lengths = walks, lengths
@@ -179,9 +171,14 @@ def block_draws(seeds, walks: np.ndarray, lengths: np.ndarray, keep_probability,
         kept, kept_lengths = walks[keep], np.bincount(walk_of[keep], minlength=len(lengths))
     reaches = 1 + (_uniforms(streams, kept_lengths) * cfg.window).astype(np.int64) \
         if cfg.dynamic_window else np.full(len(kept), cfg.window)
-    pairs = np.diff(_context_counts(kept_lengths, reaches)[2])
-    draws = _uniforms(streams, pairs * 2 * cfg.negatives).reshape(-1, 2, cfg.negatives)
-    return kept, kept_lengths, reaches, (draws[:, 0] * vocab_size).astype(np.int64), draws[:, 1]
+    left, per_center, pair_starts = _context_counts(kept_lengths, reaches)
+    centers = np.repeat(np.arange(len(left)), per_center)
+    step = np.arange(len(centers)) - np.repeat(np.cumsum(per_center) - per_center, per_center)
+    contexts = centers - left[centers] + step + (step >= left[centers])
+    draws = _uniforms(streams, np.diff(pair_starts) * 2 * cfg.negatives).reshape(
+        -1, 2, cfg.negatives)
+    return (kept, kept_lengths, centers, contexts, pair_starts,
+            (draws[:, 0] * vocab_size).astype(np.int64), draws[:, 1])
 
 
 def initial_vectors(vocab_size: int, dimension: int, seed: int) -> np.ndarray:
@@ -229,7 +226,7 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     for epoch in range(cfg.epochs):
         loss_total, pair_total = 0.0, 0
         for first, stop in blocks:
-            kept, kept_lengths, reaches, slots, uniforms = block_draws(
+            kept, kept_lengths, centers, contexts, pair_starts, slots, uniforms = block_draws(
                 [substream_seed(cfg.seed, epoch, walk) for walk in range(first, stop)],
                 tokens[token_starts[first]:token_starts[stop]], lengths[first:stop],
                 keep_probability, cfg, vocab_size)
@@ -238,7 +235,6 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
             progress = np.cumsum(full) - full + np.repeat(
                 offsets[first:stop] + epoch * epoch_pairs - full_starts[:-1], kept_lengths)
             rates = np.maximum(cfg.min_lr, cfg.initial_lr - span * progress / total_progress)
-            centers, contexts, pair_starts = _block_pairs(kept_lengths, reaches)
             losses = _train_pairs(syn0, syn1, kept[centers], kept[contexts],
                                   table.resolve(slots, uniforms), rates[centers],
                                   width, pair_starts).tolist()

@@ -232,11 +232,6 @@ def discretize(footprint: Footprint, cell_size: float) -> DiscretizedSpace:
     return DiscretizedSpace(footprint, float(cell_size), tuple(cells))
 
 
-def queen_adjacency(space: DiscretizedSpace) -> tuple[tuple[NodeId, NodeId], ...]:
-    """8-neighbor adjacency variant; diagonals added to the rook pairs."""
-    return space.adjacency + space.neighbor_pairs(((1, 1), (1, -1)))
-
-
 def locate_cell(space: DiscretizedSpace, point: Point) -> GridCell | None:
     """Kept cell whose extent contains ``point``; shared borders resolve to
     the lower (row, col); None when the point falls in no kept cell."""
@@ -323,7 +318,9 @@ def merge_into(graph: PropertyGraph, space: DiscretizedSpace,
             "cx": cell.center[0],
             "cy": cell.center[1],
         })
-    pairs = queen_adjacency(space) if queen else space.adjacency
+    pairs = space.adjacency
+    if queen:  # 8-neighbor: the diagonals after the rook pairs
+        pairs += space.neighbor_pairs(((1, 1), (1, -1)))
     for a, b in pairs:
         graph.add_edge(a, b, ADJACENT_LABEL, 1.0)
     return graph

@@ -108,9 +108,6 @@ class StepModel:
     def __len__(self) -> int:
         return len(self.entities)
 
-    def __contains__(self, entity_id: int) -> bool:
-        return entity_id in self.entities
-
     def in_id_order(self) -> Iterator[StepEntity]:
         """Iterate entities in ascending id order regardless of file order."""
         for entity_id in sorted(self.entities):

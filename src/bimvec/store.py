@@ -75,7 +75,9 @@ class EmbeddingMatrix:
 
     def save(self, path) -> None:
         """Binary checkpoint: header, row-major float32 tables, vocabulary,
-        then the CRC32 of all but the header."""
+        then the CRC32 of all but the header. An id or label too long for it
+        raises ``BimvecError`` before anything is written."""
+        check_checkpoint_entries({node_id: self.labels.get(node_id, "") for node_id in self.ids})
         parts = [table.astype("<f4").tobytes() for table in (self.vectors, self.context_vectors)]
         for node_id in self.ids:
             id_bytes = node_id.encode("utf-8")
@@ -162,18 +164,7 @@ class NeighborList:
     neighbors: tuple[tuple[NodeId, float], ...]
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    """a.b / (|a||b|); raises for a zero vector."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise BimvecError("cosine similarity is undefined for zero vectors")
-    return float(a @ b / (norm_a * norm_b))
-
-
-def _similarities(emb: EmbeddingMatrix, query: NodeId) -> np.ndarray:
+def similarities(emb: EmbeddingMatrix, query: NodeId) -> np.ndarray:
     """Cosine of the query against every row; zero-norm rows become -inf."""
     if query not in emb.vocabulary:
         raise BimvecError(f"{query!r} is not in the vocabulary")
@@ -191,7 +182,7 @@ def _similarities(emb: EmbeddingMatrix, query: NodeId) -> np.ndarray:
 
 def _ranked(emb: EmbeddingMatrix, query: NodeId,
             candidates: Iterable[int]) -> list[tuple[NodeId, float]]:
-    sims = _similarities(emb, query)
+    sims = similarities(emb, query)
     rows = [i for i in candidates if emb.ids[i] != query and np.isfinite(sims[i])]
     rows.sort(key=lambda i: (-sims[i], emb.ids[i]))
     return [(emb.ids[i], float(sims[i])) for i in rows]

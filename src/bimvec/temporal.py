@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
+from .config import RunConfig
 from .errors import BimvecError
 from .fileio import atomic_open, atomic_write_text, read_csv, read_json, text_lines
 from .graph import Edge, Node, NodeId, PropertyGraph, check_token, read_graph
@@ -142,7 +143,7 @@ def build_snapshots(
     fixes: Sequence[OccupantFix],
     step: int,
     occupant_radius: float | None = None,
-    max_gap: int = 10,
+    max_gap: int = RunConfig.max_gap,
 ) -> TemporalGraph:
     """Bucket readings and fixes into ``step``-second windows, one snapshot
     per window spanning the data.

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import WalkConfig
+from .config import RunConfig, WalkConfig
 from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
 
@@ -88,11 +88,6 @@ class AliasTable:
 
         return np.asarray(self.prob), np.asarray(self.alias)
 
-    def sample_many(self, rng, count: int):
-        """Vectorized draws; ``rng`` must be a numpy Generator."""
-        slots = rng.integers(0, len(self.prob), size=count)
-        return self.resolve(slots, rng.random(count))
-
     def resolve(self, slots, uniforms):
         """Outcomes of numpy draws: a slot keeps itself when its uniform is
         below the slot's probability and falls to its alias otherwise."""
@@ -100,15 +95,6 @@ class AliasTable:
 
         prob, alias = self._arrays
         return np.where(uniforms < prob[slots], slots, alias[slots])
-
-    def outcome_probabilities(self) -> list[float]:
-        """Reconstruct the distribution the table encodes (oracle hook)."""
-        k = len(self.prob)
-        out = [0.0] * k
-        for i in range(k):
-            out[i] += self.prob[i] / k
-            out[self.alias[i]] += (1.0 - self.prob[i]) / k
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +209,7 @@ def substream_seed(*parts) -> int:
 def generate_walks(
     graph: PropertyGraph,
     cfg: WalkConfig,
-    workers: int = 1,
+    workers: int = RunConfig.workers,
     sampler: WalkSampler | None = None,
 ) -> WalkCorpus:
     """``walks_per_node`` walks from every node, each ``walk_length`` nodes

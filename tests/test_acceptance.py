@@ -17,7 +17,7 @@ from bimvec.config import TrainConfig, WalkConfig
 from bimvec.graph import PropertyGraph
 from bimvec.sgns import pair_loss_and_grads, train
 from bimvec.step_parser import parse_step, parse_step_file, serialize_step, validate_references
-from bimvec.store import LabeledExample, cosine, predict_comfort
+from bimvec.store import LabeledExample, predict_comfort, similarities
 from bimvec.temporal import adjacency_tensor, build_snapshots, flatten
 from bimvec.walks import (
     AliasTable,
@@ -33,7 +33,7 @@ from conftest import (
     graph_from_edges,
     make_barbell,
 )
-from test_sgns import finite_difference, reference_loss
+from test_sgns import alias_draws, finite_difference, reference_loss
 from test_store import make_matrix
 from test_temporal import CELL_A, CELL_B, move_fixes, two_cell_base
 
@@ -70,7 +70,7 @@ def test_criterion_1_transition_oracle_equivalence():
         graph = graph_from_edges(nodes, edge_list)
         for p, q in P_Q_GRID:
             for curr in nodes:
-                neighbors = graph.neighbors(curr)
+                neighbors = sorted(graph.neighbor_weights(curr))
                 if not neighbors:
                     continue
                 for prev in [None] + neighbors:
@@ -99,7 +99,7 @@ def test_criterion_2_alias_sampling_fidelity():
         weights = rng.random(size) + 1e-3
         exact = weights / weights.sum()
         table = AliasTable.build(list(weights))
-        samples = table.sample_many(rng, draws)
+        samples = alias_draws(table, rng, draws)
         empirical = np.bincount(samples, minlength=size) / draws
         tv = 0.5 * np.abs(empirical - exact).sum()
         worst = max(worst, tv)
@@ -142,8 +142,9 @@ def _group_means(matrix, group_of):
     within, cross = [], []
     grouped = [nid for nid in matrix.ids if group_of(nid) is not None]
     for i, u in enumerate(grouped):
+        sims = similarities(matrix, u)
         for v in grouped[i + 1:]:
-            value = cosine(matrix.vector(u), matrix.vector(v))
+            value = sims[matrix.vocabulary[v]]
             (within if group_of(u) == group_of(v) else cross).append(value)
     return float(np.mean(within)), float(np.mean(cross))
 

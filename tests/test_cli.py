@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import shutil
@@ -27,6 +29,7 @@ from bimvec.space_grid import spaces_from_graph
 from bimvec.temporal import (
     build_snapshots, flatten, load_fixes_csv, load_readings_csv,
 )
+from bimvec.walks import generate_walks
 
 from conftest import wrap
 
@@ -1248,40 +1251,107 @@ def test_parse_graph_and_snapshot_never_load_numpy(data_dir, tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
-def test_snapshot_query_and_predict_never_load_parser_or_walker(data_dir, checkpoint,
-                                                                 tmp_path):
-    """``snapshot``, ``query`` and ``predict`` run in a fresh interpreter
-    without importing the STEP parser, the IFC mapping or the walker."""
-    graph_file, store = _build_graph_file(CliRunner(), data_dir, tmp_path), tmp_path / "store"
-    labels = tmp_path / "labels.csv"
-    labels.write_text("node_id,feedback\ncell:5:0:1,comfortable\ncell:7:0:0,neutral\n")
-    commands = [
-        ["snapshot", str(graph_file), "--readings", str(data_dir / "readings.csv"),
-         "--fixes", str(data_dir / "fixes.csv"), "--out", str(store)],
-        ["query", str(checkpoint), "cell:5:0:0", "-k", "3"],
-        ["predict", str(checkpoint), "cell:5:0:0", "--labels", str(labels), "-k", "1"],
-    ]
-    unused = ["bimvec.ifc_graph", "bimvec.sgns", "bimvec.step_parser", "bimvec.walks"]
+def _modules_loaded(commands: list[list[str]], names: list[str]) -> tuple[list[str], list]:
+    """Run the CLI ``commands`` in one fresh interpreter: their stdout
+    lines, and which of the modules ``names`` they loaded."""
     script = (
         "import sys\n"
         "import bimvec.cli\n"
         f"for args in {commands!r}:\n"
         "    bimvec.cli.main(args, standalone_mode=False)\n"
-        f"print([name for name in {unused!r} if name in sys.modules])\n")
+        f"print([name for name in {names!r} if name in sys.modules])\n")
     env = {**os.environ, "PYTHONPATH": str(Path(bimvec.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert (store / "tensor.csv").exists()
     lines = result.stdout.splitlines()
+    return lines[:-1], ast.literal_eval(lines[-1])
+
+
+def _query_and_predict(checkpoint, tmp_path) -> list[list[str]]:
+    labels = tmp_path / "labels.csv"
+    labels.write_text("node_id,feedback\ncell:5:0:1,comfortable\ncell:7:0:0,neutral\n")
+    return [["query", str(checkpoint), "cell:5:0:0", "-k", "3"],
+            ["predict", str(checkpoint), "cell:5:0:0", "--labels", str(labels), "-k", "1"]]
+
+
+def test_snapshot_query_and_predict_never_load_parser_or_walker(data_dir, checkpoint,
+                                                                 tmp_path):
+    """``snapshot``, ``query`` and ``predict`` run in a fresh interpreter
+    without importing the STEP parser, the IFC mapping or the walker."""
+    graph_file, store = _build_graph_file(CliRunner(), data_dir, tmp_path), tmp_path / "store"
+    commands = [
+        ["snapshot", str(graph_file), "--readings", str(data_dir / "readings.csv"),
+         "--fixes", str(data_dir / "fixes.csv"), "--out", str(store)],
+    ] + _query_and_predict(checkpoint, tmp_path)
+    unused = ["bimvec.ifc_graph", "bimvec.sgns", "bimvec.step_parser", "bimvec.walks"]
+    lines, loaded = _modules_loaded(commands, unused)
+    assert (store / "tensor.csv").exists()
     assert [line.split("\t")[0] for line in lines[3:6]] == ["1", "2", "3"]
-    assert lines[6].startswith("[") and lines[-1] == "[]"
+    assert lines[6].startswith("[") and loaded == []
+
+
+def test_parse_query_and_predict_never_load_temporal_or_grid(data_dir, checkpoint, tmp_path):
+    """``parse``, ``query`` and ``predict`` run in a fresh interpreter
+    without importing the snapshot builder or the grid."""
+    commands = [["parse", str(data_dir / "two_space.ifc")]] + _query_and_predict(
+        checkpoint, tmp_path)
+    lines, loaded = _modules_loaded(commands, ["bimvec.space_grid", "bimvec.temporal"])
+    assert lines[0].startswith("entities\t")
+    assert [line.split("\t")[0] for line in lines[-4:-1]] == ["1", "2", "3"]
+    assert lines[-1].startswith("[") and loaded == []
 
 
 def test_run_config_defaults_are_the_stage_defaults():
     assert RunConfig().train_config() == TrainConfig()
     assert RunConfig().walk_config() == WalkConfig()
     assert RunConfig().relation_mapping() == RelationMapping()
+    assert inspect.signature(build_snapshots).parameters["max_gap"].default \
+        == RunConfig().max_gap
+    assert inspect.signature(generate_walks).parameters["workers"].default \
+        == RunConfig().workers
+
+
+def _imported(module_name: str, name: str):
+    """What ``from module_name import name`` binds: an attribute of the
+    module, or else its submodule (``ImportError`` when neither exists)."""
+    module = importlib.import_module(module_name)
+    if not hasattr(module, name):
+        importlib.import_module(f"{module_name}.{name}")
+    return getattr(module, name)
+
+
+def test_benchmark_names_resolve():
+    """``bench/layers.py`` calls bimvec in process, so every name it imports
+    from bimvec, every ``temporal.X`` and ``space_grid.X`` it reads, and every
+    keyword it passes to one of them must still exist."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "layers.py").read_text(
+        encoding="utf-8"))
+    names = {alias.asname or alias.name: _imported(node.module, alias.name)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bimvec")
+             for alias in node.names}
+    modules = {name: names[name] for name in ("space_grid", "temporal")}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and not hasattr(modules[node.value.id], node.attr):
+            missing.append(ast.unparse(node))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            target = names.get(func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and func.value.id in modules:
+            target = getattr(modules[func.value.id], func.attr, None)
+        else:
+            target = None
+        if target is not None:
+            parameters = inspect.signature(target).parameters
+            missing += [f"{ast.unparse(func)}({kw.arg}=)" for kw in node.keywords
+                        if kw.arg is not None and kw.arg not in parameters]
+    assert missing == []
 
 
 def test_only_the_cli_imports_package_modules_inside_functions():

@@ -167,9 +167,9 @@ def test_adjacency_follows_mutation():
     graph.add_edge("1", "2", "E", 0.5)
     assert graph.adjacency() == {"1": {"2": 2.5, "3": 1.0}, "2": {"1": 2.5},
                                  "3": {"1": 1.0}}
-    assert graph.neighbors("1") == ["2", "3"]
+    assert sorted(graph.neighbor_weights("1")) == ["2", "3"]
     assert copied.adjacency() == {"1": {"2": 2.0}, "2": {"1": 2.0}}
-    assert copied.neighbors("1") == ["2"]
+    assert sorted(copied.neighbor_weights("1")) == ["2"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from bimvec.space_grid import (
     load_footprints,
     locate_cell,
     merge_into,
-    queen_adjacency,
     spaces_from_graph,
 )
 from bimvec.temporal import OccupantFix, build_snapshots
@@ -176,7 +175,11 @@ def test_adjacency_symmetric_irreflexive_rook():
 
 def test_queen_adjacency_adds_diagonals():
     space = discretize(SQUARE_4, 2.0)
-    assert len(queen_adjacency(space)) == 4 + 2
+    for queen, count in ((False, 4), (True, 4 + 2)):
+        graph = PropertyGraph()
+        graph.add_node(space.space_node, "IFCSPACE")
+        merge_into(graph, space, queen=queen)
+        assert sum(edge.label == space_grid.ADJACENT_LABEL for edge in graph.edges()) == count
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +274,7 @@ def test_sensor_and_occupant_placement_share_one_rule(position, radius):
     space = discretize(SQUARE_4, 2.0)
     graph = _merged(space)
     attach_fixed_node(graph, space, "sensor:x", position, radius)
-    sensor_cells = graph.neighbors("sensor:x")
+    sensor_cells = sorted(graph.neighbor_weights("sensor:x"))
 
     base = _merged(space)
     fix = OccupantFix("occupant:o", 0, "s", position)

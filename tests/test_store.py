@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ from bimvec.graph import PropertyGraph
 from bimvec.store import (
     EmbeddingMatrix,
     LabeledExample,
-    cosine,
     export_projector,
     knn,
     load_labeled_csv,
     predict_comfort,
+    similarities,
 )
 
 
@@ -26,25 +28,33 @@ def make_matrix(rows: dict[str, list[float]],
 
 
 # ---------------------------------------------------------------------------
-# cosine
+# similarities
 # ---------------------------------------------------------------------------
 
-def test_cosine_identity():
-    vec = [0.3, -1.2, 4.0]
-    assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)
+def test_similarities_identity():
+    matrix = make_matrix({"q": [0.3, -1.2, 4.0]})
+    assert similarities(matrix, "q")[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cosine_orthogonal():
-    assert cosine([1, 0], [0, 1]) == 0.0
+def test_similarities_orthogonal():
+    assert similarities(make_matrix({"a": [1, 0], "b": [0, 1]}), "a")[1] == 0.0
 
 
-def test_cosine_45_degrees():
-    assert cosine([1, 0], [1, 1]) == pytest.approx(0.7071067811865475, abs=1e-9)
+def test_similarities_45_degrees():
+    assert similarities(make_matrix({"a": [1, 0], "b": [1, 1]}), "a")[1] == pytest.approx(
+        0.7071067811865475, abs=1e-9)
 
 
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(BimvecError, match="^cosine similarity is undefined for zero vectors$"):
-        cosine([0, 0], [1, 1])
+def test_similarities_zero_query_rejected():
+    matrix = make_matrix({"a": [1, 1], "z": [0, 0]})
+    with pytest.raises(BimvecError, match="^'z' has a zero vector$"):
+        similarities(matrix, "z")
+
+
+def test_zero_row_scores_minus_inf_and_is_never_ranked():
+    matrix = make_matrix({"q": [1, 0], "z": [0, 0], "a": [0, 1]})
+    assert similarities(matrix, "q")[1] == -np.inf
+    assert [nid for nid, _ in knn(matrix, "q", 5).neighbors] == ["a"]
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +224,10 @@ def test_reimported_cosines_match(tmp_path):
     rows = {f"n{i}": rng.normal(size=6).tolist() for i in range(8)}
     matrix = make_matrix(rows)
     vectors_path, _ = export_projector(matrix, None, tmp_path)
-    reloaded = np.loadtxt(vectors_path, delimiter="\t", ndmin=2)
-    for i, nid in enumerate(matrix.ids):
-        for j, other in enumerate(matrix.ids):
-            if i < j:
-                want = cosine(matrix.vector(nid), matrix.vector(other))
-                got = cosine(reloaded[i], reloaded[j])
-                assert got == pytest.approx(want, abs=1e-6)
+    reloaded = make_matrix(dict(zip(matrix.ids, np.loadtxt(
+        vectors_path, delimiter="\t", ndmin=2).tolist())))
+    for nid in matrix.ids:
+        assert similarities(reloaded, nid) == pytest.approx(similarities(matrix, nid), abs=1e-6)
 
 
 def test_round_trip_preserves_ranking(tmp_path):
@@ -241,3 +248,12 @@ def test_load_labeled_csv(data_dir):
     assert [e.node for e in examples] == ["occupant:alice", "occupant:bob"]
     assert examples[0].one_hot == (1, 0, 0)
     assert examples[1].one_hot == (0, 1, 0)
+
+
+def test_save_rejects_an_id_too_long_for_a_checkpoint(tmp_path):
+    node_id = "n" * 70_001
+    message = (f"node {node_id[:40] + '...'!r}: its id is 70,001 UTF-8 bytes; "
+               "a checkpoint holds at most 65,535")
+    with pytest.raises(BimvecError, match=f"^{re.escape(message)}$"):
+        make_matrix({node_id: [1.0, 0.0]}).save(tmp_path / "checkpoint.bin")
+    assert list(tmp_path.iterdir()) == []
