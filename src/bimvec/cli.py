@@ -22,8 +22,6 @@ from .graph import read_graph
 
 logger = logging.getLogger(__name__)
 
-SENSOR_LABEL = "SENSOR"
-
 _EXIT_USAGE = 2
 _EXIT_DATA = 3
 _EXIT_INTERNAL = 4
@@ -118,55 +116,15 @@ def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
 def cmd_graph(cfg: RunConfig, ifc_path, footprints_path, sensors_path,
               out_path, cell_size, strict):
     """Build the building property graph with cells and sensors."""
-    from . import space_grid, temporal
-    from .ifc_graph import attach_properties, build_graph
-    from .step_parser import parse_step_file
+    from .ifc_graph import building_graph
 
     cfg = cfg.updated(cell_size=cell_size, strict=strict)
     _echo_config(cfg)
-    model = parse_step_file(ifc_path)
-    graph = build_graph(model, cfg.relation_mapping(), strict=cfg.strict)
-    attach_properties(graph, model)
-
-    spaces = {}
-    for footprint in space_grid.load_footprints(footprints_path):
-        if footprint.space_node not in graph:
-            raise BimvecError(
-                f"footprint references unknown space entity "
-                f"#{footprint.space_node}"
-            )
-        space = space_grid.discretize(footprint, cfg.cell_size)
-        space_grid.merge_into(graph, space, queen=cfg.adjacency == "queen")
-        spaces[space.space_node] = space
-
-    if sensors_path:
-        sensors, anchors = space_grid.load_sensor_manifest(sensors_path)
-        fixed = [(temporal.sensor_node_id(str(r["id"])), r) for r in sensors]
-        for node_id, record in fixed:
-            graph.add_node(node_id, SENSOR_LABEL, {
-                "space": str(record["space_id"]),
-                "x": record["position"][0],
-                "y": record["position"][1],
-            })
-        fixed += [(str(r["entity_id"]), r) for r in anchors]
-        for node_id, record in fixed:
-            space_grid.attach_fixed_node(
-                graph, _space_for(spaces, record), node_id, record["position"],
-                record.get("radius", cfg.sensor_radius), strict=cfg.strict,
-            )
-
+    graph = building_graph(cfg, ifc_path, footprints_path, sensors_path)
     atomic_write_text(out_path, graph.to_text())
     click.echo(f"nodes\t{len(graph)}")
     click.echo(f"edges\t{graph.edge_count}")
     click.echo(f"graph\t{out_path}")
-
-
-def _space_for(spaces: dict, record: dict):
-    space_node = str(record["space_id"])
-    if space_node not in spaces:
-        raise BimvecError(f"manifest references space {space_node!r} "
-                          "with no footprint")
-    return spaces[space_node]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ IFC objectified relationships (IfcRel*) become edges between the objects
 they connect; the relationship entities themselves do not become nodes.
 Property sets attached through IFCRELDEFINESBYPROPERTIES are copied onto
 node attributes. Everything is driven by a rule table so unknown schema
-variants can be mapped without code changes.
+variants can be mapped without code changes. :func:`building_graph` adds
+the grid cells, sensors and anchors: it is what the ``graph`` command writes.
 """
 
 from __future__ import annotations
 
 import logging
 
-from .config import RelationMapping, RelationRule
+from . import space_grid
+from .config import RelationMapping, RelationRule, RunConfig
 from .errors import BimvecError
 from .graph import NodeId, PropertyGraph
 from .step_parser import (
@@ -19,6 +21,7 @@ from .step_parser import (
     StepEntity,
     StepModel,
     TypedValue,
+    parse_step_file,
     reference_ids,
 )
 
@@ -28,6 +31,46 @@ logger = logging.getLogger(__name__)
 def ifc_node_id(entity_id: int) -> NodeId:
     """Node id for an IFC-derived node: the decimal entity id."""
     return str(entity_id)
+
+
+def building_graph(cfg: RunConfig, ifc_path, footprints_path,
+                   sensors_path=None) -> PropertyGraph:
+    """The IFC objects with their relations and properties, each footprint's
+    grid cells, and the manifest's sensors and anchors AT the cells near them."""
+    model = parse_step_file(ifc_path)
+    graph = build_graph(model, cfg.relation_mapping(), strict=cfg.strict)
+    attach_properties(graph, model)
+
+    spaces = {}
+    for index, footprint in enumerate(space_grid.load_footprints(footprints_path)):
+        if footprint.space_node not in graph:
+            raise BimvecError(f"footprint references unknown space entity "
+                              f"#{footprint.space_node}")
+        if footprint.space_node in spaces:
+            raise BimvecError(f"{footprints_path}: footprints[{index}]: space "
+                              f"{footprint.space_node!r} has a second footprint")
+        space = space_grid.discretize(footprint, cfg.cell_size)
+        space_grid.merge_into(graph, space, queen=cfg.adjacency == "queen")
+        spaces[space.space_node] = space
+
+    if sensors_path:
+        sensors, anchors = space_grid.load_sensor_manifest(sensors_path)
+        fixed = [(space_grid.sensor_node_id(str(r["id"])), r) for r in sensors]
+        for index, (node_id, record) in enumerate(fixed):
+            if node_id in graph:
+                raise BimvecError(f"{sensors_path}: sensors[{index}]: sensor id "
+                                  f"{str(record['id'])!r} repeats")
+            x, y = record["position"]
+            graph.add_node(node_id, space_grid.SENSOR_LABEL,
+                           {"space": str(record["space_id"]), "x": x, "y": y})
+        fixed += [(str(r["entity_id"]), r) for r in anchors]
+        for node_id, record in fixed:
+            space_node = str(record["space_id"])
+            if space_node not in spaces:
+                raise BimvecError(f"manifest references space {space_node!r} with no footprint")
+            space_grid.attach_fixed_node(graph, spaces[space_node], node_id, record["position"],
+                                         record.get("radius", cfg.sensor_radius), strict=cfg.strict)
+    return graph
 
 
 def build_graph(

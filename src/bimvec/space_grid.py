@@ -31,6 +31,7 @@ MAX_GRID_CELLS = 1_000_000
 CELL_LABEL = "CELL"
 ADJACENT_LABEL = "ADJACENT"
 AT_LABEL = "AT"
+SENSOR_LABEL = "SENSOR"
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,10 @@ class DiscretizedSpace:
 
 def cell_node_id(space_node: NodeId, row: int, col: int) -> NodeId:
     return f"cell:{space_node}:{row}:{col}"
+
+
+def sensor_node_id(sensor_id: str) -> NodeId:
+    return f"sensor:{sensor_id}"
 
 
 def discretize(footprint: Footprint, cell_size: float) -> DiscretizedSpace:

@@ -68,9 +68,6 @@ class EmbeddingMatrix:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def vector(self, node_id: NodeId) -> np.ndarray:
-        return self.vectors[self.vocabulary[node_id]]
-
     # -- checkpoint ---------------------------------------------------------
 
     def save(self, path) -> None:

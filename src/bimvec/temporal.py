@@ -22,7 +22,7 @@ from .config import RunConfig
 from .errors import BimvecError
 from .fileio import atomic_open, atomic_write_text, read_csv, read_json, text_lines
 from .graph import Edge, Node, NodeId, PropertyGraph, check_token, read_graph
-from .space_grid import AT_LABEL, DiscretizedSpace, cells_near
+from .space_grid import AT_LABEL, DiscretizedSpace, cells_near, sensor_node_id
 
 logger = logging.getLogger(__name__)
 
@@ -461,10 +461,6 @@ def flatten(tg: TemporalGraph, mode: str = "union",
 # ---------------------------------------------------------------------------
 # CSV input
 # ---------------------------------------------------------------------------
-
-def sensor_node_id(sensor_id: str) -> NodeId:
-    return f"sensor:{sensor_id}"
-
 
 def occupant_node_id(occupant_id: str) -> NodeId:
     return f"occupant:{occupant_id}"

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from bimvec import space_grid, temporal
+from bimvec.config import RunConfig
 from bimvec.graph import PropertyGraph
-from bimvec.ifc_graph import attach_properties, build_graph
+from bimvec.ifc_graph import building_graph
 from bimvec.step_parser import StepModel, parse_step_file
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -40,37 +40,11 @@ def fixture_manifest() -> dict:
 
 
 def build_two_space_graph(cell_size: float = 2.0) -> PropertyGraph:
-    """The full building graph: IFC objects, cells, sensors, anchors.
-
-    Mirrors what the graph command produces for the two_space fixture.
-    """
-    model = parse_step_file(DATA_DIR / "two_space.ifc")
-    graph = build_graph(model)
-    attach_properties(graph, model)
-    spaces = {}
-    for footprint in space_grid.load_footprints(DATA_DIR / "two_space.footprints.json"):
-        space = space_grid.discretize(footprint, cell_size)
-        space_grid.merge_into(graph, space)
-        spaces[space.space_node] = space
-    with open(DATA_DIR / "two_space.sensors.json", encoding="utf-8") as fp:
-        manifest = json.load(fp)
-    for record in manifest["sensors"]:
-        space = spaces[str(record["space_id"])]
-        node_id = temporal.sensor_node_id(record["id"])
-        graph.add_node(node_id, "SENSOR", {
-            "space": space.space_node,
-            "x": record["position"][0],
-            "y": record["position"][1],
-        })
-        space_grid.attach_fixed_node(graph, space, node_id,
-                                     tuple(record["position"]),
-                                     record["radius"])
-    for record in manifest["anchors"]:
-        space = spaces[str(record["space_id"])]
-        space_grid.attach_fixed_node(graph, space, str(record["entity_id"]),
-                                     tuple(record["position"]),
-                                     record["radius"])
-    return graph
+    """The full building graph of the two_space fixture: IFC objects, cells,
+    sensors and anchors, as the graph command writes it."""
+    return building_graph(RunConfig(cell_size=cell_size), DATA_DIR / "two_space.ifc",
+                          DATA_DIR / "two_space.footprints.json",
+                          DATA_DIR / "two_space.sensors.json")
 
 
 @pytest.fixture(scope="session")

@@ -181,9 +181,11 @@ _SQUARE = [[0.0, 0.0], [6.0, 0.0], [6.0, 6.0], [0.0, 6.0]]
      "footprints[0]: polygon[0]"),
     ([{"space_id": 5, "polygon": _SQUARE, "elevation": float("nan")}],
      "footprints[0]: elevation"),
+    ([{"space_id": 5, "polygon": _SQUARE}] * 2,
+     "footprints[1]: space '5' has a second footprint"),
 ], ids=["no-space-id", "top-level-object", "non-object", "inf-coordinate",
         "nan-coordinate", "no-polygon", "two-points", "three-numbers",
-        "string-coordinate", "nan-elevation"])
+        "string-coordinate", "nan-elevation", "second-footprint"])
 def test_graph_bad_footprints_exit_3(runner, data_dir, tmp_path, footprints, where):
     path = tmp_path / "footprints.json"
     path.write_text(json.dumps(footprints))
@@ -242,10 +244,16 @@ def test_graph_bad_sensor_manifest_exits_3(runner, data_dir, tmp_path, manifest)
     assert not out.exists()
 
 
-def test_graph_negative_manifest_radius_names_record(runner, data_dir, tmp_path):
+@pytest.mark.parametrize("manifest,message", [
+    ({"anchors": [{"entity_id": 20, "space_id": 5, "position": [5.5, 3.0], "radius": -1}]},
+     "anchors[0]: radius must be >= 0, got -1.0"),
+    ({"sensors": [_GOOD_SENSOR, {**_GOOD_SENSOR, "space_id": 7, "position": [9.0, 3.0]}]},
+     "sensors[1]: sensor id 's1' repeats"),
+], ids=["negative-radius", "repeated-sensor-id"])
+def test_graph_bad_manifest_record_names_file_and_entry(runner, data_dir, tmp_path,
+                                                        manifest, message):
     sensors = tmp_path / "sensors.json"
-    sensors.write_text(json.dumps({"anchors": [
-        {"entity_id": 20, "space_id": 5, "position": [5.5, 3.0], "radius": -1}]}))
+    sensors.write_text(json.dumps(manifest))
     out = tmp_path / "graph.tsv"
     result = runner.invoke(main, [
         "graph", str(data_dir / "two_space.ifc"),
@@ -253,7 +261,7 @@ def test_graph_negative_manifest_radius_names_record(runner, data_dir, tmp_path)
         "--sensors", str(sensors), "--out", str(out), "--cell-size", "2.0",
     ])
     assert result.exit_code == 3, result.output
-    assert f"error: {sensors}: anchors[0]: radius must be >= 0, got -1.0" in result.output
+    assert f"error: {sensors}: {message}" in result.output
     assert not out.exists()
 
 
@@ -1300,6 +1308,22 @@ def test_parse_query_and_predict_never_load_temporal_or_grid(data_dir, checkpoin
     assert lines[0].startswith("entities\t")
     assert [line.split("\t")[0] for line in lines[-4:-1]] == ["1", "2", "3"]
     assert lines[-1].startswith("[") and loaded == []
+
+
+def test_graph_never_loads_snapshots_walker_trainer_or_numpy(data_dir, tmp_path,
+                                                             fixture_manifest):
+    """``graph`` runs in a fresh interpreter without importing the snapshot
+    builder, the walker, the trainer, the checkpoint store or numpy."""
+    out = tmp_path / "graph.tsv"
+    commands = [["graph", str(data_dir / "two_space.ifc"),
+                 "--footprints", str(data_dir / "two_space.footprints.json"),
+                 "--sensors", str(data_dir / "two_space.sensors.json"),
+                 "--cell-size", "2.0", "--out", str(out)]]
+    unused = ["bimvec.temporal", "bimvec.walks", "bimvec.sgns", "bimvec.store", "numpy"]
+    lines, loaded = _modules_loaded(commands, unused)
+    assert lines[:3] == [f"nodes\t{fixture_manifest['nodes']}",
+                         f"edges\t{fixture_manifest['edges']}", f"graph\t{out}"]
+    assert out.exists() and loaded == []
 
 
 def test_run_config_defaults_are_the_stage_defaults():

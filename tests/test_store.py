@@ -214,7 +214,7 @@ def test_metadata_rows_align_with_vectors(tmp_path):
                 in open(metadata_path).read().splitlines()[1:]]
     for row_index, (node_id, label, ifc_type) in enumerate(metadata):
         assert np.allclose(vectors[row_index],
-                           matrix.vector(node_id), atol=1e-6)
+                           matrix.vectors[matrix.vocabulary[node_id]], atol=1e-6)
         assert label == graph.node(node_id).label
         assert ifc_type == ("IFCWALL" if node_id == "10" else "")
 
