@@ -63,6 +63,13 @@ def building_graph(cfg: RunConfig, ifc_path, footprints_path,
             x, y = record["position"]
             graph.add_node(node_id, space_grid.SENSOR_LABEL,
                            {"space": str(record["space_id"]), "x": x, "y": y})
+        placed = set()
+        for index, record in enumerate(anchors):
+            key = (str(record["entity_id"]), str(record["space_id"]))
+            if key in placed:
+                raise BimvecError(f"{sensors_path}: anchors[{index}]: entity {key[0]!r} "
+                                  f"is anchored in space {key[1]!r} twice")
+            placed.add(key)
         fixed += [(str(r["entity_id"]), r) for r in anchors]
         for node_id, record in fixed:
             space_node = str(record["space_id"])

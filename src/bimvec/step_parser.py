@@ -7,12 +7,14 @@ typed values, nested aggregates, ``$`` and ``*`` markers) and reports
 positioned errors for anything it cannot read. ``\\X\\``/``\\S\\`` control
 directives inside strings are passed through verbatim.
 
-One compiled regex tokenizes the text as a stream. Filler between tokens is
-exactly space, tab, CR, LF and ``/* */`` comments; any other character there,
-such as a form feed or a non-ASCII letter, is an error. Outside strings and
-comments the tokens are ASCII: keywords ``[A-Za-z_][A-Za-z0-9_-]*`` and digits
-``0-9``. Tokens carry character offsets; the 1-based line and column of an
-error are computed from its offset only when the error is raised.
+Filler between tokens is exactly space, tab, CR, LF and ``/* */`` comments;
+any other character there, such as a form feed or a non-ASCII letter, is an
+error. Outside strings and comments the tokens are ASCII: keywords
+``[A-Za-z_][A-Za-z0-9_-]*`` and digits ``0-9``. The text is read in spans of
+about 64 KiB, each cut after a ``;``. One ``findall`` of a compiled regex turns
+a span into plain token strings, and one loop reads them, nesting values on a
+stack. A span whose problem may come from its cut is read again, twice as
+long. An error's 1-based line and column are computed only when it is raised.
 
 Complex entity instances (``#id=(A(...) B(...));``) are not supported and
 raise a :class:`~bimvec.errors.BimvecError` ending ``(line L, column C)``.
@@ -21,7 +23,7 @@ raise a :class:`~bimvec.errors.BimvecError` ending ``(line L, column C)``.
 from __future__ import annotations
 
 import enum
-import logging
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
@@ -29,11 +31,10 @@ from typing import Iterator, Union
 from .errors import BimvecError
 from .fileio import read_text
 
-logger = logging.getLogger(__name__)
-
 _TYPE_NAME_RE = re.compile(r"[A-Z0-9_]+")
-# Deepest nesting of aggregates and typed values inside one record; the
-# parser recurses once per level, so this keeps it far from Python's limit.
+# Deepest nesting of aggregates and typed values inside one record;
+# serialize_step and reference_ids recurse once per level, so this keeps them
+# far from Python's limit.
 MAX_NESTING = 100
 
 
@@ -115,220 +116,196 @@ class StepModel:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser
 # ---------------------------------------------------------------------------
 
-# One alternative per token kind; ``error`` catches the first character of
-# anything else. The string pattern has no backtracking path that could close
-# a string early, so ``'ab''`` at end of input stays unterminated.
+# Filler is folded into the match before each token, the one group: punct,
+# string, reference, enumeration, number, keyword, the empty end of the text
+# searched, or one character of anything else. The string pattern has no
+# backtracking path that could close a string early, so ``'ab''`` at end of
+# input stays unterminated.
 _TOKEN_RE = re.compile(r"""
-    (?P<filler>(?:[ \t\r\n]|/\*.*?\*/)+)
-  | (?P<punct>[(),;=$*])
-  | (?P<string>'[^']*(?:''[^']*)*'(?!'))
-  | (?P<ref>\#[0-9]+)
-  | (?P<enum>\.[A-Za-z0-9_]+\.)
-  | (?P<number>[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)
-  | (?P<keyword>[A-Za-z_][A-Za-z0-9_-]*)
-  | (?P<error>.)
+    [ \t\r\n]*(?:/\*.*?\*/[ \t\r\n]*)*
+    ( [(),;=$*]
+    | '[^']*(?:''[^']*)*'(?!')
+    | \#[0-9]+
+    | \.[A-Za-z0-9_]+\.
+    | [+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?
+    | [A-Za-z_][A-Za-z0-9_-]*
+    | \Z
+    | . )
 """, re.VERBOSE | re.DOTALL)
+_SPAN = 1 << 16  # characters read at a time; a span ends after the next ';'
+_KEYWORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUMBER_START = frozenset("+-0123456789")
+_LEX_ERRORS = {"'": "unterminated string", "#": "expected digits after '#'",
+               ".": "malformed enumeration token"}
 
-_LEX_ERRORS = {
-    "'": "unterminated string",
-    "#": "expected digits after '#'",
-    ".": "malformed enumeration token",
-}
+# The sections, the ``KEYWORD;`` statements that move between them, and each
+# section's error for any other statement.
+_START, _FILE, _HEADER, _DATA, _END = range(5)
+_NEXT_SECTION = {(_START, "ISO-10303-21"): _FILE, (_FILE, "HEADER"): _HEADER,
+                 (_FILE, "DATA"): _DATA, (_FILE, "END-ISO-10303-21"): _END,
+                 (_HEADER, "ENDSEC"): _FILE, (_DATA, "ENDSEC"): _FILE}
+_STATEMENT_ERRORS = ("missing ISO-10303-21 sentinel at start of file",
+                     "unexpected {} at file level", "expected header record, found {}",
+                     "expected '#' instance record, found {}",
+                     "unexpected {} after end sentinel")
 
 
-def _syntax_error(text: str, message: str, offset: int) -> BimvecError:
-    """``message`` with the 1-based line and column of a character offset,
-    computed only when an error is reported."""
+class _Fault(Exception):
+    """``(message, at[, lexed])``: a problem at token ``at`` of a span (None:
+    no position), which ``{}`` in ``message`` names. The last argument is the
+    furthest token read when it was found; if that is no token, it wins."""
+
+
+def _fault_error(text: str, start: int, end: int, tokens: list, fault: _Fault) -> BimvecError:
+    """The error for a fault in the span ``text[start:end]``, with the 1-based
+    line and column of its token, computed only now."""
+    message, at, lexed = fault.args[0], fault.args[1], fault.args[-1]
+    matches = list(itertools.islice(_TOKEN_RE.finditer(text, start, end), lexed + 1))
+    offset, token = matches[lexed].start(1), tokens[lexed]
+    if len(token) == 1 and not re.fullmatch(r"[(),;=$*\w]", token, re.ASCII):
+        if text.startswith("/*", offset):
+            message = "unterminated comment"
+        else:
+            message = _LEX_ERRORS.get(token, f"unexpected character {token!r}")
+    elif token[:1] == "#" and not int(token[1:]):
+        message = "entity id must be positive"
+    elif token[:1] in _NUMBER_START and token[-1] in "eE+-":
+        message = "malformed real exponent"
+    elif at is None:
+        return BimvecError(message)
+    else:
+        found = tokens[at]
+        head = found[:1]
+        value = (found[1:-1].replace("''", "'") if head == "'"
+                 else found[1:-1].upper() if head == "."
+                 else _number(found.lstrip("#")) if head == "#" or head in _NUMBER_START
+                 else found.upper())
+        message = message.format(repr(value) if found else "end of input")
+        offset = matches[at].start(1)
     line = text.count("\n", 0, offset) + 1
     column = offset - text.rfind("\n", 0, offset)
     return BimvecError(f"{message} (line {line}, column {column})")
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
-    """Yield ``(kind, value, offset)`` for each token, then ``("eof", None,
-    len(text))``. A punctuation character is its own kind; keywords and
-    enumeration names are upper-cased and strings unescaped."""
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "filler":
+def _number(token: str) -> int | float:
+    return float(token) if "." in token or "e" in token or "E" in token else int(token)
+
+
+def _read_span(tokens: list, model: StepModel, section: int, saw_data: bool,
+               final: bool, type_names: dict) -> tuple[int, bool]:
+    """Read one span's statements into ``model``; return the section and the
+    saw-DATA flag at its end. Only the ``final`` span must end the file."""
+    entities = model.entities
+    i = 0
+    while True:
+        token = tokens[i]
+        head = token[:1]
+        if head == "#" and section == _DATA:
+            entity_id = int(token[1:]) if len(token) > 1 else 0
+            if not entity_id:
+                raise _Fault(_STATEMENT_ERRORS[_DATA], i)
+            if tokens[i + 1] != "=":
+                raise _Fault("expected '=', found {}", i + 1)
+            type_name = type_names.get(tokens[i + 2])
+            if type_name is None:  # the first record of this type
+                type_token = tokens[i + 2]
+                if type_token == "(":
+                    raise _Fault("complex entity instances are not supported", i + 2)
+                if type_token[:1] not in _KEYWORD_START:
+                    raise _Fault("expected entity type, found {}", i + 2)
+                type_name = type_token.upper()
+                if not _TYPE_NAME_RE.fullmatch(type_name):
+                    raise _Fault(f"invalid entity type name {type_name!r}", i + 2, i + 3)
+                type_names[type_token] = type_name
+            attributes, end = _read_values(tokens, i + 3)
+            if tokens[end] != ";":
+                raise _Fault("expected ';', found {}", end)
+            if entity_id in entities:
+                raise _Fault(f"duplicate entity id #{entity_id}", i, end + 1)
+            entities[entity_id] = StepEntity(entity_id, type_name, attributes)
+            i = end + 1
             continue
-        token = match.group()
-        offset = match.start()
-        if kind == "punct":
-            yield token, token, offset
-        elif kind == "keyword":
-            yield kind, token.upper(), offset
-        elif kind == "ref":
-            entity_id = int(token[1:])
-            if entity_id == 0:
-                raise _syntax_error(text, "entity id must be positive", offset)
-            yield kind, entity_id, offset
-        elif kind == "number":
-            if token[-1] in "eE+-":
-                raise _syntax_error(text, "malformed real exponent", offset)
-            if "." in token or "e" in token or "E" in token:
-                yield kind, float(token), offset
-            else:
-                yield kind, int(token), offset
-        elif kind == "string":
-            yield kind, token[1:-1].replace("''", "'"), offset
-        elif kind == "enum":
-            yield kind, token[1:-1].upper(), offset
-        elif text.startswith("/*", offset):
-            raise _syntax_error(text, "unterminated comment", offset)
+        if not token and (not final or section == _END):
+            return section, saw_data
+        keyword = token.upper() if head in _KEYWORD_START else None
+        following = _NEXT_SECTION.get((section, keyword))
+        if following is not None:
+            if tokens[i + 1] != ";":
+                raise _Fault("expected ';', found {}", i + 1)
+            section, saw_data, i = following, saw_data or following == _DATA, i + 2
+            if section == _END and not saw_data:
+                raise _Fault("file has no DATA section", None, i)
+        elif section == _HEADER and keyword:
+            model.header[keyword], i = _read_values(tokens, i + 1)
+            if tokens[i] != ";":
+                raise _Fault("expected ';', found {}", i)
+            i += 1
+        elif section == _FILE and not token:
+            raise _Fault("missing END-ISO-10303-21 sentinel", None, i)
         else:
-            message = _LEX_ERRORS.get(token, f"unexpected character {token!r}")
-            raise _syntax_error(text, message, offset)
-    yield "eof", None, len(text)
+            raise _Fault(_STATEMENT_ERRORS[section], None if section == _START else i, i)
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-class _Parser:
-    """Recursive descent over the token stream with one token of lookahead
-    (``_kind``, ``_value``, ``_offset``)."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._tokens = _tokenize(text)
-        self._value = None
-        self._advance()
-
-    def _advance(self):
-        """Move to the next token and return the value of the current one."""
-        value = self._value
-        self._kind, self._value, self._offset = next(self._tokens)
-        return value
-
-    def _error(self, message: str) -> BimvecError:
-        return _syntax_error(self._text, message, self._offset)
-
-    def _describe(self) -> str:
-        if self._kind == "eof":
-            return "end of input"
-        return repr(self._value)
-
-    def _accept(self, keyword: str) -> bool:
-        """Consume ``KEYWORD;`` if the current token is ``keyword``."""
-        if self._kind != "keyword" or self._value != keyword:
-            return False
-        self._advance()
-        self._expect(";")
-        return True
-
-    def _expect(self, char: str) -> None:
-        if self._kind != char:
-            raise self._error(f"expected {char!r}, found {self._describe()}")
-        self._advance()
-
-    def parse_file(self) -> StepModel:
-        if not self._accept("ISO-10303-21"):
-            raise BimvecError("missing ISO-10303-21 sentinel at start of file")
-
-        model = StepModel()
-        saw_data = False
+def _read_values(tokens: list, i: int) -> tuple[list, int]:
+    """The values of the list that ``tokens[i]`` must open and the index of
+    the token after its ``)``. Enclosing aggregates and typed values wait on
+    a stack with their type name, None for an aggregate."""
+    if tokens[i] != "(":
+        raise _Fault("expected '(', found {}", i)
+    values: list = []
+    stack = []
+    type_name = None
+    i += 1
+    try:
         while True:
-            if self._accept("HEADER"):
-                self._parse_header_section(model)
-            elif self._accept("DATA"):
-                self._parse_data_section(model)
-                saw_data = True
-            elif self._accept("END-ISO-10303-21"):
-                break
-            elif self._kind == "eof":
-                raise BimvecError("missing END-ISO-10303-21 sentinel")
+            token = tokens[i]
+            head = token[0]
+            if head == "$":
+                values.append(None)
+            elif head == "#":
+                values.append(EntityRef(int(token[1:])))
+            elif head in _NUMBER_START:
+                values.append(_number(token))
+            elif head == "'" and len(token) > 1:
+                values.append(token[1:-1].replace("''", "'"))
+            elif head == "(" or head in _KEYWORD_START:
+                if len(stack) == MAX_NESTING:
+                    raise _Fault(f"values nested deeper than {MAX_NESTING} levels", i)
+                typed = head != "("
+                if typed and tokens[i + 1] != "(":
+                    raise _Fault("expected '(', found {}", i + 1)
+                stack.append((values, type_name))
+                values, type_name = [], token.upper() if typed else None
+                i += 1 + typed
+                continue
+            elif head == "*":
+                values.append(DERIVED)
+            elif head == "." and len(token) > 1:
+                values.append(EnumToken(token[1:-1].upper()))
+            elif head == ")" and not values and type_name is None:
+                i -= 1  # an empty list, closed below
             else:
-                raise self._error(f"unexpected {self._describe()} at file level")
-        if not saw_data:
-            raise BimvecError("file has no DATA section")
-        if self._kind != "eof":
-            raise self._error(f"unexpected {self._describe()} after end sentinel")
-        return model
-
-    def _parse_header_section(self, model: StepModel) -> None:
-        while not self._accept("ENDSEC"):
-            if self._kind != "keyword":
-                raise self._error(
-                    f"expected header record, found {self._describe()}"
-                )
-            keyword = self._advance()
-            self._expect("(")
-            values = self._parse_value_list()
-            self._expect(")")
-            self._expect(";")
-            model.header[keyword] = values
-
-    def _parse_data_section(self, model: StepModel) -> None:
-        while not self._accept("ENDSEC"):
-            if self._kind != "ref":
-                raise self._error(
-                    f"expected '#' instance record, found {self._describe()}"
-                )
-            ref_offset = self._offset
-            entity_id = self._advance()
-            self._expect("=")
-            if self._kind == "(":
-                raise self._error("complex entity instances are not supported")
-            if self._kind != "keyword":
-                raise self._error(f"expected entity type, found {self._describe()}")
-            type_offset = self._offset
-            type_name = self._advance()
-            if not _TYPE_NAME_RE.fullmatch(type_name):
-                raise _syntax_error(self._text,
-                                    f"invalid entity type name {type_name!r}",
-                                    type_offset)
-            self._expect("(")
-            attributes = self._parse_value_list()
-            self._expect(")")
-            self._expect(";")
-            if entity_id in model.entities:
-                raise _syntax_error(self._text, f"duplicate entity id #{entity_id}",
-                                    ref_offset)
-            model.entities[entity_id] = StepEntity(entity_id, type_name, attributes)
-
-    def _parse_value_list(self, depth: int = 0) -> list:
-        if self._kind == ")":
-            return []
-        values = [self._parse_value(depth)]
-        while self._kind == ",":
-            self._advance()
-            values.append(self._parse_value(depth))
-        return values
-
-    def _parse_value(self, depth: int) -> StepValue:
-        """``depth`` counts the aggregates and typed values around it."""
-        kind = self._kind
-        if kind in ("(", "keyword") and depth == MAX_NESTING:
-            raise self._error(f"values nested deeper than {MAX_NESTING} levels")
-        if kind == "number" or kind == "string":
-            return self._advance()
-        if kind == "ref":
-            return EntityRef(self._advance())
-        if kind == "enum":
-            return EnumToken(self._advance())
-        if kind == "$":
-            self._advance()
-            return None
-        if kind == "*":
-            self._advance()
-            return DERIVED
-        if kind == "(":
-            self._advance()
-            values = self._parse_value_list(depth + 1)
-            self._expect(")")
-            return values
-        if kind == "keyword":
-            type_name = self._advance()
-            self._expect("(")
-            inner = self._parse_value(depth + 1)
-            self._expect(")")
-            return TypedValue(type_name, inner)
-        raise self._error(f"expected a value, found {self._describe()}")
+                raise _Fault("expected a value, found {}", i)
+            i += 1
+            # After a value: a comma inside an aggregate, or closing parens.
+            while True:
+                token = tokens[i]
+                i += 1
+                if token == "," and type_name is None:
+                    break
+                if token != ")":
+                    raise _Fault("expected ')', found {}", i - 1)
+                if not stack:
+                    return values, i
+                value = values if type_name is None else TypedValue(type_name, values[0])
+                values, type_name = stack.pop()
+                values.append(value)
+    except (IndexError, ValueError):
+        # the empty end of the span, or a '#', '#0' or number that is no token
+        raise _Fault("expected a value, found {}", i)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +319,29 @@ def parse_step(source: str) -> StepModel:
     a 1-based ``(line L, column C)`` suffix, for lexical and grammatical
     problems and a repeated id.
     """
-    return _Parser(source).parse_file()
+    model = StepModel()
+    section, saw_data, type_names = _START, False, {}
+    start, size, end = 0, _SPAN, len(source)
+    while True:
+        cut = source.find(";", start + size) + 1 or end
+        tokens = _TOKEN_RE.findall(source, start, cut)
+        kept = len(model.entities), dict(model.header)
+        try:
+            section, saw_data = _read_span(tokens, model, section, saw_data,
+                                           cut == end, type_names)
+        except _Fault as fault:
+            # Tokens match the whole text's up to the span's last one or an
+            # unterminated string or comment; a fault there may come from the cut.
+            lexed = fault.args[-1]
+            if cut < end and (lexed >= tokens.index("") - 1 or tokens[lexed] in ("'", "/")):
+                while len(model.entities) > kept[0]:
+                    model.entities.popitem()
+                model.header, size = kept[1], size * 2
+                continue
+            raise _fault_error(source, start, cut, tokens, fault) from None
+        if cut == end:
+            return model
+        start, size = cut, _SPAN
 
 
 def parse_step_file(path) -> StepModel:

@@ -249,7 +249,11 @@ def test_graph_bad_sensor_manifest_exits_3(runner, data_dir, tmp_path, manifest)
      "anchors[0]: radius must be >= 0, got -1.0"),
     ({"sensors": [_GOOD_SENSOR, {**_GOOD_SENSOR, "space_id": 7, "position": [9.0, 3.0]}]},
      "sensors[1]: sensor id 's1' repeats"),
-], ids=["negative-radius", "repeated-sensor-id"])
+    ({"anchors": [{"entity_id": 20, "space_id": 5, "position": [5.5, 3.0]},
+                  {"entity_id": 20, "space_id": 7, "position": [6.5, 3.0]},
+                  {"entity_id": 20, "space_id": 5, "position": [4.5, 3.0]}]},
+     "anchors[2]: entity '20' is anchored in space '5' twice"),
+], ids=["negative-radius", "repeated-sensor-id", "repeated-anchor"])
 def test_graph_bad_manifest_record_names_file_and_entry(runner, data_dir, tmp_path,
                                                         manifest, message):
     sensors = tmp_path / "sensors.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimvec import step_parser
 from bimvec.errors import BimvecError
 from bimvec.step_parser import (
     DERIVED,
@@ -133,8 +134,15 @@ _HEAD = "ISO-10303-21;\nDATA;\n"
     (_HEAD + "#1=IFCX('ab''", "unterminated string", (3, 9)),
     (wrap("#1=IFCX('one\ntwo',\n/* three\nfour */ 5 ?);"),
      "unexpected character '?'", (9, 11)),
+    # The token after a record, or after its type name, is read before the
+    # duplicate-id or type-name check, so that token's lexical error wins.
+    (wrap("#1=IFCX(0);\n#1=IFCY(1);#0"), "entity id must be positive", (7, 12)),
+    (wrap("#1=IFCX(0);\n#1=IFCY(1); /* open"), "unterminated comment", (7, 13)),
+    (wrap("#1=IFCX(0);\n#1=IFCY(1);?"), "unexpected character '?'", (7, 12)),
+    (wrap("#1=IFC-X?(0);"), "unexpected character '?'", (6, 9)),
 ], ids=["comment", "hash", "hash-zero", "enum", "exponent", "form-feed",
-        "quote-at-end", "multi-line"])
+        "quote-at-end", "multi-line", "duplicate-then-hash-zero",
+        "duplicate-then-comment", "duplicate-then-stray", "bad-type-then-stray"])
 def test_lexical_error_positions(text, message, position):
     with pytest.raises(BimvecError) as exc_info:
         parse_step(text)
@@ -182,6 +190,35 @@ def test_invalid_bytes_are_malformed(tmp_path):
     path.write_bytes(b"ISO-10303-21;\n\xff\xfe\x00 not utf8")
     with pytest.raises(BimvecError, match=rf"^{re.escape(str(path))}, line 2: not UTF-8 text$"):
         parse_step_file(path)
+
+
+# Texts whose strings and comments hold ';', '/*' and "''", so that short
+# spans are cut inside them; the last three end in an error.
+_SPAN_EDGE_TEXTS = [
+    wrap("/* a; b /* c; 'q' */\n#1=IFCX('s;t','/*;*/','it''s;',(1,2.5E-3,.T.));\n"
+         "#2=IFCLABEL(IFCTEXT('x'';'), $, *, #1);/**/"),
+    wrap("#1=IFCX('a;b');\n#1=IFCY('c;d');"),
+    wrap("#1=IFCX('a;b');\n#2=IFCY('c;d); /* e; f"),
+    wrap("#1=IFCX(0);\n/* never closed; 'x' ;"),
+]
+
+
+def _outcome(text: str):
+    try:
+        model = parse_step(text)
+    except BimvecError as exc:
+        return str(exc)
+    return repr(model.header), repr(list(model.entities.values()))
+
+
+@pytest.mark.parametrize("span", [1, 7, 64])
+def test_span_size_changes_no_model_or_error(monkeypatch, data_dir, span):
+    texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.ifc"))]
+    texts += _SPAN_EDGE_TEXTS
+    expected = [_outcome(text) for text in texts]
+    assert sum(isinstance(outcome, str) for outcome in expected) == 3
+    monkeypatch.setattr(step_parser, "_SPAN", span)
+    assert [_outcome(text) for text in texts] == expected
 
 
 # ---------------------------------------------------------------------------
