@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from .config import RunConfig, load_config
+from .config import COMFORT_CLASSES, COMFORT_ONE_HOT, RunConfig, load_config
 from .errors import BimvecError, ConfigError, InternalInvariantError
 from .fileio import atomic_write_text
 from .graph import read_graph
@@ -257,14 +257,13 @@ def cmd_query(cfg: RunConfig, checkpoint, node_id, k, label_filter):
 @_command
 def cmd_predict(cfg: RunConfig, checkpoint, node_id, labels_path, k):
     """Predict a comfort label by majority vote of nearest labeled nodes."""
-    from .store import (CLASS_NAMES, ONE_HOT_CLASSES, EmbeddingMatrix, load_labeled_csv,
-                        predict_comfort)
+    from .store import EmbeddingMatrix, load_labeled_csv, predict_comfort
 
     _echo_config(cfg)
     matrix = EmbeddingMatrix.load(checkpoint)
     labeled = load_labeled_csv(labels_path)
     one_hot = predict_comfort(matrix, labeled, node_id, k)
-    name = CLASS_NAMES[ONE_HOT_CLASSES.index(one_hot)]
+    name = COMFORT_CLASSES[COMFORT_ONE_HOT.index(one_hot)]
     click.echo(f"{list(one_hot)}\t{name}")
 
 

@@ -127,6 +127,12 @@ DEFAULT_OBJECT_PREFIXES: tuple[str, ...] = (
 )
 
 
+# The comfort classes, the feedback of an occupant fix and the labels that
+# predict reads and prints, with their one-hot vectors in the same order.
+COMFORT_CLASSES = ("comfortable", "uncomfortable", "neutral")
+COMFORT_ONE_HOT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 @dataclass(frozen=True)
 class RelationMapping:
     rules: Mapping[str, RelationRule] = field(

@@ -185,43 +185,50 @@ class PropertyGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "PropertyGraph":
+        """The graph of a text form; a bad record raises ``ValueError`` as
+        ``line N: reason``."""
         graph = cls()
         for line_no, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
-            fields = line.split("\t")
-            kind = fields[0]
-            if kind == "N":
-                if len(fields) != 4:
-                    raise ValueError(f"bad node record on line {line_no}")
-                _, node_id, label, attrs = fields
-                graph.add_node(node_id, label, _json_object(attrs, line_no))
-            elif kind == "E":
-                if len(fields) != 6:
-                    raise ValueError(f"bad edge record on line {line_no}")
-                _, a, b, label, weight, attrs = fields
-                graph.add_edge(a, b, label, float(weight), _json_object(attrs, line_no))
-            else:
-                raise ValueError(f"unknown record kind {kind!r} on line {line_no}")
+            try:
+                fields = line.split("\t")
+                kind = fields[0]
+                if kind == "N":
+                    if len(fields) != 4:
+                        raise ValueError("bad node record")
+                    _, node_id, label, attrs = fields
+                    graph.add_node(node_id, label, _json_object(attrs))
+                elif kind == "E":
+                    if len(fields) != 6:
+                        raise ValueError("bad edge record")
+                    _, a, b, label, weight, attrs = fields
+                    graph.add_edge(a, b, label, float(weight), _json_object(attrs))
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except (BimvecError, ValueError) as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
         return graph
 
 
 def read_graph(path) -> PropertyGraph:
     """The graph in the text file ``path``; a bad record raises
-    ``BimvecError`` naming the file."""
+    ``BimvecError`` as ``path, line N: reason``."""
     text = read_text(path)
     try:
         return PropertyGraph.from_text(text)
-    except (BimvecError, ValueError) as exc:
-        raise BimvecError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise BimvecError(f"{path}, {exc}") from None
 
 
-def _json_object(text: str, line_no: int) -> dict:
+def _json_object(text: str) -> dict:
     """A record's attribute field, which must be a JSON object."""
     try:
         value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"attributes are not JSON: {exc.msg}") from None
     except RecursionError:
-        raise ValueError(f"attributes on line {line_no} are nested too deeply") from None
+        raise ValueError("attributes are nested too deeply") from None
     if not isinstance(value, dict):
-        raise ValueError(f"attributes on line {line_no} must be a JSON object")
+        raise ValueError("attributes must be a JSON object")
     return value

@@ -3,9 +3,17 @@
 The parser is schema-agnostic: any entity type token is accepted and no
 EXPRESS validation is attempted. It covers the full value grammar (integers,
 reals, strings with ``''`` escapes, enumeration tokens, entity references,
-typed values, nested aggregates, ``$`` and ``*`` markers) and reports
-positioned errors for anything it cannot read. ``\\X\\``/``\\S\\`` control
-directives inside strings are passed through verbatim.
+typed values, nested aggregates, ``$`` and ``*`` markers); ``\\X\\``/``\\S\\``
+control directives inside strings are passed through verbatim.
+
+It is the only checker of STEP values, so :class:`StepEntity` and
+:class:`EntityRef` are plain records. Ids and references are positive, type
+names are ``[A-Z0-9_]+`` once upper-cased, values nest at most
+``MAX_NESTING`` deep, and one number rule holds: an integer, id or reference
+has at most ``MAX_DIGITS`` digits, and a real value is finite. Anything else,
+complex entity instances (``#id=(A(...) B(...));``) included, raises a
+:class:`~bimvec.errors.BimvecError`, ending ``(line L, column C)`` unless it
+is a missing sentinel or section.
 
 Filler between tokens is exactly space, tab, CR, LF and ``/* */`` comments;
 any other character there, such as a form feed or a non-ASCII letter, is an
@@ -15,9 +23,6 @@ about 64 KiB, each cut after a ``;``. One ``findall`` of a compiled regex turns
 a span into plain token strings, and one loop reads them, nesting values on a
 stack. A span whose problem may come from its cut is read again, twice as
 long. An error's 1-based line and column are computed only when it is raised.
-
-Complex entity instances (``#id=(A(...) B(...));``) are not supported and
-raise a :class:`~bimvec.errors.BimvecError` ending ``(line L, column C)``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ _TYPE_NAME_RE = re.compile(r"[A-Z0-9_]+")
 # serialize_step and reference_ids recurse once per level, so this keeps them
 # far from Python's limit.
 MAX_NESTING = 100
+# Most digits in an integer, id or reference: the lowest limit that
+# sys.set_int_max_str_digits accepts, so int() reads them under any limit.
+MAX_DIGITS = 640
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +65,6 @@ class EntityRef:
 
     entity_id: int
 
-    def __post_init__(self):
-        if self.entity_id <= 0:
-            raise ValueError(f"entity id must be positive, got {self.entity_id}")
-
 
 @dataclass(frozen=True)
 class EnumToken:
@@ -79,9 +83,7 @@ class TypedValue:
 
 # A parsed attribute value. ``None`` is the unset marker ``$``; aggregates
 # are plain lists and may nest arbitrarily.
-StepValue = Union[
-    int, float, str, EntityRef, EnumToken, TypedValue, None, Marker, list
-]
+StepValue = Union[int, float, str, EntityRef, EnumToken, TypedValue, None, Marker, list]
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,6 @@ class StepEntity:
     id: int
     type_name: str
     attributes: list
-
-    def __post_init__(self):
-        if self.id <= 0:
-            raise ValueError(f"entity id must be positive, got {self.id}")
-        if not _TYPE_NAME_RE.fullmatch(self.type_name):
-            raise ValueError(f"invalid entity type name {self.type_name!r}")
 
 
 @dataclass
@@ -138,6 +134,7 @@ _TOKEN_RE = re.compile(r"""
 _SPAN = 1 << 16  # characters read at a time; a span ends after the next ';'
 _KEYWORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NUMBER_START = frozenset("+-0123456789")
+_INFINITIES = frozenset((float("inf"), float("-inf")))
 _LEX_ERRORS = {"'": "unterminated string", "#": "expected digits after '#'",
                ".": "malformed enumeration token"}
 
@@ -166,32 +163,49 @@ def _fault_error(text: str, start: int, end: int, tokens: list, fault: _Fault) -
     matches = list(itertools.islice(_TOKEN_RE.finditer(text, start, end), lexed + 1))
     offset, token = matches[lexed].start(1), tokens[lexed]
     if len(token) == 1 and not re.fullmatch(r"[(),;=$*\w]", token, re.ASCII):
-        if text.startswith("/*", offset):
-            message = "unterminated comment"
-        else:
-            message = _LEX_ERRORS.get(token, f"unexpected character {token!r}")
-    elif token[:1] == "#" and not int(token[1:]):
-        message = "entity id must be positive"
+        message = ("unterminated comment" if text.startswith("/*", offset)
+                   else _LEX_ERRORS.get(token, f"unexpected character {token!r}"))
     elif token[:1] in _NUMBER_START and token[-1] in "eE+-":
         message = "malformed real exponent"
-    elif at is None:
-        return BimvecError(message)
     else:
-        found = tokens[at]
-        head = found[:1]
-        value = (found[1:-1].replace("''", "'") if head == "'"
-                 else found[1:-1].upper() if head == "."
-                 else _number(found.lstrip("#")) if head == "#" or head in _NUMBER_START
-                 else found.upper())
-        message = message.format(repr(value) if found else "end of input")
-        offset = matches[at].start(1)
+        try:
+            if token[:1] == "#":
+                _entity_id(token)  # a bad id is the error wherever it was read
+            if at is None:
+                return BimvecError(message)
+            found = tokens[at]
+            head = found[:1]
+            value = (found[1:-1].replace("''", "'") if head == "'"
+                     else found[1:-1].upper() if head == "."
+                     else _number(found.lstrip("#")) if head == "#" or head in _NUMBER_START
+                     else found.upper())
+            message = message.format(repr(value) if found else "end of input")
+            offset = matches[at].start(1)
+        except ValueError as exc:  # the number rule, at the token read last
+            message = str(exc)
     line = text.count("\n", 0, offset) + 1
     column = offset - text.rfind("\n", 0, offset)
     return BimvecError(f"{message} (line {line}, column {column})")
 
 
 def _number(token: str) -> int | float:
-    return float(token) if "." in token or "e" in token or "E" in token else int(token)
+    """The value of a number token: a real if it has a '.' or an exponent."""
+    return float(token) if "." in token or "e" in token or "E" in token else _integer(token)
+
+
+def _integer(digits: str) -> int:
+    """The number rule for integers: at most ``MAX_DIGITS`` digits, a sign aside."""
+    if len(digits) > MAX_DIGITS and (count := len(digits.lstrip("+-"))) > MAX_DIGITS:
+        raise ValueError(f"integer has {count:,} digits, more than {MAX_DIGITS}")
+    return int(digits)
+
+
+def _entity_id(token: str) -> int:
+    """The id that a ``#`` token names, which must be positive."""
+    entity_id = _integer(token[1:])
+    if not entity_id:
+        raise ValueError("entity id must be positive")
+    return entity_id
 
 
 def _read_span(tokens: list, model: StepModel, section: int, saw_data: bool,
@@ -204,9 +218,10 @@ def _read_span(tokens: list, model: StepModel, section: int, saw_data: bool,
         token = tokens[i]
         head = token[:1]
         if head == "#" and section == _DATA:
-            entity_id = int(token[1:]) if len(token) > 1 else 0
-            if not entity_id:
-                raise _Fault(_STATEMENT_ERRORS[_DATA], i)
+            try:
+                entity_id = _entity_id(token)
+            except ValueError:
+                raise _Fault(_STATEMENT_ERRORS[_DATA], i) from None
             if tokens[i + 1] != "=":
                 raise _Fault("expected '=', found {}", i + 1)
             type_name = type_names.get(tokens[i + 2])
@@ -255,9 +270,7 @@ def _read_values(tokens: list, i: int) -> tuple[list, int]:
     a stack with their type name, None for an aggregate."""
     if tokens[i] != "(":
         raise _Fault("expected '(', found {}", i)
-    values: list = []
-    stack = []
-    type_name = None
+    values, stack, type_name = [], [], None
     i += 1
     try:
         while True:
@@ -266,9 +279,12 @@ def _read_values(tokens: list, i: int) -> tuple[list, int]:
             if head == "$":
                 values.append(None)
             elif head == "#":
-                values.append(EntityRef(int(token[1:])))
+                values.append(EntityRef(_entity_id(token)))
             elif head in _NUMBER_START:
-                values.append(_number(token))
+                value = _number(token)
+                if value in _INFINITIES:
+                    raise _Fault("real overflows to infinity", i)
+                values.append(value)
             elif head == "'" and len(token) > 1:
                 values.append(token[1:-1].replace("''", "'"))
             elif head == "(" or head in _KEYWORD_START:
@@ -304,7 +320,7 @@ def _read_values(tokens: list, i: int) -> tuple[list, int]:
                 values, type_name = stack.pop()
                 values.append(value)
     except (IndexError, ValueError):
-        # the empty end of the span, or a '#', '#0' or number that is no token
+        # the empty end of the span, or a '#' or number that breaks a rule
         raise _Fault("expected a value, found {}", i)
 
 
@@ -313,12 +329,8 @@ def _read_values(tokens: list, i: int) -> tuple[list, int]:
 # ---------------------------------------------------------------------------
 
 def parse_step(source: str) -> StepModel:
-    """Parse the text of a complete STEP file into a :class:`StepModel`.
-
-    Raises :class:`BimvecError` for missing sentinels or sections and, with
-    a 1-based ``(line L, column C)`` suffix, for lexical and grammatical
-    problems and a repeated id.
-    """
+    """Parse the text of a complete STEP file into a :class:`StepModel`;
+    anything the module docstring rejects raises :class:`BimvecError`."""
     model = StepModel()
     section, saw_data, type_names = _START, False, {}
     start, size, end = 0, _SPAN, len(source)
@@ -345,16 +357,17 @@ def parse_step(source: str) -> StepModel:
 
 
 def parse_step_file(path) -> StepModel:
-    """Read and parse a ``.ifc`` file from disk."""
-    return parse_step(read_text(path))
+    """Read and parse a ``.ifc`` file from disk; its errors name the file."""
+    text = read_text(path)
+    try:
+        return parse_step(text)
+    except BimvecError as exc:
+        raise BimvecError(f"{path}: {exc}") from None
 
 
 def validate_references(model: StepModel) -> list[tuple[int, int]]:
-    """Return every dangling (referencing id, missing id) pair.
-
-    Pairs are unique and sorted ascending; an empty list means the model is
-    reference-closed.
-    """
+    """Every dangling (referencing id, missing id) pair, unique and in
+    ascending order; an empty list means the model is reference-closed."""
     dangling: set[tuple[int, int]] = set()
     for entity in model.in_id_order():
         for ref_id in reference_ids(entity.attributes):
@@ -386,16 +399,11 @@ def serialize_step(model: StepModel) -> str:
     the input model (strings compared after unescaping).
     """
     lines = ["ISO-10303-21;", "HEADER;"]
-    for keyword, values in model.header.items():
-        lines.append(f"{keyword}({_format_values(values)});")
-    lines.append("ENDSEC;")
-    lines.append("DATA;")
-    for entity in model.in_id_order():
-        lines.append(
-            f"#{entity.id}={entity.type_name}({_format_values(entity.attributes)});"
-        )
-    lines.append("ENDSEC;")
-    lines.append("END-ISO-10303-21;")
+    lines += [f"{keyword}({_format_values(values)});" for keyword, values in model.header.items()]
+    lines += ["ENDSEC;", "DATA;"]
+    lines += [f"#{entity.id}={entity.type_name}({_format_values(entity.attributes)});"
+              for entity in model.in_id_order()]
+    lines += ["ENDSEC;", "END-ISO-10303-21;"]
     return "\n".join(lines) + "\n"
 
 
@@ -411,10 +419,9 @@ def _format_value(value: StepValue) -> str:
     if isinstance(value, bool):
         # bools never come out of the parser; guard against accidental input
         raise TypeError("boolean is not a STEP value; use EnumToken('T'/'F')")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_real(value)
+    if isinstance(value, (int, float)):
+        # the repr of a finite float holds a '.' or an 'e', so it reads back as a real
+        return repr(value)
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     if isinstance(value, EnumToken):
@@ -426,11 +433,3 @@ def _format_value(value: StepValue) -> str:
     if isinstance(value, list):
         return f"({_format_values(value)})"
     raise TypeError(f"cannot serialize {type(value).__name__} as a STEP value")
-
-
-def _format_real(value: float) -> str:
-    text = repr(value)
-    # Guarantee the literal re-parses as a real, not an integer.
-    if "." not in text and "e" not in text and "E" not in text:
-        text += "."
-    return text

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import COMFORT_CLASSES, COMFORT_ONE_HOT
 from .errors import BimvecError
 from .fileio import atomic_write_bytes, atomic_write_text, read_csv
 from .graph import NodeId, PropertyGraph
@@ -29,14 +30,6 @@ _CHECKPOINT_VERSION = 2
 # A checkpoint stores each node's id and label after its length in UTF-8
 # bytes, a 16-bit unsigned integer.
 _MAX_ENTRY_BYTES = 0xFFFF
-
-ONE_HOT_CLASSES: tuple[tuple[int, int, int], ...] = (
-    (1, 0, 0),  # comfortable
-    (0, 1, 0),  # uncomfortable
-    (0, 0, 1),  # neutral
-)
-
-CLASS_NAMES = ("comfortable", "uncomfortable", "neutral")
 
 
 @dataclass
@@ -142,17 +135,17 @@ class LabeledExample:
     one_hot: tuple[int, int, int]
 
     def __post_init__(self):
-        if tuple(self.one_hot) not in ONE_HOT_CLASSES:
+        if tuple(self.one_hot) not in COMFORT_ONE_HOT:
             raise ValueError(f"not a one-hot comfort label: {self.one_hot}")
         object.__setattr__(self, "one_hot", tuple(self.one_hot))
 
     @classmethod
     def from_name(cls, node: NodeId, name: str) -> "LabeledExample":
         try:
-            index = CLASS_NAMES.index(name)
+            index = COMFORT_CLASSES.index(name)
         except ValueError:
             raise ValueError(f"unknown comfort class {name!r}") from None
-        return cls(node, ONE_HOT_CLASSES[index])
+        return cls(node, COMFORT_ONE_HOT[index])
 
 
 @dataclass(frozen=True)
@@ -246,7 +239,7 @@ def predict_comfort(
         key=lambda label: (
             -votes[label],
             -similarity_sums[label],
-            ONE_HOT_CLASSES.index(label),
+            COMFORT_ONE_HOT.index(label),
         ),
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
-from .config import RunConfig
+from .config import COMFORT_CLASSES, COMFORT_ONE_HOT, RunConfig
 from .errors import BimvecError
 from .fileio import atomic_open, atomic_write_text, read_csv, read_json, text_lines
 from .graph import Edge, Node, NodeId, PropertyGraph, check_token, read_graph
@@ -33,12 +33,6 @@ OCCUPANT_LABEL = "OCCUPANT"
 # tensor rows are written), so one outlying timestamp must not set it; a
 # week of 1-minute windows is 10,080.
 MAX_WINDOWS = 100_000
-
-FEEDBACK_ENCODING: dict[str, list[int]] = {
-    "comfortable": [1, 0, 0],
-    "uncomfortable": [0, 1, 0],
-    "neutral": [0, 0, 1],
-}
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class OccupantFix:
             raise ValueError("timestamp must be non-negative")
         if not all(math.isfinite(c) for c in self.position):
             raise ValueError(f"fix position must be finite, got {self.position!r}")
-        if self.feedback is not None and self.feedback not in FEEDBACK_ENCODING:
+        if self.feedback is not None and self.feedback not in COMFORT_CLASSES:
             raise ValueError(f"unknown feedback value {self.feedback!r}")
 
 
@@ -214,7 +208,7 @@ def build_snapshots(
                     raise BimvecError(f"fix places {occupant!r} in missing cell {cell_id!r}")
             attributes: dict = {"x": fix.position[0], "y": fix.position[1]}
             if fix.feedback is not None:
-                attributes["feedback"] = list(FEEDBACK_ENCODING[fix.feedback])
+                attributes["feedback"] = list(COMFORT_ONE_HOT[COMFORT_CLASSES.index(fix.feedback)])
             occupant_states[occupant] = _OccupantState(
                 Node(occupant, OCCUPANT_LABEL, MappingProxyType(attributes)),
                 tuple(Edge(*sorted((occupant, cell_id)), AT_LABEL, 1.0, MappingProxyType({}))

@@ -108,6 +108,27 @@ def test_parse_bad_file_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("body,message", [
+    ("#1=IFCX(1,,2);", "expected a value, found ',' (line 6, column 11)"),
+    ("#1=IFCX(" + "7" * 5000 + ");", "integer has 5,000 digits, more than 640 (line 6, column 9)"),
+    ("#1=IFCX(#" + "7" * 5000 + ");",
+     "integer has 5,000 digits, more than 640 (line 6, column 9)"),
+    ("#1=IFCX(-1.0E999);", "real overflows to infinity (line 6, column 9)"),
+], ids=["syntax", "long-integer", "long-reference", "infinite-real"])
+@pytest.mark.parametrize("command", ["parse", "graph"])
+def test_bad_ifc_exits_3_naming_file_and_position(runner, data_dir, tmp_path, body, message,
+                                                  command):
+    bad = tmp_path / "bad.ifc"
+    bad.write_text(wrap(body))
+    argv = {"parse": ["parse", str(bad)],
+            "graph": ["graph", str(bad), "--footprints",
+                      str(data_dir / "two_space.footprints.json"),
+                      "--out", str(tmp_path / "graph.tsv")]}[command]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert result.output.endswith(f"error: {bad}: {message}\n")
+
+
 def test_parse_deep_nesting_exits_3(runner, tmp_path):
     deep = tmp_path / "deep.ifc"
     deep.write_text(wrap("#1=IFCX(" + "(" * 5000 + "1" + ")" * 5000 + ");"))
@@ -935,29 +956,45 @@ def test_graph_file_with_any_id_reads_back(runner, data_dir, tmp_path, sensor_id
 def test_embed_store_bad_base_record_names_file(runner, data_dir, tmp_path):
     store_dir = _build_store(runner, data_dir, tmp_path)
     path = store_dir / "base.tsv"
-    path.write_text(path.read_text() + "N\tbad\n")
+    text = path.read_text()
+    path.write_text(text + "N\tbad\n")
     result = runner.invoke(main, ["embed", str(store_dir),
                                   "--out", str(tmp_path / "emb")])
     assert result.exit_code == 3, result.output
-    assert f"{path}: bad node record on line" in result.output
+    assert f"error: {path}, line {text.count(chr(10)) + 1}: bad node record\n" in result.output
 
 
-@pytest.mark.parametrize("record", [
-    "N\tx\tX\t[1]\n",
-    "N\tx\tX\tnull\n",
-    "N\tx\tX\t{}\nE\t5\tx\tE\t1.0\t5\n",
-    "N\tx\tX\t" + "[" * 100_000 + "\n",
-], ids=["node-list", "node-null", "edge-number", "deep-nesting"])
+# Records appended to a graph file whose last line is bad, and the reason
+# given for that line.
+@pytest.mark.parametrize("record,reason", [
+    ("N\tx\tX\t[1]\n", "attributes must be a JSON object"),
+    ("N\tx\tX\tnull\n", "attributes must be a JSON object"),
+    ("N\tx\tX\t{}\nE\t5\tx\tE\t1.0\t5\n", "attributes must be a JSON object"),
+    ("N\tx\tX\t" + "[" * 100_000 + "\n", "attributes are nested too deeply"),
+    ('N\tx\tX\t{}\nN\ty\tX\t{"a": }\n', "attributes are not JSON: Expecting value"),
+    ("N\tx\tX\t{}\nE\t5\tx\tE\tabc\t{}\n", "could not convert string to float: 'abc'"),
+    ("N\tx\tX\t{}\nE\t5\tx\tE\t0\t{}\n", "edge weight must be positive and finite, got 0.0"),
+    ("N\tx\tX\t{}\nE\t5\tx\tE\tnan\t{}\n", "edge weight must be positive and finite, got nan"),
+    ("N\tx\tX\t{}\nN\tx\tX\t{}\n", "node 'x' already exists"),
+    ("N\tx\tX\t{}\nE\tx\tnowhere\tE\t1.0\t{}\n", "edge endpoint 'nowhere' is not a node"),
+    ("N\tx\tX\t{}\nE\tx\tx\tE\t1.0\t{}\n", "self-loop on 'x' is not allowed"),
+    ("N\t\tX\t{}\n", "invalid node id ''"),
+], ids=["node-list", "node-null", "edge-number", "deep-nesting", "invalid-json",
+        "weight-text", "weight-zero", "weight-nan", "duplicate-node", "unknown-endpoint",
+        "self-loop", "empty-id"])
 def test_graph_attributes_not_an_object_exit_3(runner, data_dir, checkpoint, tmp_path,
-                                               record):
+                                               record, reason):
+    """Every rejected graph record names the file and its line."""
     graph_file = tmp_path / "graph.tsv"
-    graph_file.write_text((checkpoint.parent.parent / "graph.tsv").read_text() + record)
+    text = (checkpoint.parent.parent / "graph.tsv").read_text() + record
+    graph_file.write_text(text)
+    line = text.count("\n")
     for argv in (["snapshot", str(graph_file), "--fixes", str(data_dir / "fixes.csv"),
                   "--out", str(tmp_path / "store")],
                  ["embed", str(graph_file), "--out", str(tmp_path / "emb")]):
         result = runner.invoke(main, argv)
         assert result.exit_code == 3, result.output
-        assert f"{graph_file}: attributes on line " in result.output
+        assert result.output.endswith(f"error: {graph_file}, line {line}: {reason}\n")
 
 
 def test_query_filter_returns_only_cells(runner, data_dir, tmp_path):

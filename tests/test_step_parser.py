@@ -4,6 +4,7 @@ errors, and an independent record scanner."""
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,8 @@ _HEAD = "ISO-10303-21;\nDATA;\n"
     (wrap("#1=IFCX(0);\n  /* never closed"), "unterminated comment", (7, 3)),
     (wrap("#1=IFCX(#);"), "expected digits after '#'", (6, 9)),
     (wrap("#1=IFCX(#0);"), "entity id must be positive", (6, 9)),
+    (wrap("#1=IFCX(#00);"), "entity id must be positive", (6, 9)),
+    (wrap("#1=IFCX(0);\n#00=IFCX(1);"), "entity id must be positive", (7, 1)),
     (wrap("#1=IFCX(.T,1);"), "malformed enumeration token", (6, 9)),
     (wrap("#1=IFCX(1.5E);"), "malformed real exponent", (6, 9)),
     (wrap("#1=IFCX(0,\f1);"), "unexpected character '\\x0c'", (6, 11)),
@@ -140,8 +143,8 @@ _HEAD = "ISO-10303-21;\nDATA;\n"
     (wrap("#1=IFCX(0);\n#1=IFCY(1); /* open"), "unterminated comment", (7, 13)),
     (wrap("#1=IFCX(0);\n#1=IFCY(1);?"), "unexpected character '?'", (7, 12)),
     (wrap("#1=IFC-X?(0);"), "unexpected character '?'", (6, 9)),
-], ids=["comment", "hash", "hash-zero", "enum", "exponent", "form-feed",
-        "quote-at-end", "multi-line", "duplicate-then-hash-zero",
+], ids=["comment", "hash", "hash-zero", "hash-zeros", "id-zeros", "enum", "exponent",
+        "form-feed", "quote-at-end", "multi-line", "duplicate-then-hash-zero",
         "duplicate-then-comment", "duplicate-then-stray", "bad-type-then-stray"])
 def test_lexical_error_positions(text, message, position):
     with pytest.raises(BimvecError) as exc_info:
@@ -172,6 +175,66 @@ def test_nesting_at_the_limit_parses(kind):
     for _ in range(MAX_NESTING):
         value = value[0] if kind == "aggregate" else value.value
     assert value == 1
+
+
+_LONG = "7" * 5000
+_HEADER_TEXT = ("ISO-10303-21;\nHEADER;\nFILE_DESCRIPTION((''),'2;1');\nFILE_X(1,{});\n"
+                "ENDSEC;\nDATA;\nENDSEC;\nEND-ISO-10303-21;\n")
+
+
+@pytest.mark.parametrize("text,message,position", [
+    (wrap(f"#1=IFCX(1,{_LONG});"), "integer has 5,000 digits, more than 640", (6, 11)),
+    (wrap(f"#1=IFCX(-{_LONG});"), "integer has 5,000 digits, more than 640", (6, 9)),
+    (wrap(f"#{_LONG}=IFCX(1);"), "integer has 5,000 digits, more than 640", (6, 1)),
+    (wrap(f"#1=IFCX((#2,#{_LONG}));"), "integer has 5,000 digits, more than 640", (6, 13)),
+    (wrap(f"#1=IFCX(1 {_LONG});"), "integer has 5,000 digits, more than 640", (6, 11)),
+    (wrap(f"#1=IFCX(0);\n#1=IFCY(1);#{_LONG}"), "integer has 5,000 digits, more than 640",
+     (7, 12)),
+    (wrap("#1=IFCX(" + "9" * 641 + ");"), "integer has 641 digits, more than 640", (6, 9)),
+    (wrap("#1=IFCX(IFCREAL(1.0E999));"), "real overflows to infinity", (6, 17)),
+    (wrap("#1=IFCX(-1.0E999);"), "real overflows to infinity", (6, 9)),
+    (_HEADER_TEXT.format("1.0E999"), "real overflows to infinity", (4, 10)),
+    (_HEADER_TEXT.format("-1.0E999"), "real overflows to infinity", (4, 10)),
+], ids=["integer", "negative-integer", "entity-id", "reference", "found-integer",
+        "duplicate-then-reference", "one-digit-over", "typed-real", "negative-real",
+        "header-real", "header-negative-real"])
+def test_number_rule_is_a_positioned_syntax_error(text, message, position):
+    with pytest.raises(BimvecError) as exc_info:
+        parse_step(text)
+    assert str(exc_info.value) == "{} (line {}, column {})".format(message, *position)
+
+
+def test_number_rule_at_its_limits_parses():
+    digits = "9" * step_parser.MAX_DIGITS
+    model = parse_step(wrap(f"#{digits}=IFCX(-{digits},#{digits},1.7E308,-0.1E-999);"))
+    assert model.entities[int(digits)].attributes == [-int(digits), EntityRef(int(digits)),
+                                                      1.7e308, -0.0]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no integer string limit")
+@pytest.mark.parametrize("limit", [0, 640])
+def test_integer_limit_is_the_parsers_own(limit):
+    """Whatever the interpreter's limit, the parser accepts MAX_DIGITS
+    digits and rejects one more with its own positioned message."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        digits = "7" * step_parser.MAX_DIGITS
+        assert parse_step(wrap(f"#1=IFCX({digits});")).entities[1].attributes == [int(digits)]
+        with pytest.raises(BimvecError) as exc_info:
+            parse_step(wrap(f"#1=IFCX({_LONG});"))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(exc_info.value) == "integer has 5,000 digits, more than 640 (line 6, column 9)"
+
+
+def test_parse_error_names_the_file(tmp_path):
+    path = tmp_path / "model.ifc"
+    path.write_text(wrap("#1=IFCX(1,,2);"))
+    with pytest.raises(BimvecError) as exc_info:
+        parse_step_file(path)
+    assert str(exc_info.value) == f"{path}: expected a value, found ',' (line 6, column 11)"
 
 
 def test_duplicate_id_rejected():
