@@ -222,9 +222,10 @@ def read_graph(path) -> PropertyGraph:
 
 
 def _json_object(text: str) -> dict:
-    """A record's attribute field, which must be a JSON object."""
+    """A record's attribute field, which must be a JSON object whose numbers
+    are finite."""
     try:
-        value = json.loads(text)
+        value = _FINITE_JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"attributes are not JSON: {exc.msg}") from None
     except RecursionError:
@@ -232,3 +233,17 @@ def _json_object(text: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError("attributes must be a JSON object")
     return value
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if math.isinf(value):
+        _non_finite(token)
+    return value
+
+
+def _non_finite(token: str):
+    raise ValueError(f"attributes hold a non-finite number, {token}")
+
+
+_FINITE_JSON = json.JSONDecoder(parse_constant=_non_finite, parse_float=_finite_float)

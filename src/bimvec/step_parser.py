@@ -18,11 +18,21 @@ is a missing sentinel or section.
 Filler between tokens is exactly space, tab, CR, LF and ``/* */`` comments;
 any other character there, such as a form feed or a non-ASCII letter, is an
 error. Outside strings and comments the tokens are ASCII: keywords
-``[A-Za-z_][A-Za-z0-9_-]*`` and digits ``0-9``. The text is read in spans of
-about 64 KiB, each cut after a ``;``. One ``findall`` of a compiled regex turns
-a span into plain token strings, and one loop reads them, nesting values on a
-stack. A span whose problem may come from its cut is read again, twice as
-long. An error's 1-based line and column are computed only when it is raised.
+``[A-Za-z_][A-Za-z0-9_-]*`` and digits ``0-9``.
+
+DATA records are checked by one compiled record pattern, built from the
+token sub-patterns, that ``finditer`` runs in C. It matches only records
+that the token loop reads without error, and a matched record keeps its
+value text undecoded until its ``attributes`` are first read. Any statement
+that it does not match goes to the token loop, which is the only decoder and
+the only source of errors: the header, comments inside or before a record,
+aggregates nested deeper than the pattern covers, ids with a leading zero,
+numbers near the number rule's limits, repeated ids, and every error. The token loop reads about
+1 KiB at a time, cut after a ``;``; one ``findall`` of a compiled regex turns
+that span into plain token strings, and one loop reads them, nesting values
+on a stack. A span whose problem may come from its cut is read again, twice
+as long. An error's 1-based line and column are computed only when it is
+raised.
 """
 
 from __future__ import annotations
@@ -86,13 +96,33 @@ class TypedValue:
 StepValue = Union[int, float, str, EntityRef, EnumToken, TypedValue, None, Marker, list]
 
 
-@dataclass(frozen=True)
 class StepEntity:
-    """One ``#id=TYPE(...)`` record from the DATA section."""
+    """One ``#id=TYPE(...)`` record from the DATA section. A record that the
+    record pattern matched comes with its value text, ``(...)``, as ``body``
+    and None as ``attributes``; the token loop decodes it when
+    ``attributes`` is first read."""
 
-    id: int
-    type_name: str
-    attributes: list
+    __slots__ = ("id", "type_name", "_attributes", "_body")
+
+    def __init__(self, id: int, type_name: str, attributes: list | None,
+                 body: str | None = None) -> None:
+        self.id, self.type_name, self._attributes, self._body = id, type_name, attributes, body
+
+    @property
+    def attributes(self) -> list:
+        if self._attributes is None:
+            self._attributes, self._body = _decode(self._body), None
+        return self._attributes
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepEntity):
+            return NotImplemented
+        return ((self.id, self.type_name, self.attributes)
+                == (other.id, other.type_name, other.attributes))
+
+    def __repr__(self) -> str:
+        return (f"StepEntity(id={self.id!r}, type_name={self.type_name!r}, "
+                f"attributes={self.attributes!r})")
 
 
 @dataclass
@@ -115,23 +145,54 @@ class StepModel:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Token sub-patterns, shared by the token and record patterns. The string
+# pattern has no backtracking path that could close a string early, so
+# ``'ab''`` at end of input stays unterminated.
+_SPACE = r"[ \t\r\n]*"
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_ENUM = r"\.[A-Za-z0-9_]+\."
+_KEYWORD = r"[A-Za-z_][A-Za-z0-9_-]*"
+
 # Filler is folded into the match before each token, the one group: punct,
 # string, reference, enumeration, number, keyword, the empty end of the text
-# searched, or one character of anything else. The string pattern has no
-# backtracking path that could close a string early, so ``'ab''`` at end of
-# input stays unterminated.
-_TOKEN_RE = re.compile(r"""
-    [ \t\r\n]*(?:/\*.*?\*/[ \t\r\n]*)*
-    ( [(),;=$*]
-    | '[^']*(?:''[^']*)*'(?!')
-    | \#[0-9]+
-    | \.[A-Za-z0-9_]+\.
-    | [+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?
-    | [A-Za-z_][A-Za-z0-9_-]*
-    | \Z
-    | . )
+# searched, or one character of anything else.
+_TOKEN_RE = re.compile(rf"""
+    {_SPACE}(?:/\*.*?\*/{_SPACE})*
+    ( [(),;=$*] | {_STRING} | \#[0-9]+ | {_ENUM}
+    | [+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)? | {_KEYWORD} | \Z | . )
 """, re.VERBOSE | re.DOTALL)
-_SPAN = 1 << 16  # characters read at a time; a span ends after the next ';'
+
+
+def _record_pattern(depth: int) -> str:
+    """A DATA record that the token loop reads without error, its filler
+    only spaces, tabs and line ends, as ``#(id)=(type)(body);``, with
+    aggregates nested at most ``depth`` deep in the body and typed values
+    only around a plain value. Ids have no leading zero, and a number has
+    at most 200 digits before its '.' and 2 in its exponent, so it keeps
+    the number rule and a real is below 1e299."""
+    entity_id = rf"[1-9][0-9]{{0,{MAX_DIGITS - 1}}}"
+    plain = (rf"(?:[$*]|\#{entity_id}|{_STRING}|{_ENUM}"
+             rf"|[+-]?[0-9]{{1,200}}(?:\.[0-9]*)?(?:[eE][+-]?[0-9]{{1,2}})?)")
+    base = rf"(?:{plain}|{_KEYWORD}{_SPACE}\({_SPACE}{plain}{_SPACE}\))"
+    value = base
+    for _ in range(depth):
+        value = rf"(?:{base}|{_list_of(value)})"
+    return (rf"{_SPACE}\#({entity_id}){_SPACE}={_SPACE}([A-Za-z_][A-Za-z0-9_]*){_SPACE}"
+            rf"({_list_of(value)}){_SPACE};")
+
+
+def _list_of(value: str) -> str:
+    """An aggregate of ``value``s: each ends at a ',' that another follows,
+    or at the ')'. The pattern names ``value`` once, so that each nesting
+    level adds to its length instead of multiplying it."""
+    return rf"\({_SPACE}(?:{value}{_SPACE}(?:,{_SPACE}(?!\))|(?=\))))*\)"
+
+
+_SCAN_DEPTH = 2  # IFC nests aggregates 2 deep in a record, as in ((x,y),(x,y))
+# One record, or the empty string where no record begins.
+_RECORD_RE = re.compile(_record_pattern(_SCAN_DEPTH) + "|")
+_REFERENCE_RE = re.compile(rf"{_STRING}|#([0-9]+)")  # a string, or a reference's digits
+_SPAN = 1 << 10  # characters the token loop reads at a time; a span ends after the next ';'
 _KEYWORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NUMBER_START = frozenset("+-0123456789")
 _INFINITIES = frozenset((float("inf"), float("-inf")))
@@ -335,6 +396,8 @@ def parse_step(source: str) -> StepModel:
     section, saw_data, type_names = _START, False, {}
     start, size, end = 0, _SPAN, len(source)
     while True:
+        if section == _DATA:
+            start = _scan_records(source, start, model.entities, type_names)
         cut = source.find(";", start + size) + 1 or end
         tokens = _TOKEN_RE.findall(source, start, cut)
         kept = len(model.entities), dict(model.header)
@@ -356,6 +419,29 @@ def parse_step(source: str) -> StepModel:
         start, size = cut, _SPAN
 
 
+def _scan_records(source: str, start: int, entities: dict, type_names: dict) -> int:
+    """Add the records from ``start`` on that the record pattern matches, as
+    undecoded entities, up to the first statement that it does not match or
+    whose id repeats; return where that statement begins."""
+    for match in _RECORD_RE.finditer(source, start):
+        digits, type_token, body = match.groups()
+        if body is None:
+            return match.start()
+        entity_id = int(digits)
+        if entity_id in entities:
+            return match.start()
+        type_name = type_names.get(type_token)
+        if type_name is None:
+            type_name = type_names[type_token] = type_token.upper()
+        entities[entity_id] = StepEntity(entity_id, type_name, None, body)
+    raise AssertionError("the record pattern matches the empty string")
+
+
+def _decode(body: str) -> list:
+    """The values of a record's value text, read by the token loop."""
+    return _read_values(_TOKEN_RE.findall(body), 0)[0]
+
+
 def parse_step_file(path) -> StepModel:
     """Read and parse a ``.ifc`` file from disk; its errors name the file."""
     text = read_text(path)
@@ -367,11 +453,17 @@ def parse_step_file(path) -> StepModel:
 
 def validate_references(model: StepModel) -> list[tuple[int, int]]:
     """Every dangling (referencing id, missing id) pair, unique and in
-    ascending order; an empty list means the model is reference-closed."""
+    ascending order; an empty list means the model is reference-closed.
+    It decodes no record: an undecoded record's references are read from
+    its value text, which holds no comment."""
+    entities = model.entities
     dangling: set[tuple[int, int]] = set()
-    for entity in model.in_id_order():
-        for ref_id in reference_ids(entity.attributes):
-            if ref_id not in model.entities:
+    for entity in entities.values():
+        body = entity._body
+        refs = (reference_ids(entity.attributes) if body is None
+                else map(int, filter(None, _REFERENCE_RE.findall(body))))
+        for ref_id in refs:
+            if ref_id not in entities:
                 dangling.add((entity.id, ref_id))
     return sorted(dangling)
 
@@ -419,9 +511,12 @@ def _format_value(value: StepValue) -> str:
     if isinstance(value, bool):
         # bools never come out of the parser; guard against accidental input
         raise TypeError("boolean is not a STEP value; use EnumToken('T'/'F')")
-    if isinstance(value, (int, float)):
-        # the repr of a finite float holds a '.' or an 'e', so it reads back as a real
+    if isinstance(value, int):
         return repr(value)
+    if isinstance(value, float):
+        # a REAL needs a '.' in its mantissa and an upper-case 'E': 1e-05 -> 1.E-05
+        mantissa, _, exponent = repr(value).partition("e")
+        return (mantissa if "." in mantissa else mantissa + ".") + (exponent and "E" + exponent)
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     if isinstance(value, EnumToken):

@@ -979,9 +979,13 @@ def test_embed_store_bad_base_record_names_file(runner, data_dir, tmp_path):
     ("N\tx\tX\t{}\nE\tx\tnowhere\tE\t1.0\t{}\n", "edge endpoint 'nowhere' is not a node"),
     ("N\tx\tX\t{}\nE\tx\tx\tE\t1.0\t{}\n", "self-loop on 'x' is not allowed"),
     ("N\t\tX\t{}\n", "invalid node id ''"),
+    ('N\tx\tX\t{"a": NaN}\n', "attributes hold a non-finite number, NaN"),
+    ('N\tx\tX\t{}\nE\t5\tx\tE\t1.0\t{"a": [1, -Infinity]}\n',
+     "attributes hold a non-finite number, -Infinity"),
+    ('N\tx\tX\t{"a": {"b": 1e999}}\n', "attributes hold a non-finite number, 1e999"),
 ], ids=["node-list", "node-null", "edge-number", "deep-nesting", "invalid-json",
         "weight-text", "weight-zero", "weight-nan", "duplicate-node", "unknown-endpoint",
-        "self-loop", "empty-id"])
+        "self-loop", "empty-id", "attribute-nan", "attribute-infinity", "attribute-overflow"])
 def test_graph_attributes_not_an_object_exit_3(runner, data_dir, checkpoint, tmp_path,
                                                record, reason):
     """Every rejected graph record names the file and its line."""

@@ -3,9 +3,14 @@ independent relationship-counting pass."""
 
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
-from bimvec.config import DEFAULT_OBJECT_PREFIXES, DEFAULT_RELATION_RULES
+import pytest
+from click.testing import CliRunner
+
+from bimvec import ifc_graph, step_parser
+from bimvec.cli import main
+from bimvec.config import DEFAULT_OBJECT_PREFIXES, DEFAULT_RELATION_RULES, RunConfig
 from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
 from bimvec.ifc_graph import attach_properties, build_graph
@@ -252,3 +257,60 @@ def test_no_edge_references_missing_node(two_space_graph):
 def test_fixture_properties_attached(two_space_graph):
     assert two_space_graph.node("10").attributes["IsExternal"] is True
     assert two_space_graph.node("16").attributes["Reference"] == "W-NEW"
+
+
+# ---------------------------------------------------------------------------
+# decoding on demand
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def campus(tmp_path_factory):
+    """bench/gen.py's campus-static inputs at seed 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import gen
+    return gen.campus(str(tmp_path_factory.mktemp("campus")), 1)
+
+
+@pytest.fixture
+def decoded(monkeypatch) -> list:
+    """The value texts that the decoder reads, in order."""
+    bodies: list = []
+    decode = step_parser._decode
+    monkeypatch.setattr(step_parser, "_decode", lambda body: bodies.append(body) or decode(body))
+    return bodies
+
+
+def test_building_graph_decodes_only_the_records_it_reads(campus, decoded, monkeypatch):
+    """Only objects, the relations that the mapping expands and property
+    records are decoded: on campus-static, 3,403 of 16,631 records."""
+    model, undecoded = None, set()
+
+    def parse(path):
+        nonlocal model
+        model = step_parser.parse_step_file(path)
+        undecoded.update(i for i, entity in model.entities.items() if entity._body is not None)
+        return model
+
+    monkeypatch.setattr(ifc_graph, "parse_step_file", parse)
+    paths = campus["paths"]
+    cfg = RunConfig(cell_size=campus["cell_size"])
+    ifc_graph.building_graph(cfg, paths["ifc"], paths["footprints"], paths["sensors"])
+    mapping = cfg.relation_mapping()
+    read = {"IFCRELDEFINESBYPROPERTIES", "IFCPROPERTYSET", "IFCPROPERTYSINGLEVALUE",
+            *mapping.rules}
+    now_decoded = {i for i in undecoded if model.entities[i]._body is None}
+    assert len(decoded) == len(now_decoded) > 3000
+    assert len(model) - len(undecoded) < 20  # the token loop read the first KiB
+    for entity_id in now_decoded:
+        type_name = model.entities[entity_id].type_name
+        assert mapping.is_object_type(type_name) or type_name in read, type_name
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["summary", "dump"])
+def test_parse_decodes_records_only_to_dump_them(campus, decoded, tmp_path, dump):
+    argv = ["parse", campus["paths"]["ifc"]] + (["--dump", str(tmp_path / "d.ifc")] if dump else [])
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert "entities\t16631\n" in result.stdout
+    assert (len(decoded) > 16000) == dump

@@ -1,5 +1,6 @@
 """STEP parser tests: hand-parsed expectations, round trips, positioned
-errors, and an independent record scanner."""
+errors, an independent record scanner, and the record pattern against the
+token loop."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from bimvec.step_parser import (
     EnumToken,
     StepEntity,
     StepModel,
+    StepValue,
     TypedValue,
     parse_step,
     parse_step_file,
@@ -27,6 +29,10 @@ from bimvec.step_parser import (
 )
 
 from conftest import wrap
+
+# A stand-in for the record pattern that never matches, so that the token
+# loop reads every record.
+_NO_RECORD_RE = re.compile("(x)?(x)?(x)?")
 
 FIXTURE_FILES = ["minimal.ifc", "empty.ifc", "values.ifc", "two_space.ifc",
                  "dangling.ifc"]
@@ -125,7 +131,7 @@ def test_unbalanced_parentheses_position():
 _HEAD = "ISO-10303-21;\nDATA;\n"
 
 
-@pytest.mark.parametrize("text,message,position", [
+_LEXICAL_ERRORS = [
     (wrap("#1=IFCX(0);\n  /* never closed"), "unterminated comment", (7, 3)),
     (wrap("#1=IFCX(#);"), "expected digits after '#'", (6, 9)),
     (wrap("#1=IFCX(#0);"), "entity id must be positive", (6, 9)),
@@ -143,9 +149,14 @@ _HEAD = "ISO-10303-21;\nDATA;\n"
     (wrap("#1=IFCX(0);\n#1=IFCY(1); /* open"), "unterminated comment", (7, 13)),
     (wrap("#1=IFCX(0);\n#1=IFCY(1);?"), "unexpected character '?'", (7, 12)),
     (wrap("#1=IFC-X?(0);"), "unexpected character '?'", (6, 9)),
-], ids=["comment", "hash", "hash-zero", "hash-zeros", "id-zeros", "enum", "exponent",
-        "form-feed", "quote-at-end", "multi-line", "duplicate-then-hash-zero",
-        "duplicate-then-comment", "duplicate-then-stray", "bad-type-then-stray"])
+]
+_LEXICAL_ERROR_IDS = ["comment", "hash", "hash-zero", "hash-zeros", "id-zeros", "enum",
+                      "exponent", "form-feed", "quote-at-end", "multi-line",
+                      "duplicate-then-hash-zero", "duplicate-then-comment",
+                      "duplicate-then-stray", "bad-type-then-stray"]
+
+
+@pytest.mark.parametrize("text,message,position", _LEXICAL_ERRORS, ids=_LEXICAL_ERROR_IDS)
 def test_lexical_error_positions(text, message, position):
     with pytest.raises(BimvecError) as exc_info:
         parse_step(text)
@@ -182,7 +193,7 @@ _HEADER_TEXT = ("ISO-10303-21;\nHEADER;\nFILE_DESCRIPTION((''),'2;1');\nFILE_X(1
                 "ENDSEC;\nDATA;\nENDSEC;\nEND-ISO-10303-21;\n")
 
 
-@pytest.mark.parametrize("text,message,position", [
+_NUMBER_RULE_ERRORS = [
     (wrap(f"#1=IFCX(1,{_LONG});"), "integer has 5,000 digits, more than 640", (6, 11)),
     (wrap(f"#1=IFCX(-{_LONG});"), "integer has 5,000 digits, more than 640", (6, 9)),
     (wrap(f"#{_LONG}=IFCX(1);"), "integer has 5,000 digits, more than 640", (6, 1)),
@@ -195,10 +206,30 @@ _HEADER_TEXT = ("ISO-10303-21;\nHEADER;\nFILE_DESCRIPTION((''),'2;1');\nFILE_X(1
     (wrap("#1=IFCX(-1.0E999);"), "real overflows to infinity", (6, 9)),
     (_HEADER_TEXT.format("1.0E999"), "real overflows to infinity", (4, 10)),
     (_HEADER_TEXT.format("-1.0E999"), "real overflows to infinity", (4, 10)),
-], ids=["integer", "negative-integer", "entity-id", "reference", "found-integer",
-        "duplicate-then-reference", "one-digit-over", "typed-real", "negative-real",
-        "header-real", "header-negative-real"])
+]
+_NUMBER_RULE_ERROR_IDS = ["integer", "negative-integer", "entity-id", "reference",
+                          "found-integer", "duplicate-then-reference", "one-digit-over",
+                          "typed-real", "negative-real", "header-real", "header-negative-real"]
+
+
+@pytest.mark.parametrize("text,message,position", _NUMBER_RULE_ERRORS,
+                         ids=_NUMBER_RULE_ERROR_IDS)
 def test_number_rule_is_a_positioned_syntax_error(text, message, position):
+    with pytest.raises(BimvecError) as exc_info:
+        parse_step(text)
+    assert str(exc_info.value) == "{} (line {}, column {})".format(message, *position)
+
+
+@pytest.mark.parametrize("text,message,position", _LEXICAL_ERRORS + _NUMBER_RULE_ERRORS + [
+    (wrap("#1=IFCX(0);\n#1=IFCY(1);"), "duplicate entity id #1", (7, 1)),
+    (wrap("#1=IFCX(0);\n#2=(IFCA(0) IFCB(1));"), "complex entity instances are not supported",
+     (7, 4)),
+], ids=_LEXICAL_ERROR_IDS + _NUMBER_RULE_ERROR_IDS + ["duplicate", "complex"])
+def test_errors_keep_their_positions_when_the_record_pattern_reads(monkeypatch, text, message,
+                                                                   position):
+    """With a span of 1 the record pattern reads each record after
+    ``DATA;`` first, and the token loop still gives each error."""
+    monkeypatch.setattr(step_parser, "_SPAN", 1)
     with pytest.raises(BimvecError) as exc_info:
         parse_step(text)
     assert str(exc_info.value) == "{} (line {}, column {})".format(message, *position)
@@ -274,14 +305,98 @@ def _outcome(text: str):
     return repr(model.header), repr(list(model.entities.values()))
 
 
+def _edge_texts(data_dir) -> list[str]:
+    texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.ifc"))]
+    return texts + _SPAN_EDGE_TEXTS
+
+
 @pytest.mark.parametrize("span", [1, 7, 64])
 def test_span_size_changes_no_model_or_error(monkeypatch, data_dir, span):
-    texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.ifc"))]
-    texts += _SPAN_EDGE_TEXTS
+    texts = _edge_texts(data_dir)
     expected = [_outcome(text) for text in texts]
     assert sum(isinstance(outcome, str) for outcome in expected) == 3
     monkeypatch.setattr(step_parser, "_SPAN", span)
     assert [_outcome(text) for text in texts] == expected
+
+
+@pytest.mark.parametrize("span", [1, 1 << 16])
+def test_token_loop_alone_gives_the_same_model_or_error(monkeypatch, data_dir, span):
+    texts = _edge_texts(data_dir)
+    expected = [_outcome(text) for text in texts]
+    monkeypatch.setattr(step_parser, "_SPAN", span)
+    monkeypatch.setattr(step_parser, "_RECORD_RE", _NO_RECORD_RE)
+    assert [_outcome(text) for text in texts] == expected
+
+
+def _outcomes_with_and_without_scan(text: str) -> tuple:
+    """The outcome of parsing ``text`` with the record pattern, and with
+    the token loop alone. A span of 1 lets the pattern read every record
+    after ``DATA;``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(step_parser, "_SPAN", 1)
+        scanned = _outcome(text)
+        patch.setattr(step_parser, "_RECORD_RE", _NO_RECORD_RE)
+        return scanned, _outcome(text)
+
+
+_DIGITS = "7" * step_parser.MAX_DIGITS
+_DEEPEST = "(" * step_parser._SCAN_DEPTH + "1" + ")" * step_parser._SCAN_DEPTH
+
+
+# Records at the record pattern's edges, and whether the pattern reads them;
+# every other record goes to the token loop.
+@pytest.mark.parametrize("record,scanned", [
+    (f"#{_DIGITS}=IFCX(#{_DIGITS});", True),
+    (f"#1=IFCX(#9{_DIGITS});", False),
+    (f"#9{_DIGITS}=IFCX(1);", False),
+    ("#01=IFCX(#002);", False),
+    (f"#{'0' * 640}1=IFCX(1);", False),
+    ("#1=IFCX(#0);", False),
+    ("#0=IFCX(1);", False),
+    ("#1=IFCX(#00);", False),
+    (f"#1=IFCX({'9' * 200},-{'9' * 200});", True),
+    (f"#1=IFCX({'9' * 201});", False),
+    (f"#1=IFCX({_DIGITS});", False),
+    (f"#1=IFCX(-{_DIGITS}9);", False),
+    ("#1=IFCX(1.5E-99,-2.E+12,3e7);", True),
+    ("#1=IFCX(1.5E-100);", False),
+    ("#1=IFCX(1.0E308);", False),
+    ("#1=IFCX(1.0E309);", False),
+    (f"#1=IFCX({'9' * 200}.5E99);", True),
+    (f"#1=IFCX({'9' * 201}.5);", False),
+    (f"#1=IFCX({'9' * 400}.);", False),
+    (f"#1=IFCX({_DEEPEST});", True),
+    (f"#1=IFCX(({_DEEPEST}));", False),
+    ("#1=IFCX(IFCLABEL('a'),(IFCREAL(1.5)));", True),
+    ("#1=IFCX(IFCLINEINDEX((1,2)));", False),
+    ("#1=IFCX(IFCX(IFCY(1)));", False),
+    ("#1=IFCX(IFCLABEL());", False),
+    ("#1=IFCX(IFCLABEL(1,2));", False),
+    ("#1=IFCX(1 /* one */, 2);", False),
+    ("#1=IFCX(1,\r\n 2)\t;", True),
+    ("#1=ifcWall_2($);", True),
+    ("#1=IFC-X($);", False),
+    ("#1=IFCX(IFC-LABEL('a'));", True),
+    ("#1=IFCX((1,),2);", False),
+    ("#1=IFCX((,1));", False),
+    ("#1=IFCX(( ),'it''s;',.T.,*,$);", True),
+    ("#1=IFCX('open);", False),
+    ("#1=IFCX(1)", False),
+], ids=lambda value: value if isinstance(value, bool) else None)
+def test_record_pattern_edges_agree_with_token_loop(record, scanned):
+    assert bool(step_parser._RECORD_RE.fullmatch(record)) == scanned
+    text = wrap(record + "\n#2=IFCY(#1);")
+    with_scan, without_scan = _outcomes_with_and_without_scan(text)
+    assert with_scan == without_scan
+    assert isinstance(with_scan, str) == (record in _FAILING_EDGES)
+
+
+_FAILING_EDGES = {f"#1=IFCX(-{_DIGITS}9);", f"#1=IFCX(#9{_DIGITS});",
+                  f"#9{_DIGITS}=IFCX(1);", f"#{'0' * 640}1=IFCX(1);", "#1=IFCX(#0);",
+                  "#0=IFCX(1);", "#1=IFCX(#00);", "#1=IFCX(1.0E309);",
+                  f"#1=IFCX({'9' * 400}.);", "#1=IFCX(IFCLABEL());",
+                  "#1=IFCX(IFCLABEL(1,2));", "#1=IFC-X($);", "#1=IFCX((1,),2);",
+                  "#1=IFCX((,1));", "#1=IFCX('open);", "#1=IFCX(1)"}
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +511,62 @@ def test_value_round_trip_property(attributes):
     model = StepModel(entities={1: StepEntity(1, "IFCTEST", list(attributes))})
     again = parse_step(serialize_step(model))
     assert again.entities == model.entities
+
+
+def _reals(value: StepValue):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _reals(item)
+    elif isinstance(value, TypedValue):
+        yield from _reals(value.value)
+
+
+_STEP_REAL = re.compile(r"[+-]?[0-9]+\.[0-9]*(E[+-]?[0-9]+)?")
+
+
+@pytest.mark.parametrize("value,text", [
+    (1e16, "1.E+16"), (1.5e-07, "1.5E-07"), (1e-05, "1.E-05"), (-0.0, "-0.0"), (0.5, "0.5"),
+    (1.7976931348623157e308, "1.7976931348623157E+308"),
+])
+def test_reals_are_written_as_step_reals(value, text):
+    model = StepModel(entities={1: StepEntity(1, "IFCX", [value])})
+    assert serialize_step(model).split("#1=IFCX(")[1].split(")")[0] == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_values, max_size=6))
+def test_serialized_reals_match_the_real_syntax(attributes):
+    """ISO 10303-21 writes a REAL with a '.' in its mantissa and an
+    upper-case 'E'; each real reads back equal."""
+    for value in _reals(attributes):
+        text = serialize_step(StepModel(entities={1: StepEntity(1, "IFCX", [value])}))
+        assert _STEP_REAL.fullmatch(text.split("#1=IFCX(")[1].split(")")[0])
+        assert parse_step(text).entities[1].attributes == [value]
+
+
+_MUTATIONS = "()',#.;$*/ eE-"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_values, min_size=1, max_size=4), st.data())
+def test_mutated_records_read_alike_with_and_without_scan(attributes, data):
+    """Each deletion or repetition of one character in a serialized record,
+    and each of ``_MUTATIONS`` in place of one of its characters, gives the
+    same model or error whether the record pattern reads the records or the
+    token loop does. Each value is a record of its own, so that one value
+    that the pattern leaves to the token loop leaves it only its record."""
+    model = StepModel(entities={i: StepEntity(i, "IFCTEST", [value])
+                                for i, value in enumerate(attributes, start=1)})
+    records = serialize_step(model).split("DATA;\n")[1].split("\nENDSEC;")[0].split("\n")
+    which = data.draw(st.integers(0, len(records) - 1))
+    record = records[which]
+    at = data.draw(st.integers(0, len(record) - 1))
+    mutants = [record[:i] + record[i + 1:] for i in range(len(record))]
+    mutants += [record[:i] + record[i] + record[i:] for i in range(len(record))]
+    mutants += [record[:at] + swap + record[at + 1:] for swap in _MUTATIONS]
+    for mutant in mutants:
+        text = "\n".join(records[:which] + [mutant] + records[which + 1:] + ["#99=IFCY(#1);"])
+        with_scan, without_scan = _outcomes_with_and_without_scan(wrap(text))
+        assert with_scan == without_scan, mutant
