@@ -24,11 +24,21 @@ depend on the blocks. Since lr only decays, lr × width <= 0.8 at every step
 (Hogwild, Recht et al. 2011, and HogBatch, Ji et al. 2016, batch SGNS on the
 same ground: a stale read does little harm when steps are small).
 
-At width 1 (``initial_lr`` above 0.4) pairs apply one at a time, so every
-update sees the ones before it: the loop takes ``rows @ v``, the clamped
-sigmoid, ``dscores @ rows`` and the outer product with ``v`` in
-``pair_loss_and_grads``'s float32 operations and order, and writes the rows
-back, by ``np.subtract.at`` when a negative repeats. At a larger width every
+At width 1 (``initial_lr`` above 0.4) every update sees the ones before it.
+A pair takes ``rows @ v``, the clamped sigmoid, ``dscores @ rows`` and the
+outer product with ``v`` in ``pair_loss_and_grads``'s float32 operations
+and order, and writes the rows back, by ``np.subtract.at`` when a negative
+repeats. The pairs go in rounds: a pair's round is one past the last earlier
+pair of its block that touched its ``syn0`` center row or any of its
+``syn1`` rows, so the pairs of a round touch disjoint rows, and applying
+them together equals applying them in order. A round's pairs with k rows
+each apply as stacked arrays, (m, k, d) @ (m, d, 1) for the scores and
+(m, 1, k) @ (m, k, d) for the center gradients; numpy computes each stacked
+item with the gemv it uses for one pair's (k, d) product, so the bits are
+one pair's, and every elementwise step is the same. Rounds do not mix k,
+because a row's gemv bits depend on the row count and zero padding is not
+exact either. A pair alone in its round applies by itself. The per-pair
+reference trainer in the tests checks these bytes. At a larger width every
 pair of a batch reads the rows as they were at the batch's start and takes
 the same float32 quantities, each row's score by a float32 dot product and
 the center gradient summed in row order; the batch's updates are then
@@ -306,31 +316,101 @@ def _train_pairs(syn0, syn1, centers, positives, negatives, rates, width,
             - negative_sums.astype(np.float64))
 
 
+def _rounds(centers, rows_of, bounds, vocab_size: int) -> np.ndarray:
+    """Each pair's round: one past the last earlier pair that touched its
+    ``syn0`` center row or any of its ``syn1`` rows, so that the pairs of a
+    round touch disjoint rows."""
+    center_round, row_round = [-1] * vocab_size, [-1] * vocab_size
+    rounds = []
+    rows = rows_of.tolist()
+    for center, start, stop in zip(centers.tolist(), bounds[:-1].tolist(),
+                                   bounds[1:].tolist()):
+        index = rows[start:stop]
+        level = center_round[center]
+        for row in index:
+            if row_round[row] > level:
+                level = row_round[row]
+        level += 1
+        rounds.append(level)
+        center_round[center] = level
+        for row in index:
+            row_round[row] = level
+    return np.array(rounds, dtype=np.int64)
+
+
 def _apply_pairs(syn0, syn1, centers, rates, kept, negatives, rows_of, bounds, sig):
-    """One pair at a time, each seeing the updates before it: gather the
-    pair's ``syn1`` rows once, repeat ``pair_loss_and_grads``'s float32
-    operations, and write the rows back by assignment, or by
-    ``np.subtract.at`` when a negative repeats."""
+    """With the bytes of one pair at a time, each seeing the updates before
+    it: ``pair_loss_and_grads``'s float32 operations on the pair's ``syn1``
+    rows, written back by assignment, or by ``np.subtract.at`` when a
+    negative repeats. The pairs of a round (see ``_rounds``) with the same
+    row count k apply together, as stacked arrays; a lone pair applies by
+    itself."""
+    if not len(centers):
+        return
     ordered = np.sort(np.where(kept, negatives, -1), axis=1)
     repeats = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)
-    for center, lr, start, stop, repeat in zip(
-            centers.tolist(), rates.tolist(), bounds[:-1].tolist(),
-            bounds[1:].tolist(), repeats.tolist()):
-        v = syn0[center]
-        index = rows_of[start:stop]
+    counts = np.diff(bounds)
+    rounds = _rounds(centers, rows_of, bounds, len(syn0))
+    # the pairs by round, then by row count, each group in pair order
+    order = np.lexsort((counts, rounds))
+    counts, rounds = counts[order], rounds[order]
+    starts = np.flatnonzero(np.concatenate((
+        [True], (np.diff(rounds) != 0) | (np.diff(counts) != 0), [True])))
+    # each pair's rows and their places in ``sig`` fill a row of a grid
+    slots = np.arange(counts.max()) < counts[:, None]
+    places = (bounds[:-1][order, None] + np.arange(slots.shape[1]))[slots]
+    index_of = np.zeros(slots.shape, dtype=np.int64)
+    index_of[slots] = rows_of[places]
+    scores = np.zeros(slots.shape, dtype=np.float32)
+    centers, rates = centers[order], rates[order]
+    lrs = rates.astype(np.float32)[:, None, None]
+    group_repeats = np.add.reduceat(repeats[order], starts[:-1]) > 0
+    for first, stop, k, repeat in zip(starts[:-1].tolist(), starts[1:].tolist(),
+                                      counts[starts[:-1]].tolist(), group_repeats.tolist()):
+        if stop - first == 1:
+            lr = float(rates[first])
+            v = syn0[centers[first]]
+            index = index_of[first, :k]
+            rows = syn1.take(index, axis=0)
+            dscores = _sigmoid(rows @ v)
+            scores[first, :k] = dscores
+            dscores[0] -= 1.0
+            grad_v = dscores @ rows
+            update = np.multiply.outer(dscores, v)
+            update *= lr
+            if repeat:
+                np.subtract.at(syn1, index, update)
+            else:
+                rows -= update
+                syn1[index] = rows
+            v -= lr * grad_v
+            continue
+        # the same operations on m pairs: (m, k, d) rows, (m, d) centers
+        index, group = index_of[first:stop, :k], centers[first:stop]
         rows = syn1.take(index, axis=0)
-        dscores = _sigmoid(rows @ v)
-        sig[start:stop] = dscores
-        dscores[0] -= 1.0
-        grad_v = dscores @ rows
-        update = np.multiply.outer(dscores, v)
-        update *= lr
+        vs = syn0.take(group, axis=0)
+        dscores = np.matmul(rows, vs[:, :, None])[:, :, 0]
+        np.maximum(dscores, -60.0, out=dscores)
+        np.minimum(dscores, 60.0, out=dscores)
+        np.negative(dscores, out=dscores)
+        np.exp(dscores, out=dscores)
+        dscores += 1.0
+        np.divide(1.0, dscores, out=dscores)
+        scores[first:stop, :k] = dscores
+        dscores[:, 0] -= 1.0
+        grads = np.matmul(dscores[:, None, :], rows)[:, 0]
+        updates = dscores[:, :, None] * vs[:, None, :]
+        lr = lrs[first:stop]
+        updates *= lr
         if repeat:
-            np.subtract.at(syn1, index, update)
+            _subtract_rows(syn1, index.reshape(-1), updates.reshape(-1, syn1.shape[1]))
         else:
-            rows -= update
+            rows -= updates
             syn1[index] = rows
-        v -= lr * grad_v
+        grads *= lr[:, 0]
+        vs -= grads
+        syn0[group] = vs
+    sig[places] = scores[slots]
 
 
 def _apply_batches(syn0, syn1, centers, rates, rows_of, bounds, starts, sig):

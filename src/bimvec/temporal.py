@@ -10,17 +10,22 @@ carry their last known cells forward for up to ``max_gap`` windows.
 from __future__ import annotations
 
 import bisect
+import collections
+import io
+import itertools
 import json
 import logging
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from .config import COMFORT_CLASSES, COMFORT_ONE_HOT, RunConfig
 from .errors import BimvecError
-from .fileio import atomic_open, atomic_write_text, read_csv, read_json, text_lines
+from .fileio import (
+    atomic_open, atomic_write_text, chunk_lines, read_csv, read_json, text_chunks)
 from .graph import Edge, Node, NodeId, PropertyGraph, check_token, read_graph
 from .space_grid import AT_LABEL, DiscretizedSpace, cells_near, sensor_node_id
 
@@ -387,16 +392,98 @@ def read_store(store_dir, mode: str, index: int | None) -> PropertyGraph:
     missing = sorted(set(base.node_ids()) - set(order))
     if missing:
         raise BimvecError(f"{path}: node_index lacks base node {missing[0]!r}")
-    path = os.path.join(store_dir, "tensor.csv")
-    lines = text_lines(path)
-    if next(lines, "").rstrip("\r\n") != _TENSOR_HEADER:
+    return _union(base, order, _tensor_windows(
+        os.path.join(store_dir, "tensor.csv"), windows, order, base), windows)
+
+
+# tensor.csv is read in runs of whole lines of about this many characters,
+# each parsed by one bulk call and checked as arrays.
+_TENSOR_CHUNK = 1 << 14
+
+
+def _tensor_windows(path, windows: int, order: Sequence[NodeId],
+                    base: PropertyGraph) -> dict[tuple[int, int], int]:
+    """For each pair (i, j) of ``tensor.csv`` at ``path`` that is not a base
+    pair, the number of windows holding it.
+
+    The file is read in runs of whole lines. A run is parsed in bulk and
+    checked as arrays. A run that the bulk parse or a check rejects is read
+    again by :func:`_tensor_rows`, which names the line at fault."""
+    # numpy is loaded here, not at the top, so that ``snapshot``, which only
+    # writes stores, starts without it
+    import numpy as np
+
+    nodes = len(order)
+    index = {nid: i for i, nid in enumerate(order)}
+    in_base = [nid in base for nid in order]
+    base_pairs = {min(index[e.a], index[e.b]) * nodes + max(index[e.a], index[e.b])
+                  for e in base.edges()}
+    base_keys = np.array(sorted(base_pairs), dtype=np.int64)
+    # base_keys and a key that matches none, for a lookup by searchsorted
+    lookup = np.append(base_keys, -1)
+    base_nodes = np.array(in_base, dtype=bool)
+    row = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+    def new_pairs(rows):
+        """The rows' keys i * nodes + j, and which are not base pairs."""
+        keys = rows["i"] * nodes + rows["j"]
+        return keys, lookup[base_keys.searchsorted(keys)] != keys
+
+    chunks = text_chunks(path, _TENSOR_CHUNK)
+    text = next(chunks, "")
+    header = next(chunk_lines(path, text, 1), "")
+    if header.rstrip("\r\n") != _TENSOR_HEADER:
         raise BimvecError(f"{path}, line 1: expected the header {_TENSOR_HEADER}")
-    return union_graph(base, order, _tensor_rows(lines, path, windows, len(order)), windows)
+    found_t, found_keys = [], []
+    line_no = 2
+    for text in itertools.chain([text[len(header):]], chunks):
+        if not text:
+            continue
+        count = text.count("\n") + (not text.endswith("\n"))
+        # numpy's parser reads no line that int() and float() reject, but it
+        # skips blank lines, which the row count catches; a warning (numpy
+        # 1.x reads "1.0" as an integer with one) rejects the run too
+        rows = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rows = np.loadtxt(io.StringIO(text), dtype=row, delimiter=",",
+                                  comments=None, ndmin=1)
+            except (ValueError, Warning):
+                pass
+        bulk = rows is not None and len(rows) == count
+        if bulk:
+            t, i, j = rows["t"], rows["i"], rows["j"]
+            bulk = bool(((0 <= t) & (t < windows) & (0 <= i) & (i < j) & (j < nodes)).all()
+                        and np.isfinite(rows["w"]).all())
+        if bulk:
+            keys, new = new_pairs(rows)
+            bulk = bool((base_nodes[i[new]] != base_nodes[j[new]]).all())
+        if not bulk:
+            rows = np.array(list(_tensor_rows(
+                chunk_lines(path, text, line_no), path, line_no, windows, nodes,
+                base_pairs, in_base)), dtype=row)
+            keys, new = new_pairs(rows)
+        found_t.append(rows["t"][new])
+        found_keys.append(keys[new])
+        line_no += count
+    t = np.concatenate(found_t or [np.zeros(0, dtype=np.int64)])
+    keys = np.concatenate(found_keys or [np.zeros(0, dtype=np.int64)])
+    # each (pair, window) once, then the windows of each pair
+    ordered = np.lexsort((t, keys))
+    t, keys = t[ordered], keys[ordered]
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = (keys[1:] != keys[:-1]) | (t[1:] != t[:-1])
+    return {divmod(key, nodes): count
+            for key, count in collections.Counter(keys[distinct].tolist()).items()}
 
 
-def _tensor_rows(lines, path, windows: int, nodes: int):
-    """The (t, i, j, w) records of ``tensor.csv`` after its header, checked."""
-    for line_no, line in enumerate(lines, start=2):
+def _tensor_rows(lines, path, line_no: int, windows: int, nodes: int,
+                 base_pairs: set[int], in_base: list[bool]):
+    """The (t, i, j, w) records of ``tensor.csv`` lines from ``line_no`` on,
+    checked: each pair (i, j) is a base pair, one of ``base_pairs`` (as i *
+    nodes + j), or joins a node that is not in the base to one that is."""
+    for line_no, line in enumerate(lines, start=line_no):
         try:
             t, i, j, w = line.split(",")
             t, i, j, w = int(t), int(i), int(j), float(w)
@@ -406,6 +493,10 @@ def _tensor_rows(lines, path, windows: int, nodes: int):
             raise BimvecError(
                 f"{path}, line {line_no}: need 0 <= t < {windows}, "
                 f"0 <= i < j < {nodes} and a finite w")
+        if in_base[i] == in_base[j] and i * nodes + j not in base_pairs:
+            raise BimvecError(
+                f"{path}, line {line_no}: pair ({i}, {j}) is neither a base edge "
+                f"nor joins an occupant to a base node")
         yield t, i, j, w
 
 
@@ -422,14 +513,22 @@ def union_graph(base: PropertyGraph, node_order: Sequence[NodeId],
     are added as occupants, without per-window attributes."""
     index = {nid: i for i, nid in enumerate(node_order)}
     base_pairs = {tuple(sorted((index[e.a], index[e.b]))) for e in base.edges()}
-    counts: dict[tuple[NodeId, NodeId], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     for _, i, j in {(t, i, j) for t, i, j, _ in records if (i, j) not in base_pairs}:
-        pair = tuple(sorted((node_order[i], node_order[j])))
-        counts[pair] = counts.get(pair, 0) + 1
+        counts[i, j] = counts.get((i, j), 0) + 1
+    return _union(base, node_order, counts, windows)
+
+
+def _union(base: PropertyGraph, node_order: Sequence[NodeId],
+           counts: dict[tuple[int, int], int], windows: int) -> PropertyGraph:
+    """The base graph, the nodes of ``node_order`` missing from it as
+    occupants, and an AT edge of weight count / ``windows`` for each (i, j)
+    of ``counts``, in node id order."""
     out = base.copy()
     for node_id in sorted(nid for nid in node_order if nid not in base):
         out.add_node(node_id, OCCUPANT_LABEL)
-    for (a, b), count in sorted(counts.items()):
+    for (a, b), count in sorted((tuple(sorted((node_order[i], node_order[j]))), count)
+                                for (i, j), count in counts.items()):
         out.add_edge(a, b, AT_LABEL, count / windows)
     return out
 

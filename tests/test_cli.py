@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import importlib
 import inspect
@@ -15,15 +16,19 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bimvec
+from bimvec import temporal
 from bimvec.cli import main
 from bimvec.config import RelationMapping, RunConfig, TrainConfig, WalkConfig
+from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph
 from bimvec.space_grid import spaces_from_graph
 from bimvec.temporal import (
@@ -844,7 +849,8 @@ _TINY_EMBED = ["--dimension", "4", "--window", "2", "--epochs", "1",
 def test_mutated_store_union_exits_0_or_3(built_store, base, tensor):
     """No mutation of a store's ``base.tsv`` or ``tensor.csv`` makes
     ``embed --flatten union`` end in a traceback or an internal error, or
-    run long."""
+    run long, and the bulk read of ``tensor.csv`` gives the union or the
+    error of the per-line checker alone."""
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(tmp) / "store"
         store_dir.mkdir()
@@ -853,6 +859,7 @@ def test_mutated_store_union_exits_0_or_3(built_store, base, tensor):
         _write_mutated(store_dir / "tensor.csv", built_store / "tensor.csv", tensor)
         _exits_0_or_3_in_time(["embed", str(store_dir), "--flatten", "union",
                                "--out", str(Path(tmp) / "emb")] + _TINY_EMBED)
+        assert _union_outcome(store_dir) == _union_outcome(store_dir, per_line=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -904,6 +911,138 @@ def test_embed_store_bad_tensor_exits_3(runner, data_dir, tmp_path, line,
     where = "line 1" if line is None else "line 3"
     assert f"{path}, {where}" in result.output
     assert message in result.output
+
+
+def _bulk_parse_rejects(rejects: bool):
+    """A context in which numpy's bulk parse of every ``tensor.csv`` run
+    fails, if ``rejects``."""
+    return mock.patch.object(np, "loadtxt", side_effect=ValueError("rejected")) if rejects \
+        else contextlib.nullcontext()
+
+
+def _union_outcome(store_dir: Path, per_line: bool = False) -> str:
+    """What ``embed --flatten union`` reads from a store: the union graph's
+    text, or the error message. ``per_line`` reads every run of
+    ``tensor.csv`` by the per-line checker alone, as the bulk parse does
+    with a run it rejects."""
+    with _bulk_parse_rejects(per_line):
+        try:
+            return temporal.read_store(store_dir, "union", None).to_text()
+        except BimvecError as exc:
+            return str(exc)
+
+
+def _arabic_digits(text: str) -> str:
+    return text.translate({ord(digit): ord("\u0660") + int(digit) for digit in "0123456789"})
+
+
+def _field(line: str, field: int, rewrite) -> str:
+    fields = line.split(",")
+    fields[field] = rewrite(fields[field])
+    return ",".join(fields)
+
+
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+# the two-office store's tensor.csv lines, its header included
+_TENSOR_LINES = 219
+# Edits of that tensor.csv's text, its lines given (header first), that
+# numpy's parser reads otherwise than int() and float() do, each with what
+# the per-line checker makes of it: None for the union of the unedited file,
+# else the line it names and the start of its message.
+_TENSOR_TEXT_EDITS = {
+    "blank-line": (lambda lines: _text(lines[:5] + [""] + lines[5:]),
+                   (6, "not enough values to unpack")),
+    "underscore-index": (lambda lines: _text(lines[:40] + [_field(
+        lines[40], 2, lambda j: j[0] + "_" + j[1:])] + lines[41:]), None),
+    "signed-index": (lambda lines: _text(
+        lines[:7] + [_field(lines[7], 1, lambda i: " +" + i)] + lines[8:]), None),
+    "arabic-index": (lambda lines: _text(
+        lines[:9] + [_field(lines[9], 2, _arabic_digits)] + lines[10:]), None),
+    "exponent-index": (lambda lines: _text(
+        lines[:3] + [_field(lines[3], 2, lambda j: "1e2")] + lines[4:]),
+        (4, "invalid literal for int() with base 10: '1e2'")),
+    "comment-line": (lambda lines: _text(lines[:2] + ["# windows 0 to 2"] + lines[2:]),
+                     (3, "not enough values to unpack")),
+    "comment-after-row": (lambda lines: _text(lines[:2] + [lines[2] + " # note"] + lines[3:]),
+                          (3, "could not convert string to float")),
+    "crlf": (lambda lines: _text([line + "\r" for line in lines]), None),
+    "cr-in-row": (lambda lines: _text(
+        lines[:6] + [_field(lines[6], 1, lambda i: i + "\r")] + lines[7:]), None),
+    "cr-joins-rows": (lambda lines: _text(lines[:6] + [lines[6] + "\r" + lines[7]] + lines[8:]),
+                      (7, "too many values to unpack")),
+    "cr-joins-rows-before-blank": (lambda lines: _text(
+        lines[:6] + [lines[6] + "\r" + lines[7], ""] + lines[8:]),
+        (7, "too many values to unpack")),
+    "no-final-newline": (lambda lines: "\n".join(lines), None),
+    "duplicated-rows": (lambda lines: _text(lines[:30] + lines[10:30] + lines[30:]), None),
+    "overflowing-weight": (lambda lines: _text(
+        lines[:12] + [_field(lines[12], 3, lambda w: "1e999")] + lines[13:]),
+        (13, "need 0 <= t <")),
+    "bad-row-late": (lambda lines: _text(
+        lines[:-3] + [_field(lines[-3], 3, lambda w: "inf")] + lines[-2:]),
+        (_TENSOR_LINES - 2, "need 0 <= t <")),
+}
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 100], ids=["one-run", "runs"])
+@pytest.mark.parametrize("edit", sorted(_TENSOR_TEXT_EDITS))
+def test_tensor_bulk_read_equals_line_checker(built_store, tmp_path, monkeypatch, edit, chunk):
+    """The bulk read of ``tensor.csv`` gives the union, or the message and
+    line, of the per-line checker alone, which is the parent reader's: also
+    on text that numpy reads otherwise than ``int()`` and ``float()`` do."""
+    clean = _union_outcome(built_store)
+    store_dir = shutil.copytree(built_store, tmp_path / "store")
+    path = store_dir / "tensor.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == _TENSOR_LINES
+    rewrite, expected = _TENSOR_TEXT_EDITS[edit]
+    path.write_bytes(rewrite(lines).encode())
+    monkeypatch.setattr(temporal, "_TENSOR_CHUNK", chunk)
+    outcome = _union_outcome(store_dir)
+    assert outcome == _union_outcome(store_dir, per_line=True)
+    if expected is None:
+        assert outcome == clean
+    else:
+        line, message = expected
+        assert outcome.startswith(f"{path}, line {line}: {message}"), outcome
+
+
+def _store_pairs(store_dir: Path) -> tuple[list[int], list[int], set]:
+    """The store's base node positions, its other node positions, and its
+    base pairs."""
+    order = json.loads((store_dir / "manifest.json").read_text())["node_index"]
+    base = PropertyGraph.from_text((store_dir / "base.tsv").read_text())
+    index = {node: k for k, node in enumerate(order)}
+    pairs = {tuple(sorted((index[edge.a], index[edge.b]))) for edge in base.edges()}
+    inside = [k for k, node in enumerate(order) if node in base]
+    return inside, [k for k in range(len(order)) if order[k] not in base], pairs
+
+
+@pytest.mark.parametrize("per_line", [False, True], ids=["bulk", "per-line"])
+@pytest.mark.parametrize("pair", ["base-nodes", "outside-nodes"])
+def test_embed_store_rejects_pairs_snapshot_never_writes(runner, built_store, tmp_path,
+                                                         per_line, pair):
+    """A tensor row whose pair is neither a base edge nor joins a node
+    outside the base (an occupant) to a base node exits 3 naming its line,
+    whichever path reads it; before, the union turned it into an AT edge."""
+    store_dir = shutil.copytree(built_store, tmp_path / "store")
+    inside, outside, pairs = _store_pairs(store_dir)
+    if pair == "base-nodes":
+        i, j = next((i, j) for i in inside for j in inside if i < j and (i, j) not in pairs)
+    else:
+        i, j = outside[:2]
+    path = store_dir / "tensor.csv"
+    with path.open("a", encoding="utf-8") as fp:
+        fp.write(f"1,{i},{j},1.0\n")
+    with _bulk_parse_rejects(per_line):
+        result = runner.invoke(main, ["embed", str(store_dir), "--out", str(tmp_path / "emb")]
+                               + _TINY_EMBED)
+    assert result.exit_code == 3, result.output
+    assert (f"{path}, line {_TENSOR_LINES + 1}: pair ({i}, {j}) is neither a base edge "
+            f"nor joins an occupant to a base node") in result.output
 
 
 def test_embed_store_non_utf8_tensor_names_line(runner, data_dir, tmp_path):

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import itertools
 import struct
@@ -439,11 +441,45 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig, width: int = 1) -> Emb
 
 
 _STAR = next(graph for graph in SMALL_GRAPHS if graph[0] == "star5")
+
+
+def _hub_corpus(walks=8, length=8, spokes=12):
+    """Walks over ``spokes`` nodes that each pass through ``hub`` two or
+    three times, so that most pairs touch the hub's rows, and its negatives
+    repeat within a pair."""
+    rng = np.random.default_rng(3)
+    out = []
+    for _ in range(walks):
+        walk = [f"s{spoke}" for spoke in rng.integers(0, spokes, length).tolist()]
+        for position in rng.choice(length, size=int(rng.integers(2, 4)), replace=False):
+            walk[position] = "hub"
+        out.append(walk)
+    return WalkCorpus(out)
+
+
+def _token_corpus(tokens, walks, length, seed):
+    """``walks`` walks of ``length`` tokens drawn uniformly from ``tokens``."""
+    rng = np.random.default_rng(seed)
+    return WalkCorpus([[tokens[k] for k in rng.integers(0, len(tokens), length).tolist()]
+                       for _ in range(walks)])
+
+
 _IDENTITY_CORPORA = {
     "barbell": lambda: _barbell_corpus(walk_length=12, walks_per_node=1),
     "star5": lambda: generate_walks(graph_from_edges(*_STAR[1:]), WalkConfig(
         walk_length=12, walks_per_node=2, seed=4)),
 }
+# Corpora that stress the width-1 kernel's rounds (see
+# test_round_corpora_reach_every_kernel_path), trained also at dimensions 1
+# and 64: a hub in every walk; a 3-node vocabulary, whose negatives repeat;
+# and a 2-node one, where all of a pair's negatives often equal its positive
+# (k = 1) in rounds of several pairs.
+_ROUND_CORPORA = {
+    "hub": _hub_corpus,
+    "trio": lambda: _token_corpus("abc", walks=4, length=8, seed=5),
+    "duo": lambda: _token_corpus("ab", walks=4, length=10, seed=6),
+}
+_IDENTITY_CORPORA.update(_ROUND_CORPORA)
 
 
 def test_batch_width_table():
@@ -465,14 +501,16 @@ def test_train_equals_per_pair_reference(corpus_name, window, dynamic_window):
     """At width 1 (initial_lr above 0.4), vectors, context vectors and epoch
     losses are byte-identical to the per-pair trainer's over subsampling,
     negatives, epochs and learning rates; on star5 negatives often equal the
-    positive and repeat."""
+    positive and repeat, and the round corpora also vary the dimension."""
     corpus = _IDENTITY_CORPORA[corpus_name]()
+    # the round corpora take each dimension at both learning rates in turn
+    dimensions = [1, 8, 64] if corpus_name in _ROUND_CORPORA else [8]
     with np.errstate(over="ignore", invalid="ignore"):
-        for threshold, negatives, epochs, initial_lr in itertools.product(
-                [0.0, 0.05], [1, 5, 7], [1, 2, 3], [0.5, 1.0]):
-            cfg = TrainConfig(dimension=8, window=window, negatives=negatives,
-                              epochs=epochs, initial_lr=initial_lr, seed=window + negatives,
-                              dynamic_window=dynamic_window,
+        for n, (threshold, negatives, epochs, initial_lr) in enumerate(itertools.product(
+                [0.0, 0.05], [1, 5, 7], [1, 2, 3], [0.5, 1.0])):
+            cfg = TrainConfig(dimension=dimensions[n % len(dimensions)], window=window,
+                              negatives=negatives, epochs=epochs, initial_lr=initial_lr,
+                              seed=window + negatives, dynamic_window=dynamic_window,
                               subsample_threshold=threshold)
             assert sgns._batch_width(initial_lr) == 1
             assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg), cfg
@@ -493,6 +531,85 @@ def test_train_equals_batched_reference(corpus_name, initial_lr, width):
                           dynamic_window=dynamic_window, subsample_threshold=threshold)
         assert _outcome(train, corpus, cfg) == _outcome(
             reference_train, corpus, cfg, width), cfg
+
+
+def _kernel_groups(monkeypatch, corpus, cfg):
+    """Train ``corpus`` and return, for every width-1 block, each pair's
+    round, row count and whether a negative repeats in it."""
+    blocks = []
+    apply_pairs = sgns._apply_pairs
+
+    def spy(syn0, syn1, centers, rates, kept, negatives, rows_of, bounds, sig):
+        ordered = np.sort(np.where(kept, negatives, -1), axis=1)
+        blocks.append((sgns._rounds(centers, rows_of, bounds, len(syn0)), np.diff(bounds),
+                       ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)))
+        apply_pairs(syn0, syn1, centers, rates, kept, negatives, rows_of, bounds, sig)
+
+    monkeypatch.setattr(sgns, "_apply_pairs", spy)
+    train(corpus, cfg)
+    return blocks
+
+
+@pytest.mark.parametrize("corpus_name, negatives, paths", [
+    ("hub", 5, {"mixed-k round", "group with a repeat", "lone pair"}),
+    ("trio", 7, {"lone pair with a repeat"}),
+    ("duo", 1, {"group of k = 1"}),
+])
+def test_round_corpora_reach_every_kernel_path(monkeypatch, corpus_name, negatives, paths):
+    """The round corpora reach what they are there for: a round whose pairs
+    have different row counts, and so splits into groups; a group of several
+    pairs holding a repeated negative (``np.subtract.at``) or pairs of one
+    row each; and a pair alone in its round."""
+    cfg = TrainConfig(dimension=8, window=3, negatives=negatives, epochs=1,
+                      initial_lr=0.5, seed=1)
+    found = set()
+    for rounds, counts, repeats in _kernel_groups(monkeypatch, _ROUND_CORPORA[corpus_name](),
+                                                  cfg):
+        for level in np.unique(rounds).tolist():
+            members = rounds == level
+            if len(np.unique(counts[members])) > 1:
+                found.add("mixed-k round")
+            for k in np.unique(counts[members]).tolist():
+                group = members & (counts == k)
+                if group.sum() == 1:
+                    found.add("lone pair with a repeat" if repeats[group].any() else "lone pair")
+                elif repeats[group].any():
+                    found.add("group with a repeat")
+                elif k == 1:
+                    found.add("group of k = 1")
+    assert paths <= found
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocab_size=st.integers(1, 6), pairs=st.lists(st.tuples(
+    st.integers(0, 5), st.lists(st.integers(0, 5), min_size=1, max_size=4)), max_size=40))
+def test_rounds_share_no_row(vocab_size, pairs):
+    """No round holds two pairs that share their center's ``syn0`` row or a
+    ``syn1`` row, and a pair's round is one past the last earlier pair that
+    shares one, so that applying a round at once equals applying its pairs
+    in order."""
+    pairs = [(center % vocab_size, [row % vocab_size for row in rows]) for center, rows in pairs]
+    centers = np.array([center for center, _ in pairs], dtype=np.int64)
+    rows_of = np.array([row for _, rows in pairs for row in rows], dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum([len(rows) for _, rows in pairs]))).astype(np.int64)
+    rounds = sgns._rounds(centers, rows_of, bounds, vocab_size).tolist()
+    assert len(rounds) == len(pairs)
+    for q, (center, rows) in enumerate(pairs):
+        earlier = [rounds[p] for p, (other, other_rows) in enumerate(pairs[:q])
+                   if other == center or set(other_rows) & set(rows)]
+        assert rounds[q] == max(earlier, default=-1) + 1
+
+
+def test_train_with_empty_blocks_equals_per_pair_reference(monkeypatch):
+    """With blocks of a few pairs and heavy subsampling, some blocks keep no
+    pair and others do; training still equals the per-pair trainer."""
+    monkeypatch.setattr(sgns, "_BLOCK_PAIRS", 8)
+    corpus = _hub_corpus()
+    cfg = TrainConfig(dimension=8, window=2, negatives=5, epochs=2, initial_lr=0.5, seed=2,
+                      subsample_threshold=0.002)
+    sizes = [len(counts) for _, counts, _ in _kernel_groups(monkeypatch, corpus, cfg)]
+    assert 0 in sizes and max(sizes) > 0
+    assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg)
 
 
 def _outcome(trainer, corpus, cfg, *width):
