@@ -82,9 +82,7 @@ def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
 
     _echo_config(cfg)
     model = parse_step_file(ifc_path)
-    type_counts: dict[str, int] = {}
-    for entity in model.in_id_order():
-        type_counts[entity.type_name] = type_counts.get(entity.type_name, 0) + 1
+    type_counts = {type_name: len(ids) for type_name, ids in model.types.items()}
     dangling = validate_references(model)
     click.echo(f"entities\t{len(model)}")
     click.echo(f"types\t{len(type_counts)}")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -21,48 +19,77 @@ from .fileio import read_text
 
 NodeId = str
 
-_ID_FORBIDDEN = set(" \t\r\n")
-
 # Renders every record's attributes: the bytes of json.dumps(sort_keys=True).
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def check_token(value: str, what: str) -> None:
     """Node ids and labels are fields of the tab-separated text form."""
-    if not value or _ID_FORBIDDEN & set(value):
+    if not value or " " in value or "\t" in value or "\r" in value or "\n" in value:
         raise ValueError(f"invalid {what} {value!r}")
 
 
-@dataclass(frozen=True)
-class Node:
-    """Immutable, so graphs and their copies share it. ``attributes`` is
-    read-only, but its values are shared too: never change one in place."""
+class _Record:
+    """A node or an edge. Immutable, so graphs and their copies share it.
+    ``attributes`` is read-only, but its values are shared too: never change
+    one in place.
 
-    id: NodeId
-    label: str
-    attributes: Mapping
+    A record read from graph text keeps its line and decodes ``attributes``
+    from it when they are first read; one built in code renders its line
+    when that is first read."""
 
-    @cached_property
+    __slots__ = ("_attributes", "_line")
+
+    @property
+    def attributes(self) -> Mapping:
+        if self._attributes is None:
+            # from_text checked the last field: one JSON object to its end,
+            # its numbers finite, so the scanner needs no number hook
+            line = self._line
+            self._attributes = MappingProxyType(
+                _scan_checked_json(line, line.rindex("\t") + 1)[0])
+        return self._attributes
+
+    def has_attribute(self, key: str) -> bool:
+        """Whether ``attributes`` holds ``key``, without decoding a read
+        record that cannot hold it: a line with no backslash writes each
+        key as it is, so it holds ``"key"`` if the record has that key."""
+        line = self._line
+        if self._attributes is None and "\\" not in line and f'"{key}"' not in line:
+            return False
+        return key in self.attributes
+
+    @property
     def line(self) -> str:
-        """This record's line of the text form, rendered once."""
-        return f"N\t{self.id}\t{self.label}\t{_encode(self.attributes.copy())}"
+        """This record's line of the text form."""
+        if self._line is None:
+            self._line = self._render(_encode(self._attributes.copy()))
+        return self._line
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Immutable undirected edge; endpoints in canonical (sorted) order."""
+class Node(_Record):
+    __slots__ = ("id", "label")
 
-    a: NodeId
-    b: NodeId
-    label: str
-    weight: float
-    attributes: Mapping
+    def __init__(self, id: NodeId, label: str, attributes: Mapping | None,
+                 line: str | None = None) -> None:
+        self.id, self.label, self._attributes, self._line = id, label, attributes, line
 
-    @cached_property
-    def line(self) -> str:
-        """This record's line of the text form, rendered once."""
-        return (f"E\t{self.a}\t{self.b}\t{self.label}\t{self.weight!r}\t"
-                f"{_encode(self.attributes.copy())}")
+    def _render(self, attributes: str) -> str:
+        return f"N\t{self.id}\t{self.label}\t{attributes}"
+
+
+class Edge(_Record):
+    """Undirected; endpoints in canonical (sorted) order."""
+
+    __slots__ = ("a", "b", "label", "weight")
+
+    def __init__(self, a: NodeId, b: NodeId, label: str, weight: float,
+                 attributes: Mapping | None, line: str | None = None) -> None:
+        self.a, self.b, self.label, self.weight = a, b, label, weight
+        self._attributes, self._line = attributes, line
+
+    def _render(self, attributes: str) -> str:
+        return f"E\t{self.a}\t{self.b}\t{self.label}\t{self.weight!r}\t{attributes}"
 
 
 class PropertyGraph:
@@ -176,8 +203,9 @@ class PropertyGraph:
         """Line-delimited text form: ``N`` records then ``E`` records.
 
         Deterministic: nodes sorted by id, edges sorted by their full record.
-        Each record's line is rendered once, so a copy renders only the
-        records it added or replaced.
+        A record read from text is written as read, and one built in code
+        renders its line once, so a copy renders only the records it added
+        or replaced.
         """
         lines = [node.line for node in self.nodes()]
         lines += sorted(edge.line for edge in self._edges)
@@ -186,29 +214,67 @@ class PropertyGraph:
     @classmethod
     def from_text(cls, text: str) -> "PropertyGraph":
         """The graph of a text form; a bad record raises ``ValueError`` as
-        ``line N: reason``."""
+        ``line N: reason``. Each record keeps its line, and decodes its
+        attributes from it when they are first read.
+
+        A line of the common shape is checked here in one pass. Any other
+        line, and any line that fails a check here, goes to
+        :meth:`_add_record`, which holds the record rules and names the
+        fault."""
         graph = cls()
+        nodes, edges = graph._nodes, graph._edges
         for line_no, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
+            # fields hold no tab or line end, so a token holds no space or CR;
+            # the attributes must be one JSON object from the field's first
+            # character to its last, which the scanner reads in C
+            fields = line.split("\t")
+            kind = fields[0]
             try:
-                fields = line.split("\t")
-                kind = fields[0]
-                if kind == "N":
-                    if len(fields) != 4:
-                        raise ValueError("bad node record")
-                    _, node_id, label, attrs = fields
-                    graph.add_node(node_id, label, _json_object(attrs))
-                elif kind == "E":
-                    if len(fields) != 6:
-                        raise ValueError("bad edge record")
-                    _, a, b, label, weight, attrs = fields
-                    graph.add_edge(a, b, label, float(weight), _json_object(attrs))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
+                if kind == "N" and len(fields) == 4:
+                    node_id, label, attrs = fields[1], fields[2], fields[3]
+                    if (node_id and label and " " not in node_id and "\r" not in node_id
+                            and " " not in label and "\r" not in label
+                            and node_id not in nodes
+                            and attrs[:1] == "{" and _scan_json(attrs, 0)[1] == len(attrs)):
+                        nodes[node_id] = Node(node_id, label, None, line)
+                        continue
+                elif kind == "E" and len(fields) == 6:
+                    u, v, label, attrs = fields[1], fields[2], fields[3], fields[5]
+                    weight = float(fields[4])
+                    if (u in nodes and v in nodes and u != v and 0 < weight < math.inf
+                            and label and " " not in label and "\r" not in label
+                            and attrs[:1] == "{" and _scan_json(attrs, 0)[1] == len(attrs)):
+                        edges.append(Edge(u, v, label, weight, None, line) if u < v
+                                     else Edge(v, u, label, weight, None, line))
+                        continue
+            except (ValueError, StopIteration, RecursionError):
+                pass
+            try:
+                graph._add_record(line)
             except (BimvecError, ValueError) as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
         return graph
+
+    def _add_record(self, line: str) -> None:
+        """Add the record of one line of the text form, which keeps the
+        line; a blank line adds nothing."""
+        if not line.strip():
+            return
+        fields = line.split("\t")
+        kind = fields[0]
+        if kind == "N":
+            if len(fields) != 4:
+                raise ValueError("bad node record")
+            _, node_id, label, attrs = fields
+            record = self.add_node(node_id, label, _json_object(attrs))
+        elif kind == "E":
+            if len(fields) != 6:
+                raise ValueError("bad edge record")
+            _, a, b, label, weight, attrs = fields
+            record = self.add_edge(a, b, label, float(weight), _json_object(attrs))
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
+        record._line = line
 
 
 def read_graph(path) -> PropertyGraph:
@@ -247,3 +313,8 @@ def _non_finite(token: str):
 
 
 _FINITE_JSON = json.JSONDecoder(parse_constant=_non_finite, parse_float=_finite_float)
+# Each reads one JSON value at an index, with no whitespace around it, in C:
+# the first checks that its numbers are finite, the second reads text that
+# the first has checked.
+_scan_json = _FINITE_JSON.scan_once
+_scan_checked_json = json.JSONDecoder().scan_once

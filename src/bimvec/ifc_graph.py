@@ -96,18 +96,15 @@ def build_graph(
     mapping = mapping or RelationMapping()
     graph = PropertyGraph()
 
-    for entity in model.in_id_order():
-        if mapping.is_object_type(entity.type_name):
-            graph.add_node(
-                ifc_node_id(entity.id),
-                entity.type_name,
-                _object_attributes(entity),
-            )
+    for entity in model.of_types(filter(mapping.is_object_type, model.types)):
+        graph.add_node(
+            ifc_node_id(entity.id),
+            entity.type_name,
+            _object_attributes(entity),
+        )
 
-    for entity in model.in_id_order():
-        rule = mapping.rules.get(entity.type_name)
-        if rule is None:
-            continue
+    for entity in model.of_types(mapping.rules):
+        rule = mapping.rules[entity.type_name]
         relating = _refs_at(entity, rule.relating_index)
         related = _refs_at(entity, rule.related_index)
         if not relating or not related:
@@ -184,9 +181,7 @@ def attach_properties(graph: PropertyGraph, model: StepModel) -> PropertyGraph:
     the highest relationship id wins. Malformed property sets are skipped
     with a diagnostic. Mutates and returns ``graph``.
     """
-    for rel in model.in_id_order():
-        if rel.type_name != _REL_DEFINES:
-            continue
+    for rel in model.of_types([_REL_DEFINES]):
         targets = _refs_at(rel, 4)
         pset_refs = _refs_at(rel, 5)
         for pset_id in pset_refs:

@@ -305,7 +305,8 @@ def store_windows(tg: TemporalGraph) -> Iterator[tuple[int, str, str, int]]:
     their count; equal to ``tg.snapshots[t].graph.to_text()`` and
     :func:`adjacency_tensor`'s records for ``t``.
 
-    The base's node lines, sorted edge lines and tensor rows are rendered
+    The base's node lines and sorted edge lines are its records' own, so a
+    base read from text renders none, and its tensor rows are formatted
     once; each window merges in only the records its delta changes."""
     base, index = tg.base, tg.node_index
     base_ids = base.node_ids()

@@ -25,11 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bimvec
+from bimvec import graph as graph_module
 from bimvec import temporal
 from bimvec.cli import main
 from bimvec.config import RelationMapping, RunConfig, TrainConfig, WalkConfig
 from bimvec.errors import BimvecError
-from bimvec.graph import PropertyGraph
+from bimvec.graph import PropertyGraph, read_graph
 from bimvec.space_grid import spaces_from_graph
 from bimvec.temporal import (
     build_snapshots, flatten, load_fixes_csv, load_readings_csv,
@@ -430,6 +431,39 @@ def test_snapshot_builds_no_window_graph(runner, data_dir, tmp_path, monkeypatch
     windows = json.loads((store_dir / "manifest.json").read_text())["T"]
     assert windows == 11
     assert copies == []
+
+
+def test_snapshot_renders_no_base_record(runner, data_dir, tmp_path, monkeypatch):
+    """``snapshot`` writes the base's records as it read them. It renders
+    only a sensor with a reading, once per window that has one, and each
+    occupant placement, its node and AT edges once per fix."""
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    calls = []
+    encode = graph_module._encode
+    monkeypatch.setattr(graph_module, "_encode",
+                        lambda value: calls.append(value) or encode(value))
+    store_dir, step = tmp_path / "store", 300
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file),
+        "--readings", str(data_dir / "readings.csv"),
+        "--fixes", str(data_dir / "fixes.csv"),
+        "--out", str(store_dir), "--step", str(step),
+    ])
+    assert result.exit_code == 0, result.output
+    assert (store_dir / "base.tsv").read_bytes() == graph_file.read_bytes()
+
+    def rows(name):
+        return [line.split(",") for line in (data_dir / name).read_text().splitlines()[1:]]
+
+    sensors = {(int(row[0]) // step, row[1]) for row in rows("readings.csv")}
+    placements = {(int(row[0]) // step, f"occupant:{row[1]}") for row in rows("fixes.csv")}
+    at_edges = 0
+    for t, occupant in placements:
+        lines = (store_dir / "snapshots" / f"{t:06d}.tsv").read_text().splitlines()
+        at_edges += sum(line.startswith("E\t") and occupant in line.split("\t")[1:3]
+                        for line in lines)
+    assert at_edges > 0
+    assert len(calls) == len(sensors) + len(placements) + at_edges
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1172,87 @@ def test_graph_attributes_not_an_object_exit_3(runner, data_dir, checkpoint, tmp
         result = runner.invoke(main, argv)
         assert result.exit_code == 3, result.output
         assert result.output.endswith(f"error: {graph_file}, line {line}: {reason}\n")
+
+
+def test_graph_text_reads_back_as_written(checkpoint, tmp_path, monkeypatch):
+    """A graph file that ``graph`` wrote reads back to its own text, and
+    each line is the one its record renders when built in code: the
+    two-office fixture's graph and a generated tower's."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import gen
+
+    inputs = gen.tower(str(tmp_path / "inputs"), 1)
+    paths, tower = inputs["paths"], tmp_path / "tower.tsv"
+    result = CliRunner().invoke(main, [
+        "graph", paths["ifc"], "--footprints", paths["footprints"],
+        "--sensors", paths["sensors"], "--cell-size", str(inputs["cell_size"]),
+        "--out", str(tower)])
+    assert result.exit_code == 0, result.output
+    for path in (checkpoint.parent.parent / "graph.tsv", tower):
+        text = path.read_text(encoding="utf-8")
+        graph = read_graph(path)
+        assert graph.to_text() == text
+        rendered = PropertyGraph()
+        for node in graph.nodes():
+            rendered.add_node(node.id, node.label, node.attributes)
+        for edge in graph.edges():
+            rendered.add_edge(edge.a, edge.b, edge.label, edge.weight, edge.attributes)
+        assert rendered.to_text() == text
+
+
+def _non_canonical(text: str) -> str:
+    """``text`` with each edge's endpoints reversed, a weight ``1.0``
+    written ``1``, and each attribute object compact with its keys in
+    reverse order."""
+    lines = []
+    for line in text.splitlines():
+        fields = line.split("\t")
+        attributes = json.loads(fields[-1])
+        fields[-1] = json.dumps(dict(reversed(attributes.items())), separators=(",", ":"))
+        if fields[0] == "E":
+            fields[1], fields[2] = fields[2], fields[1]
+            fields[4] = "1" if fields[4] == "1.0" else fields[4]
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _graph_content(path: Path) -> tuple:
+    """The graph in ``path`` as its ids, labels, weighted edges and decoded
+    attributes."""
+    graph = read_graph(path)
+    return ({node.id: (node.label, dict(node.attributes)) for node in graph.nodes()},
+            sorted((edge.a, edge.b, edge.label, edge.weight,
+                    json.dumps(dict(edge.attributes), sort_keys=True))
+                   for edge in graph.edges()))
+
+
+def test_non_canonical_graph_file_gives_the_same_graph(runner, data_dir, checkpoint,
+                                                       tmp_path):
+    """Records are written back as read, so a valid line in another
+    spelling stays in it, and every command reads the same graph from it."""
+    canonical = checkpoint.parent.parent / "graph.tsv"
+    other = tmp_path / "other.tsv"
+    other.write_text(_non_canonical(canonical.read_text()))
+    assert "\t1\t{" in other.read_text() and '{"relationship":' in other.read_text()
+    for name, path in (("canonical", canonical), ("other", other)):
+        store = tmp_path / name / "store"
+        result = runner.invoke(main, [
+            "snapshot", str(path), "--readings", str(data_dir / "readings.csv"),
+            "--fixes", str(data_dir / "fixes.csv"), "--out", str(store), "--step", "300"])
+        assert result.exit_code == 0, result.output
+        _embed(runner, path, tmp_path / name / "emb")
+        _embed(runner, store, tmp_path / name / "union", extra=["--flatten", "union"])
+    one, two = tmp_path / "canonical", tmp_path / "other"
+    assert (sorted((two / "store" / "base.tsv").read_text().splitlines())
+            == sorted(other.read_text().splitlines()))
+    assert _graph_content(other) == _graph_content(canonical)
+    files = sorted(p.relative_to(one).as_posix() for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two).as_posix() for p in two.rglob("*") if p.is_file())
+    for name in files:
+        if name.endswith(".tsv") and name.startswith("store/"):
+            assert _graph_content(one / name) == _graph_content(two / name), name
+        else:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 def test_query_filter_returns_only_cells(runner, data_dir, tmp_path):

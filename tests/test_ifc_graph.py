@@ -208,7 +208,7 @@ def _independent_pair_count(model) -> int:
             DEFAULT_OBJECT_PREFIXES)
 
     count = 0
-    for entity in model.in_id_order():
+    for entity in model.entities.values():
         if entity.type_name not in positions:
             continue
         relating_pos, related_pos = positions[entity.type_name]
@@ -217,6 +217,19 @@ def _independent_pair_count(model) -> int:
                 if src != dst and is_object(src) and is_object(dst):
                     count += 1
     return count
+
+
+def test_has_attribute_decodes_only_a_line_that_can_hold_the_key():
+    graph = PropertyGraph.from_text(
+        'N\ta\tX\t{"name": "grid_cell_size"}\n'
+        'N\tb\tX\t{"grid_cell_size": 1.0}\n'
+        'N\tc\tX\t{"grid\\u005fcell_size": 2.0}\n'
+        'N\td\tX\t{"name": "w"}\n')
+    graph.add_node("e", "X", {"grid_cell_size": 3.0})
+    found = {node.id: node.has_attribute("grid_cell_size") for node in graph.nodes()}
+    assert found == {"a": False, "b": True, "c": True, "d": False, "e": True}
+    assert graph.node("d")._attributes is None  # no escape and no "grid_cell_size"
+    assert graph.node("c").attributes == {"grid_cell_size": 2.0}
 
 
 def test_edge_label_must_be_a_token():
