@@ -12,6 +12,7 @@ import functools
 import logging
 import os
 import sys
+from collections import Counter
 
 import click
 
@@ -82,7 +83,7 @@ def cmd_parse(cfg: RunConfig, ifc_path, dump_path):
 
     _echo_config(cfg)
     model = parse_step_file(ifc_path)
-    type_counts = {type_name: len(ids) for type_name, ids in model.types.items()}
+    type_counts = Counter(entity.type_name for entity in model.entities.values())
     dangling = validate_references(model)
     click.echo(f"entities\t{len(model)}")
     click.echo(f"types\t{len(type_counts)}")

@@ -43,21 +43,12 @@ class _Record:
     @property
     def attributes(self) -> Mapping:
         if self._attributes is None:
-            # from_text checked the last field: one JSON object to its end,
-            # its numbers finite, so the scanner needs no number hook
+            # from_text checked the last field: a JSON object whose numbers
+            # are finite, so the decoder needs no number hook
             line = self._line
             self._attributes = MappingProxyType(
-                _scan_checked_json(line, line.rindex("\t") + 1)[0])
+                _decode_checked(line[line.rindex("\t") + 1:]))
         return self._attributes
-
-    def has_attribute(self, key: str) -> bool:
-        """Whether ``attributes`` holds ``key``, without decoding a read
-        record that cannot hold it: a line with no backslash writes each
-        key as it is, so it holds ``"key"`` if the record has that key."""
-        line = self._line
-        if self._attributes is None and "\\" not in line and f'"{key}"' not in line:
-            return False
-        return key in self.attributes
 
     @property
     def line(self) -> str:
@@ -103,10 +94,7 @@ class PropertyGraph:
     # -- construction -------------------------------------------------------
 
     def add_node(self, node_id: NodeId, label: str, attributes: dict | None = None) -> Node:
-        check_token(node_id, "node id")
-        check_token(label, "node label")
-        if node_id in self._nodes:
-            raise ValueError(f"node {node_id!r} already exists")
+        self._check_node(node_id, label)
         node = Node(node_id, label, MappingProxyType(dict(attributes or {})))
         self._nodes[node_id] = node
         self._adjacency = None
@@ -120,6 +108,20 @@ class PropertyGraph:
         weight: float = 1.0,
         attributes: Mapping | None = None,
     ) -> Edge:
+        a, b = self._check_edge(u, v, label, weight)
+        edge = Edge(a, b, label, float(weight), MappingProxyType(dict(attributes or {})))
+        self._edges.append(edge)
+        self._adjacency = None
+        return edge
+
+    def _check_node(self, node_id: NodeId, label: str) -> None:
+        check_token(node_id, "node id")
+        check_token(label, "node label")
+        if node_id in self._nodes:
+            raise ValueError(f"node {node_id!r} already exists")
+
+    def _check_edge(self, u: NodeId, v: NodeId, label: str, weight: float) -> tuple:
+        """The endpoints of a valid new edge, in canonical order."""
         check_token(label, "edge label")
         if u not in self._nodes or v not in self._nodes:
             missing = u if u not in self._nodes else v
@@ -128,11 +130,7 @@ class PropertyGraph:
             raise ValueError(f"self-loop on {u!r} is not allowed")
         if not (0 < weight < math.inf):
             raise ValueError(f"edge weight must be positive and finite, got {weight}")
-        a, b = (u, v) if u < v else (v, u)
-        edge = Edge(a, b, label, float(weight), MappingProxyType(dict(attributes or {})))
-        self._edges.append(edge)
-        self._adjacency = None
-        return edge
+        return (u, v) if u < v else (v, u)
 
     def set_node_attribute(self, node_id: NodeId, key: str, value) -> None:
         """Swap in a new node; graphs sharing the old one keep it."""
@@ -215,40 +213,9 @@ class PropertyGraph:
     def from_text(cls, text: str) -> "PropertyGraph":
         """The graph of a text form; a bad record raises ``ValueError`` as
         ``line N: reason``. Each record keeps its line, and decodes its
-        attributes from it when they are first read.
-
-        A line of the common shape is checked here in one pass. Any other
-        line, and any line that fails a check here, goes to
-        :meth:`_add_record`, which holds the record rules and names the
-        fault."""
+        attributes from it when they are first read."""
         graph = cls()
-        nodes, edges = graph._nodes, graph._edges
         for line_no, line in enumerate(text.split("\n"), start=1):
-            # fields hold no tab or line end, so a token holds no space or CR;
-            # the attributes must be one JSON object from the field's first
-            # character to its last, which the scanner reads in C
-            fields = line.split("\t")
-            kind = fields[0]
-            try:
-                if kind == "N" and len(fields) == 4:
-                    node_id, label, attrs = fields[1], fields[2], fields[3]
-                    if (node_id and label and " " not in node_id and "\r" not in node_id
-                            and " " not in label and "\r" not in label
-                            and node_id not in nodes
-                            and attrs[:1] == "{" and _scan_json(attrs, 0)[1] == len(attrs)):
-                        nodes[node_id] = Node(node_id, label, None, line)
-                        continue
-                elif kind == "E" and len(fields) == 6:
-                    u, v, label, attrs = fields[1], fields[2], fields[3], fields[5]
-                    weight = float(fields[4])
-                    if (u in nodes and v in nodes and u != v and 0 < weight < math.inf
-                            and label and " " not in label and "\r" not in label
-                            and attrs[:1] == "{" and _scan_json(attrs, 0)[1] == len(attrs)):
-                        edges.append(Edge(u, v, label, weight, None, line) if u < v
-                                     else Edge(v, u, label, weight, None, line))
-                        continue
-            except (ValueError, StopIteration, RecursionError):
-                pass
             try:
                 graph._add_record(line)
             except (BimvecError, ValueError) as exc:
@@ -256,25 +223,28 @@ class PropertyGraph:
         return graph
 
     def _add_record(self, line: str) -> None:
-        """Add the record of one line of the text form, which keeps the
-        line; a blank line adds nothing."""
-        if not line.strip():
-            return
+        """Add the record of one line of the text form under the rules of
+        :meth:`add_node` and :meth:`add_edge`, its attributes checked and
+        not kept: the record keeps the line. A blank line adds nothing."""
         fields = line.split("\t")
         kind = fields[0]
-        if kind == "N":
-            if len(fields) != 4:
-                raise ValueError("bad node record")
+        if kind == "N" and len(fields) == 4:
             _, node_id, label, attrs = fields
-            record = self.add_node(node_id, label, _json_object(attrs))
+            _check_attributes(attrs)
+            self._check_node(node_id, label)
+            self._nodes[node_id] = Node(node_id, label, None, line)
+        elif kind == "E" and len(fields) == 6:
+            _, u, v, label, weight, attrs = fields
+            weight = float(weight)
+            _check_attributes(attrs)
+            a, b = self._check_edge(u, v, label, weight)
+            self._edges.append(Edge(a, b, label, weight, None, line))
+        elif kind == "N":
+            raise ValueError("bad node record")
         elif kind == "E":
-            if len(fields) != 6:
-                raise ValueError("bad edge record")
-            _, a, b, label, weight, attrs = fields
-            record = self.add_edge(a, b, label, float(weight), _json_object(attrs))
-        else:
+            raise ValueError("bad edge record")
+        elif line.strip():
             raise ValueError(f"unknown record kind {kind!r}")
-        record._line = line
 
 
 def read_graph(path) -> PropertyGraph:
@@ -287,9 +257,9 @@ def read_graph(path) -> PropertyGraph:
         raise BimvecError(f"{path}, {exc}") from None
 
 
-def _json_object(text: str) -> dict:
-    """A record's attribute field, which must be a JSON object whose numbers
-    are finite."""
+def _check_attributes(text: str) -> None:
+    """A record's attribute field must be a JSON object whose numbers are
+    finite."""
     try:
         value = _FINITE_JSON.decode(text)
     except json.JSONDecodeError as exc:
@@ -298,7 +268,6 @@ def _json_object(text: str) -> dict:
         raise ValueError("attributes are nested too deeply") from None
     if not isinstance(value, dict):
         raise ValueError("attributes must be a JSON object")
-    return value
 
 
 def _finite_float(token: str) -> float:
@@ -313,8 +282,5 @@ def _non_finite(token: str):
 
 
 _FINITE_JSON = json.JSONDecoder(parse_constant=_non_finite, parse_float=_finite_float)
-# Each reads one JSON value at an index, with no whitespace around it, in C:
-# the first checks that its numbers are finite, the second reads text that
-# the first has checked.
-_scan_json = _FINITE_JSON.scan_once
-_scan_checked_json = json.JSONDecoder().scan_once
+# Decodes an attribute field that _check_attributes has passed.
+_decode_checked = json.JSONDecoder().decode

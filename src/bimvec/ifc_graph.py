@@ -96,7 +96,8 @@ def build_graph(
     mapping = mapping or RelationMapping()
     graph = PropertyGraph()
 
-    for entity in model.of_types(filter(mapping.is_object_type, model.types)):
+    type_names = {entity.type_name for entity in model.entities.values()}
+    for entity in model.of_types(filter(mapping.is_object_type, type_names)):
         graph.add_node(
             ifc_node_id(entity.id),
             entity.type_name,

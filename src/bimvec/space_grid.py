@@ -341,7 +341,7 @@ def spaces_from_graph(graph: PropertyGraph) -> list[DiscretizedSpace]:
             cell_ids.setdefault(node.attributes.get("space"), set()).add(node.id)
     spaces: list[DiscretizedSpace] = []
     for node in graph.nodes():
-        if not node.has_attribute("grid_cell_size"):
+        if "grid_cell_size" not in node.attributes:
             continue
         where = f"space node {node.id!r}"
         space = discretize(

@@ -40,8 +40,8 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from .errors import BimvecError
@@ -132,8 +132,6 @@ class StepModel:
 
     header: dict[str, list] = field(default_factory=dict)
     entities: dict[int, StepEntity] = field(default_factory=dict)
-    # each type's entity ids, in the order the parser read them
-    types: defaultdict[str, list[int]] = field(default_factory=lambda: defaultdict(list))
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -141,9 +139,10 @@ class StepModel:
     def of_types(self, type_names: Iterable[str]) -> list[StepEntity]:
         """The entities of the types ``type_names``, in ascending id order
         regardless of file order."""
-        ids = sorted(itertools.chain.from_iterable(
-            self.types.get(type_name, ()) for type_name in type_names))
-        return [self.entities[entity_id] for entity_id in ids]
+        wanted = set(type_names)
+        found = [entity for entity in self.entities.values() if entity.type_name in wanted]
+        found.sort(key=attrgetter("id"))
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,6 @@ def _read_span(tokens: list, model: StepModel, section: int, saw_data: bool,
             if entity_id in entities:
                 raise _Fault(f"duplicate entity id #{entity_id}", i, end + 1)
             entities[entity_id] = StepEntity(entity_id, type_name, attributes)
-            model.types[type_name].append(entity_id)
             i = end + 1
             continue
         if not token and (not final or section == _END):
@@ -403,7 +401,7 @@ def parse_step(source: str) -> StepModel:
     start, size, end = 0, _SPAN, len(source)
     while True:
         if section == _DATA:
-            start = _scan_records(source, start, model, type_names)
+            start = _scan_records(source, start, model.entities, type_names)
         cut = source.find(";", start + size) + 1 or end
         tokens = _TOKEN_RE.findall(source, start, cut)
         kept = len(model.entities), dict(model.header)
@@ -416,10 +414,7 @@ def parse_step(source: str) -> StepModel:
             lexed = fault.args[-1]
             if cut < end and (lexed >= tokens.index("") - 1 or tokens[lexed] in ("'", "/")):
                 while len(model.entities) > kept[0]:
-                    type_name = model.entities.popitem()[1].type_name
-                    model.types[type_name].pop()
-                    if not model.types[type_name]:
-                        del model.types[type_name]
+                    model.entities.popitem()
                 model.header, size = kept[1], size * 2
                 continue
             raise _fault_error(source, start, cut, tokens, fault) from None
@@ -428,11 +423,10 @@ def parse_step(source: str) -> StepModel:
         start, size = cut, _SPAN
 
 
-def _scan_records(source: str, start: int, model: StepModel, type_names: dict) -> int:
+def _scan_records(source: str, start: int, entities: dict, type_names: dict) -> int:
     """Add the records from ``start`` on that the record pattern matches, as
     undecoded entities, up to the first statement that it does not match or
     whose id repeats; return where that statement begins."""
-    entities, types = model.entities, model.types
     for match in _RECORD_RE.finditer(source, start):
         digits, type_token, body = match.groups()
         if body is None:
@@ -444,7 +438,6 @@ def _scan_records(source: str, start: int, model: StepModel, type_names: dict) -
         if type_name is None:
             type_name = type_names[type_token] = type_token.upper()
         entities[entity_id] = StepEntity(entity_id, type_name, None, body)
-        types[type_name].append(entity_id)
     raise AssertionError("the record pattern matches the empty string")
 
 

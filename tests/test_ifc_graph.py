@@ -3,11 +3,13 @@ independent relationship-counting pass."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from bimvec import graph as graph_module
 from bimvec import ifc_graph, step_parser
 from bimvec.cli import main
 from bimvec.config import DEFAULT_OBJECT_PREFIXES, DEFAULT_RELATION_RULES, RunConfig
@@ -219,19 +221,6 @@ def _independent_pair_count(model) -> int:
     return count
 
 
-def test_has_attribute_decodes_only_a_line_that_can_hold_the_key():
-    graph = PropertyGraph.from_text(
-        'N\ta\tX\t{"name": "grid_cell_size"}\n'
-        'N\tb\tX\t{"grid_cell_size": 1.0}\n'
-        'N\tc\tX\t{"grid\\u005fcell_size": 2.0}\n'
-        'N\td\tX\t{"name": "w"}\n')
-    graph.add_node("e", "X", {"grid_cell_size": 3.0})
-    found = {node.id: node.has_attribute("grid_cell_size") for node in graph.nodes()}
-    assert found == {"a": False, "b": True, "c": True, "d": False, "e": True}
-    assert graph.node("d")._attributes is None  # no escape and no "grid_cell_size"
-    assert graph.node("c").attributes == {"grid_cell_size": 2.0}
-
-
 def test_edge_label_must_be_a_token():
     """An edge label is a field of the graph's tab-separated text form, as
     a node label is."""
@@ -242,6 +231,87 @@ def test_edge_label_must_be_a_token():
         with pytest.raises(ValueError, match="invalid edge label"):
             graph.add_edge("a", "b", label)
     assert graph.edge_count == 0
+
+
+_READ_BASE = ['N\ta\tIFCSPACE\t{"area": 1.5, "name": "A"}', "N\tb\tIFCWALL\t{}",
+              'E\ta\tb\tBOUNDS\t1.0\t{"k": [1, 2]}']
+
+
+def _read_variants():
+    """Valid and faulty spellings of the lines in ``_READ_BASE``."""
+    yield "\n".join(_READ_BASE) + "\n"
+    yield "\r\n".join(_READ_BASE) + "\r\n"
+    yield "\n" + "\n  \n\r\n".join(_READ_BASE)
+    for attrs in (' {"a": 1} ', '{"a":1}', "{}{}", "", "[]", "1", '"s"', "null", "{",
+                  '{"x": NaN}', '{"x": 1e999}', '{"x": -Infinity}', '{"x": 1e-999}',
+                  "[" * 100_000, '{"a": 1, "a": 2}'):
+        yield "\n".join(_READ_BASE + [f"N\tc\tX\t{attrs}"])
+        yield "\n".join(_READ_BASE + [f"E\ta\tb\tL\t2.0\t{attrs}"])
+    for weight in ("1", "1_0", " 3 ", "nan", "inf", "-1", "0", "x", ""):
+        yield "\n".join(_READ_BASE + [f"E\tb\ta\tL\t{weight}\t{{}}"])
+    for line in ("N\ta b\tX\t{}", "N\tc\tX\r\t{}", "N\t\tX\t{}", "N\tc\t\t{}", "N\ta\tX\t{}",
+                 "N\tc\tX", "N\tc\tX\t{}\t{}", "E\ta\tc\tL\t1.0\t{}", "E\ta\ta\tL\t1.0\t{}",
+                 "E\ta\tb\tL L\t1.0\t{}", "E\ta\tb\tL\t1.0", "E\ta\tb\t\t1.0\t{}",
+                 "Q\ta\t{}", " N\tc\tX\t{}", "N\tc\tX\tnot json",
+                 # a line with two faults gives the first one checked
+                 "N\ta\tX\tnull", "N\ta b\tX Y\t{}", "E\ta\tz\tL\tx\tnull",
+                 "E\ta\tz\tL\t1.0\tnull", "E\ta\ta\tL L\t1.0\t{}", "E\ta\tb\tL\t0\tnull"):
+        yield "\n".join(_READ_BASE + [line])
+
+
+def _read_by_record_rules(text: str):
+    """``text`` read line by line through ``add_node`` and ``add_edge``,
+    attributes decoded up front: the graph's records, or the first fault as
+    ``line N: reason``."""
+    graph = PropertyGraph()
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        try:
+            if fields[0] == "N":
+                if len(fields) != 4:
+                    raise ValueError("bad node record")
+                graph_module._check_attributes(fields[3])
+                graph.add_node(fields[1], fields[2], json.loads(fields[3]))
+            elif fields[0] == "E":
+                if len(fields) != 6:
+                    raise ValueError("bad edge record")
+                weight = float(fields[4])
+                graph_module._check_attributes(fields[5])
+                graph.add_edge(fields[1], fields[2], fields[3], weight, json.loads(fields[5]))
+            else:
+                raise ValueError(f"unknown record kind {fields[0]!r}")
+        except (BimvecError, ValueError) as exc:
+            return f"line {line_no}: {exc}"
+    return _records(graph)
+
+
+def _records(graph: PropertyGraph):
+    return ([(node.id, node.label, dict(node.attributes)) for node in graph.nodes()],
+            sorted((edge.a, edge.b, edge.label, edge.weight, json.dumps(dict(edge.attributes)))
+                   for edge in graph.edges()))
+
+
+def test_reader_accepts_what_the_record_rules_accept():
+    """``from_text`` keeps each line and decodes attributes only when read,
+    yet it accepts and rejects the lines that ``add_node`` and ``add_edge``
+    do, with their messages, and gives the same records; an accepted line is
+    written as read."""
+    outcomes = []
+    for text in _read_variants():
+        expected = _read_by_record_rules(text)
+        try:
+            graph = PropertyGraph.from_text(text)
+        except ValueError as exc:
+            assert str(exc) == expected, text[:200]
+            outcomes.append("rejected")
+            continue
+        assert _records(graph) == expected, text[:200]
+        assert (sorted(graph.to_text().split("\n")[:-1])
+                == sorted(line for line in text.split("\n") if line.strip())), text[:200]
+        outcomes.append("accepted")
+    assert outcomes.count("accepted") == 14 and outcomes.count("rejected") == 49
 
 
 def test_edge_count_matches_independent_pass(two_space_model, fixture_manifest):

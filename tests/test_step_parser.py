@@ -95,7 +95,6 @@ def test_in_id_order_regardless_of_file_order():
     model = parse_step(wrap("#3=IFCB(0);\n#1=IFCA(0);\n#4=IFCA(0);\n#2=IFCC(0);"))
     assert [e.id for e in model.of_types(["IFCA", "IFCB", "IFCC"])] == [1, 2, 3, 4]
     assert [e.id for e in model.of_types(["IFCA", "IFCX"])] == [1, 4]
-    assert model.types == {"IFCB": [3], "IFCA": [1, 4], "IFCC": [2]}
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +303,6 @@ def _outcome(text: str):
         model = parse_step(text)
     except BimvecError as exc:
         return str(exc)
-    types: dict[str, list[int]] = {}  # each type's ids in read order, kept through retried spans
-    for entity in model.entities.values():
-        types.setdefault(entity.type_name, []).append(entity.id)
-    assert model.types == types
     return repr(model.header), repr(list(model.entities.values()))
 
 
