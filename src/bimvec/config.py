@@ -260,7 +260,10 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{line_no}: use relation.<TYPE> keys")
         if key not in field_types:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _parse_value(key, field_types[key], raw)
+        try:
+            values[key] = _parse_value(key, field_types[key], raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
     if overrides:
         values["relation_overrides"] = overrides
     try:

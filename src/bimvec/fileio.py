@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import itertools
 import json
 import os
@@ -62,16 +61,17 @@ def read_text(path) -> str:
         raise _not_utf8(path, data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def _open_text(path):
-    """``path`` to read as text whose lines end at ``\n`` only.
+def open_text(path):
+    """``path`` to read as text whose lines end at ``\n`` only, unchecked.
     Surrogateescape decodes a byte that is not UTF-8 to a lone surrogate,
-    which only a line that is not ASCII can hold."""
+    which only a line that is not ASCII can hold and :func:`checked_lines`
+    reports."""
     return open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
 
 
-def _checked(path, lines, line_no: int) -> Iterator[str]:
-    """``lines``, numbered from ``line_no``, each checked for a byte that is
-    not UTF-8."""
+def checked_lines(path, lines, line_no: int) -> Iterator[str]:
+    """``lines`` of ``path``, numbered from ``line_no``, each checked for a
+    byte that is not UTF-8 as it is reached."""
     for line_no, line in enumerate(lines, start=line_no):
         if not line.isascii() and _NOT_UTF8.search(line):
             raise _not_utf8(path, line_no)
@@ -81,23 +81,8 @@ def _checked(path, lines, line_no: int) -> Iterator[str]:
 def text_lines(path) -> Iterator[str]:
     """The lines of ``path``, each ending at ``\n`` only, read as they are
     needed."""
-    with _open_text(path) as fp:
-        yield from _checked(path, fp, 1)
-
-
-def text_chunks(path, size: int) -> Iterator[str]:
-    """The text of ``path`` in runs of whole lines, each about ``size``
-    characters, decoded but unchecked: a run that is not ASCII may hold a
-    byte that is not UTF-8, which :func:`chunk_lines` reports."""
-    with _open_text(path) as fp:
-        while text := fp.read(size):
-            yield text if text.endswith("\n") else text + fp.readline()
-
-
-def chunk_lines(path, text: str, line_no: int) -> Iterator[str]:
-    """The lines of a :func:`text_chunks` run of ``path`` whose first line
-    is line ``line_no``, as :func:`text_lines` reads them."""
-    return _checked(path, io.StringIO(text, newline="\n"), line_no)
+    with open_text(path) as fp:
+        yield from checked_lines(path, fp, 1)
 
 
 def read_json(path):

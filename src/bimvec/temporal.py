@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import io
-import itertools
 import json
 import logging
 import math
@@ -25,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from .config import COMFORT_CLASSES, COMFORT_ONE_HOT, RunConfig
 from .errors import BimvecError
 from .fileio import (
-    atomic_open, atomic_write_text, chunk_lines, read_csv, read_json, text_chunks)
+    atomic_open, atomic_write_text, checked_lines, open_text, read_csv, read_json)
 from .graph import Edge, Node, NodeId, PropertyGraph, check_token, read_graph
 from .space_grid import AT_LABEL, DiscretizedSpace, cells_near, sensor_node_id
 
@@ -407,67 +405,64 @@ def _tensor_windows(path, windows: int, order: Sequence[NodeId],
     """For each pair (i, j) of ``tensor.csv`` at ``path`` that is not a base
     pair, the number of windows holding it.
 
-    The file is read in runs of whole lines. A run is parsed in bulk and
-    checked as arrays. A run that the bulk parse or a check rejects is read
-    again by :func:`_tensor_rows`, which names the line at fault."""
+    The file is read in runs of whole lines. numpy parses a run in one call;
+    a run it rejects, or reads otherwise than ``int()`` and ``float()`` do,
+    is parsed by :func:`_parse_rows` up to the first line it cannot read.
+    The rows are then checked as arrays: each needs 0 <= t < ``windows``,
+    0 <= i < j < N and a finite w, and its pair must be a base pair or join
+    a node that is not in the base to one that is. The first line at fault
+    is named, and a line that could not be read only after every row before
+    it passed."""
     # numpy is loaded here, not at the top, so that ``snapshot``, which only
     # writes stores, starts without it
     import numpy as np
 
     nodes = len(order)
     index = {nid: i for i, nid in enumerate(order)}
-    in_base = [nid in base for nid in order]
-    base_pairs = {min(index[e.a], index[e.b]) * nodes + max(index[e.a], index[e.b])
-                  for e in base.edges()}
-    base_keys = np.array(sorted(base_pairs), dtype=np.int64)
+    ends = (sorted((index[e.a], index[e.b])) for e in base.edges())
+    base_keys = np.array(sorted(i * nodes + j for i, j in ends), dtype=np.int64)
     # base_keys and a key that matches none, for a lookup by searchsorted
     lookup = np.append(base_keys, -1)
-    base_nodes = np.array(in_base, dtype=bool)
+    in_base = np.array([nid in base for nid in order], dtype=bool)
     row = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("w", np.float64)])
-
-    def new_pairs(rows):
-        """The rows' keys i * nodes + j, and which are not base pairs."""
-        keys = rows["i"] * nodes + rows["j"]
-        return keys, lookup[base_keys.searchsorted(keys)] != keys
-
-    chunks = text_chunks(path, _TENSOR_CHUNK)
-    text = next(chunks, "")
-    header = next(chunk_lines(path, text, 1), "")
-    if header.rstrip("\r\n") != _TENSOR_HEADER:
-        raise BimvecError(f"{path}, line 1: expected the header {_TENSOR_HEADER}")
     found_t, found_keys = [], []
-    line_no = 2
-    for text in itertools.chain([text[len(header):]], chunks):
-        if not text:
-            continue
-        count = text.count("\n") + (not text.endswith("\n"))
-        # numpy's parser reads no line that int() and float() reject, but it
-        # skips blank lines, which the row count catches; a warning (numpy
-        # 1.x reads "1.0" as an integer with one) rejects the run too
-        rows = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                rows = np.loadtxt(io.StringIO(text), dtype=row, delimiter=",",
-                                  comments=None, ndmin=1)
-            except (ValueError, Warning):
-                pass
-        bulk = rows is not None and len(rows) == count
-        if bulk:
+    with open_text(path) as fp:
+        header = next(checked_lines(path, [fp.readline()], 1))
+        if header.rstrip("\r\n") != _TENSOR_HEADER:
+            raise BimvecError(f"{path}, line 1: expected the header {_TENSOR_HEADER}")
+        line_no = 2
+        while lines := fp.readlines(_TENSOR_CHUNK):
+            # numpy's parser reads no line that int() and float() reject, but it
+            # skips blank lines, which the row count catches; a warning (numpy
+            # 1.x reads "1.0" as an integer with one) rejects the run too
+            rows, error = None, None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+                except (ValueError, Warning):
+                    pass
+            if rows is None or len(rows) != len(lines):
+                rows, error = _parse_rows(path, lines, line_no)
+                rows = np.array(rows, dtype=row)
             t, i, j = rows["t"], rows["i"], rows["j"]
-            bulk = bool(((0 <= t) & (t < windows) & (0 <= i) & (i < j) & (j < nodes)).all()
-                        and np.isfinite(rows["w"]).all())
-        if bulk:
-            keys, new = new_pairs(rows)
-            bulk = bool((base_nodes[i[new]] != base_nodes[j[new]]).all())
-        if not bulk:
-            rows = np.array(list(_tensor_rows(
-                chunk_lines(path, text, line_no), path, line_no, windows, nodes,
-                base_pairs, in_base)), dtype=row)
-            keys, new = new_pairs(rows)
-        found_t.append(rows["t"][new])
-        found_keys.append(keys[new])
-        line_no += count
+            fits = (0 <= t) & (t < windows) & (0 <= i) & (i < j) & (j < nodes)
+            fits &= np.isfinite(rows["w"])
+            keys = i * nodes + j
+            new = lookup[base_keys.searchsorted(keys)] != keys
+            bad = ~fits
+            bad[fits] = new[fits] & (in_base[i[fits]] == in_base[j[fits]])
+            if bad.any():
+                k = bad.argmax()
+                raise BimvecError(f"{path}, line {line_no + k}: " + (
+                    f"need 0 <= t < {windows}, 0 <= i < j < {nodes} and a finite w"
+                    if not fits[k] else f"pair ({i[k]}, {j[k]}) is neither a base edge "
+                    f"nor joins an occupant to a base node"))
+            if error is not None:
+                raise error
+            found_t.append(t[new])
+            found_keys.append(keys[new])
+            line_no += len(lines)
     t = np.concatenate(found_t or [np.zeros(0, dtype=np.int64)])
     keys = np.concatenate(found_keys or [np.zeros(0, dtype=np.int64)])
     # each (pair, window) once, then the windows of each pair
@@ -479,26 +474,22 @@ def _tensor_windows(path, windows: int, order: Sequence[NodeId],
             for key, count in collections.Counter(keys[distinct].tolist()).items()}
 
 
-def _tensor_rows(lines, path, line_no: int, windows: int, nodes: int,
-                 base_pairs: set[int], in_base: list[bool]):
-    """The (t, i, j, w) records of ``tensor.csv`` lines from ``line_no`` on,
-    checked: each pair (i, j) is a base pair, one of ``base_pairs`` (as i *
-    nodes + j), or joins a node that is not in the base to one that is."""
-    for line_no, line in enumerate(lines, start=line_no):
-        try:
+def _parse_rows(path, lines: list[str], line_no: int):
+    """The (t, i, j, w) of ``tensor.csv`` ``lines`` from line ``line_no`` on,
+    up to the first line that cannot be read, and the error naming that line
+    (None if there is none). An integer outside int64 reads as -1, which no
+    check accepts."""
+    rows = []
+    try:
+        for line in checked_lines(path, lines, line_no):
             t, i, j, w = line.split(",")
-            t, i, j, w = int(t), int(i), int(j), float(w)
-        except ValueError as exc:
-            raise BimvecError(f"{path}, line {line_no}: {exc}") from None
-        if not (0 <= t < windows and 0 <= i < j < nodes and math.isfinite(w)):
-            raise BimvecError(
-                f"{path}, line {line_no}: need 0 <= t < {windows}, "
-                f"0 <= i < j < {nodes} and a finite w")
-        if in_base[i] == in_base[j] and i * nodes + j not in base_pairs:
-            raise BimvecError(
-                f"{path}, line {line_no}: pair ({i}, {j}) is neither a base edge "
-                f"nor joins an occupant to a base node")
-        yield t, i, j, w
+            rows.append((*(n if abs(n) < 1 << 63 else -1 for n in (int(t), int(i), int(j))),
+                         float(w)))
+    except ValueError as exc:
+        return rows, BimvecError(f"{path}, line {line_no + len(rows)}: {exc}")
+    except BimvecError as exc:
+        return rows, exc
+    return rows, None
 
 
 # ---------------------------------------------------------------------------

@@ -1044,6 +1044,28 @@ def test_tensor_bulk_read_equals_line_checker(built_store, tmp_path, monkeypatch
         assert outcome.startswith(f"{path}, line {line}: {message}"), outcome
 
 
+@pytest.mark.parametrize("chunk", [1 << 14, 100], ids=["one-run", "runs"])
+@pytest.mark.parametrize("unreadable", [
+    lambda line: _field(line, 2, lambda j: "1e2"),
+    lambda line: _field(line, 1, lambda i: i + "\udcff"),
+], ids=["exponent-index", "not-utf8"])
+def test_tensor_first_bad_line_in_run_wins(built_store, tmp_path, monkeypatch, unreadable,
+                                           chunk):
+    """Inside one run of ``tensor.csv`` (lines 2 to 10 are one run at both
+    sizes), a line that breaks a rule is named before a later line that
+    cannot be read, on the bulk and the per-line path."""
+    store_dir = shutil.copytree(built_store, tmp_path / "store")
+    path = store_dir / "tensor.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[4] = _field(lines[4], 3, lambda w: "inf")
+    lines[8] = unreadable(lines[8])
+    path.write_bytes(_text(lines).encode("utf-8", "surrogateescape"))
+    monkeypatch.setattr(temporal, "_TENSOR_CHUNK", chunk)
+    for per_line in (False, True):
+        outcome = _union_outcome(store_dir, per_line)
+        assert outcome.startswith(f"{path}, line 5: need 0 <= t <"), outcome
+
+
 def _store_pairs(store_dir: Path) -> tuple[list[int], list[int], set]:
     """The store's base node positions, its other node positions, and its
     base pairs."""
@@ -1077,6 +1099,27 @@ def test_embed_store_rejects_pairs_snapshot_never_writes(runner, built_store, tm
     assert result.exit_code == 3, result.output
     assert (f"{path}, line {_TENSOR_LINES + 1}: pair ({i}, {j}) is neither a base edge "
             f"nor joins an occupant to a base node") in result.output
+
+
+@pytest.mark.parametrize("per_line", [False, True], ids=["bulk", "per-line"])
+@pytest.mark.parametrize("field,value", [(1, "9" * 20), (0, "-" + "9" * 20)],
+                         ids=["20-digit-i", "negative-20-digit-t"])
+def test_embed_store_index_past_int64_exits_3(runner, built_store, tmp_path, per_line,
+                                              field, value):
+    """An integer of a tensor row that int64 cannot hold is out of range,
+    whichever path reads it, not a traceback."""
+    store_dir = shutil.copytree(built_store, tmp_path / "store")
+    manifest = json.loads((store_dir / "manifest.json").read_text())
+    path = store_dir / "tensor.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[6] = _field(lines[6], field, lambda _: value)
+    path.write_text(_text(lines), encoding="utf-8")
+    with _bulk_parse_rejects(per_line):
+        result = runner.invoke(main, ["embed", str(store_dir), "--out", str(tmp_path / "emb")]
+                               + _TINY_EMBED)
+    assert result.exit_code == 3, result.output
+    assert (f"{path}, line 7: need 0 <= t < {manifest['T']}, 0 <= i < j < {manifest['N']} "
+            f"and a finite w") in result.output
 
 
 def test_embed_store_non_utf8_tensor_names_line(runner, data_dir, tmp_path):
@@ -1487,8 +1530,10 @@ def test_negative_train_seed_exits_3_naming_seed(runner, data_dir, tmp_path):
     (b"relation.IFCRELAGGREGATES=:4:5\n", "invalid relation label ''"),
     (b"adjacency=hex\n", "adjacency must be rook or queen, got 'hex'"),
     (b"flatten=slice:abc\n", "flatten must be union or slice:<t>, got 'slice:abc'"),
+    (b"strict=maybe\n", ":1: not a boolean: 'maybe'"),
+    (b"step=60\ndimension=abc\n", ":2: bad value for dimension: 'abc'"),
 ], ids=["non-utf8", "negative-relating", "negative-related", "tab-in-label", "empty-label",
-        "bad-adjacency", "bad-flatten"])
+        "bad-adjacency", "bad-flatten", "bad-boolean", "bad-integer"])
 def test_bad_config_file_exits_2_naming_it(runner, data_dir, tmp_path, text, message):
     """A config file that cannot be read, or a relation rule that would
     read from the end of the attribute list or write a graph file nothing

@@ -134,6 +134,38 @@ def test_malformed_property_set_is_skipped():
     assert set(graph.node("6").attributes) == {"global_id", "name"}
 
 
+def test_property_skip_paths_keep_the_usable_values(caplog):
+    """A relationship to a missing entity or to a set that is not a
+    property set, a target that is not a graph node, a property with no
+    name or a list value, a property of another type, and a set left with
+    no property are skipped; an enum other than .T. and .F. keeps its
+    name."""
+    model = parse_step(wrap(
+        "#6=IFCWALL('g',$,'W',$,$,$,$,$,$);\n"
+        "#60=IFCPROPERTYSINGLEVALUE('Mode',$,.UNKNOWN.,$);\n"
+        "#61=IFCPROPERTYSINGLEVALUE($,$,IFCREAL(1.5),$);\n"
+        "#62=IFCPROPERTYSINGLEVALUE('Dims',$,(1.,2.),$);\n"
+        "#63=IFCPROPERTYSINGLEVALUE('Logic',$,IFCLOGICAL(.U.),$);\n"
+        "#64=IFCPROPERTYENUMERATEDVALUE('Kind',$,(.A.),$);\n"
+        "#65=IFCPROPERTYSET('g',$,'Pset',$,(#60,#61,#62,#63,#64,#98));\n"
+        "#67=IFCPROPERTYSET('g',$,'Unnamed',$,(#61));\n"
+        "#66=IFCELEMENTQUANTITY('g',$,'Q',$,$,(#60));\n"
+        "#70=IFCRELDEFINESBYPROPERTIES('g',$,$,$,(#6),#99);\n"
+        "#71=IFCRELDEFINESBYPROPERTIES('g',$,$,$,(#6),#66);\n"
+        "#72=IFCRELDEFINESBYPROPERTIES('g',$,$,$,(#65,#97,#6),#65);\n"
+        "#73=IFCRELDEFINESBYPROPERTIES('g',$,$,$,(#6),#67);"
+    ))
+    graph = build_graph(model)
+    nodes = sorted(graph.node_ids())
+    with caplog.at_level("WARNING", logger=ifc_graph.__name__):
+        attach_properties(graph, model)
+    assert sorted(graph.node_ids()) == nodes == ["6"]
+    assert graph.node("6").attributes == {
+        "global_id": "g", "name": "W", "Mode": "UNKNOWN", "Logic": "U"}
+    assert "#70 points at missing #99" in caplog.text
+    assert "property #61 has no usable name" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # copy
 # ---------------------------------------------------------------------------
