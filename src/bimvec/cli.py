@@ -184,7 +184,6 @@ def cmd_snapshot(cfg: RunConfig, graph_path, readings_path, fixes_path,
 @click.option("--walk-seed", type=int, default=None)
 @click.option("--train-seed", type=int, default=None)
 @click.option("--workers", type=int, default=None, help="Must be >= 1; changes nothing.")
-@click.option("--dynamic-window/--fixed-window", default=None)
 @click.option("--dump-walks", is_flag=True, default=False)
 @click.pass_obj
 @_command

@@ -61,11 +61,9 @@ class TrainConfig:
     initial_lr: float = 0.025
     min_lr: float = 0.0001
     seed: int = 0
-    dynamic_window: bool = True
-    subsample_threshold: float = 0.0
 
     def __post_init__(self):
-        for name in ("initial_lr", "min_lr", "subsample_threshold"):
+        for name in ("initial_lr", "min_lr"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dimension < 1 or self.window < 1:
@@ -78,9 +76,6 @@ class TrainConfig:
             raise ValueError("min_lr must not exceed initial_lr")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.subsample_threshold < 0:
-            raise ValueError(f"subsample_threshold must be >= 0 (0 is off), "
-                             f"got {self.subsample_threshold}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +160,6 @@ class RunConfig:
     initial_lr: float = TrainConfig.initial_lr
     min_lr: float = TrainConfig.min_lr
     train_seed: int = TrainConfig.seed
-    dynamic_window: bool = TrainConfig.dynamic_window
-    subsample_threshold: float = TrainConfig.subsample_threshold
     workers: int = 1
     flatten: str = "union"
     object_prefixes: tuple[str, ...] = DEFAULT_OBJECT_PREFIXES

@@ -8,8 +8,8 @@ with negatives drawn from the unigram^0.75 distribution over corpus counts.
 Input vectors start uniform in [-0.5/n, 0.5/n], context vectors at zero,
 and the learning rate decays linearly from ``initial_lr`` to ``min_lr``
 over total center-context pairs times epochs. The decay counter advances by
-each center's full-window pair count, so the schedule is identical whether
-dynamic window shrinking is on or off.
+each center's full-window pair count, not by the pairs its drawn reach
+gives.
 
 Training runs single-threaded, one seeded substream per (epoch, walk), and
 yields bit-identical embeddings for identical inputs.
@@ -46,8 +46,7 @@ subtracted in pair order by ``np.subtract.at``. Losses are computed after
 the block from the stored sigmoids and summed pair by pair, walk by walk.
 
 Draws. Walk w of epoch e reads ``PCG64(substream_seed(seed, e, w))`` in
-training order: one uniform per token for subsampling (threshold > 0 only),
-one per kept token for its reach (dynamic window only), then per (center,
+training order: one uniform per token for its reach, then per (center,
 context) pair ``negatives`` slot and ``negatives`` alias uniforms. A uniform
 is (x >> 11) * 2**-53 of a 64-bit word x, and a draw over n values is
 floor(u * n), so a reach is 1 + floor(u * window). Only raw words are read,
@@ -163,31 +162,23 @@ def _uniforms(streams, counts) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-def block_draws(seeds, walks: np.ndarray, lengths: np.ndarray, keep_probability,
-                cfg: TrainConfig, vocab_size: int):
+def block_draws(seeds, lengths: np.ndarray, cfg: TrainConfig, vocab_size: int):
     """The random numbers a block of walks trains with (see Draws above).
-    ``walks`` holds the walks' tokens end to end, ``lengths`` their lengths
-    and ``seeds`` their substream seeds. Returns, laid out the same way, the
-    tokens that survive subsampling and the walks' new lengths; the center
-    and context token indices of the pairs, in training order (each center's
+    ``lengths`` holds the walks' lengths and ``seeds`` their substream seeds.
+    Returns the center and context token indices of the pairs, into the
+    walks' tokens laid end to end, in training order (each center's
     contexts from left to right within its reach and its walk), and where
     each walk's pairs start, plus the end; and for each pair the
     ``cfg.negatives`` alias slots and uniforms."""
     streams = [np.random.PCG64(seed) for seed in seeds]
-    kept, kept_lengths = walks, lengths
-    if keep_probability is not None:
-        keep = _uniforms(streams, lengths) < keep_probability[walks]
-        walk_of = np.repeat(np.arange(len(lengths)), lengths)
-        kept, kept_lengths = walks[keep], np.bincount(walk_of[keep], minlength=len(lengths))
-    reaches = 1 + (_uniforms(streams, kept_lengths) * cfg.window).astype(np.int64) \
-        if cfg.dynamic_window else np.full(len(kept), cfg.window)
-    left, per_center, pair_starts = _context_counts(kept_lengths, reaches)
+    reaches = 1 + (_uniforms(streams, lengths) * cfg.window).astype(np.int64)
+    left, per_center, pair_starts = _context_counts(lengths, reaches)
     centers = np.repeat(np.arange(len(left)), per_center)
     step = np.arange(len(centers)) - np.repeat(np.cumsum(per_center) - per_center, per_center)
     contexts = centers - left[centers] + step + (step >= left[centers])
     draws = _uniforms(streams, np.diff(pair_starts) * 2 * cfg.negatives).reshape(
         -1, 2, cfg.negatives)
-    return (kept, kept_lengths, centers, contexts, pair_starts,
+    return (centers, contexts, pair_starts,
             (draws[:, 0] * vocab_size).astype(np.int64), draws[:, 1])
 
 
@@ -214,38 +205,33 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     lengths = np.fromiter(map(len, corpus.walks), dtype=np.int64, count=len(corpus.walks))
     tokens = np.fromiter(map(matrix.vocabulary.__getitem__, itertools.chain.from_iterable(
         corpus.walks)), dtype=np.int64, count=int(lengths.sum()))
-    walk_pairs = np.diff(_context_counts(lengths, cfg.window)[2])
+    full, full_starts = _context_counts(lengths, cfg.window)[1:]
+    walk_pairs = np.diff(full_starts)
     epoch_pairs = int(walk_pairs.sum())
     if epoch_pairs == 0:
         logger.info("corpus yields no center-context pairs; returning initialization")
         return matrix
 
     total_progress = epoch_pairs * cfg.epochs
-    counts = np.bincount(tokens, minlength=vocab_size)
-    table = negative_table(counts)
-    with np.errstate(divide="ignore"):
-        keep_probability = np.clip(np.sqrt(cfg.subsample_threshold / (
-            counts / counts.sum())), 0.0, 1.0) if cfg.subsample_threshold > 0 else None
+    table = negative_table(np.bincount(tokens, minlength=vocab_size))
     span = cfg.initial_lr - cfg.min_lr
-    # A walk's place on the schedule follows from the full pair counts of
-    # the walks before it, before subsampling.
-    offsets = np.cumsum(walk_pairs) - walk_pairs
+    # a token's place on the schedule: the full-window pairs before it
+    token_progress = np.cumsum(full) - full
+    del full
     token_starts = np.concatenate(([0], np.cumsum(lengths)))
     blocks = _blocks(walk_pairs)
     width = _batch_width(cfg.initial_lr)
     for epoch in range(cfg.epochs):
         loss_total, pair_total = 0.0, 0
         for first, stop in blocks:
-            kept, kept_lengths, centers, contexts, pair_starts, slots, uniforms = block_draws(
+            low, high = token_starts[first], token_starts[stop]
+            centers, contexts, pair_starts, slots, uniforms = block_draws(
                 [substream_seed(cfg.seed, epoch, walk) for walk in range(first, stop)],
-                tokens[token_starts[first]:token_starts[stop]], lengths[first:stop],
-                keep_probability, cfg, vocab_size)
-            # a center's progress is its walk's plus the full pairs before it
-            _, full, full_starts = _context_counts(kept_lengths, cfg.window)
-            progress = np.cumsum(full) - full + np.repeat(
-                offsets[first:stop] + epoch * epoch_pairs - full_starts[:-1], kept_lengths)
+                lengths[first:stop], cfg, vocab_size)
+            progress = token_progress[low:high] + epoch * epoch_pairs
             rates = np.maximum(cfg.min_lr, cfg.initial_lr - span * progress / total_progress)
-            losses = _train_pairs(syn0, syn1, kept[centers], kept[contexts],
+            block_tokens = tokens[low:high]
+            losses = _train_pairs(syn0, syn1, block_tokens[centers], block_tokens[contexts],
                                   table.resolve(slots, uniforms), rates[centers],
                                   width, pair_starts).tolist()
             for start, end in zip(pair_starts[:-1].tolist(), pair_starts[1:].tolist()):

@@ -336,13 +336,14 @@ def spaces_from_graph(graph: PropertyGraph) -> list[DiscretizedSpace]:
     footprint and cell size stored on its node; the graph's CELL nodes must
     be exactly the cells this gives."""
     cell_ids: dict[NodeId, set[NodeId]] = {}
+    gridded = []
     for node in graph.nodes():
         if node.label == CELL_LABEL:
             cell_ids.setdefault(node.attributes.get("space"), set()).add(node.id)
+        if "grid_cell_size" in node.attributes:
+            gridded.append(node)
     spaces: list[DiscretizedSpace] = []
-    for node in graph.nodes():
-        if "grid_cell_size" not in node.attributes:
-            continue
+    for node in gridded:
         where = f"space node {node.id!r}"
         space = discretize(
             _footprint_from(node.id, node.attributes, "footprint", where),

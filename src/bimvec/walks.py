@@ -52,7 +52,9 @@ class AliasTable:
             raise ValueError("cannot build an alias table over zero outcomes")
         if not all(math.isfinite(p) and p >= 0 for p in probabilities):
             raise ValueError("probabilities must be finite and non-negative")
-        total = float(sum(probabilities))
+        total = 0.0
+        for p in probabilities:  # left to right: from Python 3.12, sum() compensates
+            total += p
         if not (0 < total < math.inf):
             raise ValueError("probabilities must sum to a finite positive value")
         scaled = [p * k / total for p in probabilities]

@@ -28,7 +28,7 @@ import bimvec
 from bimvec import graph as graph_module
 from bimvec import temporal
 from bimvec.cli import main
-from bimvec.config import RelationMapping, RunConfig, TrainConfig, WalkConfig
+from bimvec.config import RelationMapping, RunConfig, TrainConfig, WalkConfig, load_config
 from bimvec.errors import BimvecError
 from bimvec.graph import PropertyGraph, read_graph
 from bimvec.space_grid import spaces_from_graph
@@ -254,9 +254,10 @@ _GOOD_SENSOR = {"id": "s1", "space_id": 5, "position": [3.0, 3.0]}
     {"sensors": [{**_GOOD_SENSOR, "position": ["3", 3.0]}]},
     {"sensors": [{**_GOOD_SENSOR, "radius": [2.0]}]},
     {"sensors": {"s1": _GOOD_SENSOR}},
+    {"sensors": [{**_GOOD_SENSOR, "space_id": 99}]},
 ], ids=["no-position", "non-object", "top-level-array", "no-id", "no-space-id",
         "no-entity-id", "short-position", "nan-position", "string-coordinate",
-        "list-radius", "sensors-not-a-list"])
+        "list-radius", "sensors-not-a-list", "space-without-footprint"])
 def test_graph_bad_sensor_manifest_exits_3(runner, data_dir, tmp_path, manifest):
     sensors = tmp_path / "sensors.json"
     sensors.write_text(json.dumps(manifest))
@@ -375,6 +376,19 @@ def test_snapshot_bad_placement_config_exits_3(runner, data_dir, tmp_path, line,
     ])
     assert result.exit_code == 3, result.output
     assert f"error: {message}\n" in result.output
+    assert not store_dir.exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-5"])
+def test_snapshot_step_must_be_positive(runner, data_dir, tmp_path, step):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    store_dir = tmp_path / "store"
+    result = runner.invoke(main, [
+        "snapshot", str(graph_file), "--fixes", str(data_dir / "fixes.csv"),
+        "--out", str(store_dir), "--step", step,
+    ])
+    assert result.exit_code == 3, result.output
+    assert f"error: step must be positive, got {step}\n" in result.output
     assert not store_dir.exists()
 
 
@@ -1340,6 +1354,22 @@ def test_embed_non_finite_learning_rate_exits_3(runner, data_dir, tmp_path, opti
     assert not (tmp_path / "emb").exists()
 
 
+@pytest.mark.parametrize("option,message", [
+    ("--walks-per-node", "walks_per_node must be >= 1"),
+    ("--negatives", "negatives and epochs must be >= 1"),
+    ("--epochs", "negatives and epochs must be >= 1"),
+    ("--initial-lr", "initial_lr must be > 0 and min_lr >= 0"),
+])
+def test_embed_zero_walk_or_training_number_exits_3(runner, data_dir, tmp_path, option,
+                                                     message):
+    graph_file = _build_graph_file(runner, data_dir, tmp_path)
+    result = runner.invoke(main, ["embed", str(graph_file), "--out",
+                                  str(tmp_path / "emb"), option, "0"])
+    assert result.exit_code == 3, result.output
+    assert f"error: {message}\n" in result.output
+    assert not (tmp_path / "emb").exists()
+
+
 @pytest.mark.parametrize("long_id,long_label,message", [
     ("x" * 70_001, "CELL", f"node {'x' * 40 + '...'!r}: its id is 70,001 UTF-8 bytes"),
     ("c", "L" * 70_001, "node 'c': its label is 70,001 UTF-8 bytes"),
@@ -1494,23 +1524,22 @@ def test_unknown_config_key_exits_2(runner, data_dir, tmp_path):
     assert result.exit_code == 2
 
 
-def test_negative_subsample_threshold_in_config_exits_3(runner, data_dir, tmp_path):
-    """A negative ``subsample_threshold`` is out of range like any other
-    training number, and exits 3 naming it; 0 still means off."""
+@pytest.mark.parametrize("flag", ["--fixed-window", "--dynamic-window"])
+def test_window_switch_flags_exit_2(runner, data_dir, tmp_path, flag):
+    """Training always draws a dynamic reach, and embed has no flag to
+    switch it: passing one is a usage error."""
     graph_file = _build_graph_file(runner, data_dir, tmp_path)
-    config = tmp_path / "train.cfg"
-    args = ["--config", str(config), "embed", str(graph_file), "--out",
-            str(tmp_path / "emb"), "--dimension", "4", "--window", "2", "--epochs", "1",
-            "--walk-length", "4", "--walks-per-node", "1"]
-    config.write_text("subsample_threshold=-0.05\n")
-    result = runner.invoke(main, args)
-    assert result.exit_code == 3, result.output
-    assert "subsample_threshold" in result.output
-    assert not (tmp_path / "emb" / "checkpoint.bin").exists()
-    config.write_text("subsample_threshold=0\n")
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    assert (tmp_path / "emb" / "checkpoint.bin").exists()
+    result = runner.invoke(main, ["embed", str(graph_file), "--out", str(tmp_path / "emb"),
+                                  flag])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output and flag in result.output
+    assert not (tmp_path / "emb").exists()
+
+
+def test_object_prefixes_in_config_are_upper_cased_and_stripped(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("object_prefixes= ifcwall , ifcspace,\n")
+    assert load_config(config).object_prefixes == ("IFCWALL", "IFCSPACE")
 
 
 def test_negative_train_seed_exits_3_naming_seed(runner, data_dir, tmp_path):
@@ -1532,8 +1561,15 @@ def test_negative_train_seed_exits_3_naming_seed(runner, data_dir, tmp_path):
     (b"flatten=slice:abc\n", "flatten must be union or slice:<t>, got 'slice:abc'"),
     (b"strict=maybe\n", ":1: not a boolean: 'maybe'"),
     (b"step=60\ndimension=abc\n", ":2: bad value for dimension: 'abc'"),
+    (b"step 60\n", ":1: expected key=value"),
+    (b"relation_overrides=x\n", ":1: use relation.<TYPE> keys"),
+    (b"relation.IFCRELAGGREGATES=AGG:4\n",
+     ":1: relation rule must be LABEL:relating:related, got 'AGG:4'"),
+    (b"subsample_threshold=0\n", ":1: unknown key 'subsample_threshold'"),
+    (b"dynamic_window=true\n", ":1: unknown key 'dynamic_window'"),
 ], ids=["non-utf8", "negative-relating", "negative-related", "tab-in-label", "empty-label",
-        "bad-adjacency", "bad-flatten", "bad-boolean", "bad-integer"])
+        "bad-adjacency", "bad-flatten", "bad-boolean", "bad-integer", "no-equals",
+        "relation-overrides-key", "two-part-rule", "subsample-threshold", "dynamic-window"])
 def test_bad_config_file_exits_2_naming_it(runner, data_dir, tmp_path, text, message):
     """A config file that cannot be read, or a relation rule that would
     read from the end of the attribute list or write a graph file nothing

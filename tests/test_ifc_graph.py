@@ -79,6 +79,18 @@ def test_dangling_endpoint_lenient_skips_and_strict_raises():
         build_graph(model, strict=True)
 
 
+def test_relationship_relating_an_entity_to_itself_is_skipped(caplog):
+    model = parse_step(wrap(
+        "#3=IFCBUILDINGSTOREY('g',$,'L1',$,$,$,$,$,$,0.);\n"
+        "#5=IFCSPACE('g',$,'S',$,$,$,$,$,$,$,$);\n"
+        "#9=IFCRELAGGREGATES('g',$,$,$,#3,(#3,#5));"
+    ))
+    with caplog.at_level("WARNING", logger=ifc_graph.__name__):
+        graph = build_graph(model, strict=True)
+    assert [(e.a, e.b, e.label) for e in graph.edges()] == [("3", "5", "AGGREGATES")]
+    assert "relationship #9 relates #3 to itself; skipped" in caplog.text
+
+
 def test_object_attributes_carry_global_id_and_name():
     model = parse_step(wrap("#6=IFCWALL('guid-6',$,'West Wall',$,$,$,$,$,$);"))
     node = build_graph(model).node("6")

@@ -188,31 +188,11 @@ def test_row_count_equals_vocabulary():
     assert matrix.ids == walked
 
 
-def test_dynamic_window_off_changes_pair_count_not_schedule():
-    corpus = _barbell_corpus()
-    fixed = train(corpus, TrainConfig(dimension=4, window=3, epochs=1, seed=0,
-                                      dynamic_window=False))
-    dynamic = train(corpus, TrainConfig(dimension=4, window=3, epochs=1, seed=0,
-                                        dynamic_window=True))
-    assert np.isfinite(fixed.vectors).all()
-    assert not np.array_equal(fixed.vectors, dynamic.vectors)
-
-
-def test_subsampling_runs_and_stays_finite():
-    corpus = _barbell_corpus()
-    matrix = train(corpus, TrainConfig(dimension=4, epochs=1, seed=0,
-                                       subsample_threshold=0.05))
-    assert np.isfinite(matrix.vectors).all()
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(dimension=0)
     with pytest.raises(ValueError):
         TrainConfig(min_lr=0.5, initial_lr=0.1)
-    with pytest.raises(ValueError, match="subsample_threshold"):
-        TrainConfig(subsample_threshold=-0.05)
-    assert TrainConfig(subsample_threshold=0.0).subsample_threshold == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +257,7 @@ def test_version_1_checkpoint_loads(tmp_path):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("name", ["initial_lr", "min_lr", "subsample_threshold"])
+@pytest.mark.parametrize("name", ["initial_lr", "min_lr"])
 def test_config_rejects_non_finite_rates(name, value):
     with pytest.raises(ValueError, match="finite"):
         TrainConfig(**{name: value})
@@ -305,14 +285,12 @@ def test_initialization_equals_generator_random():
 
 
 def test_training_calls_no_generator(monkeypatch):
-    """Training reads raw bit-generator words only, with subsampling and the
-    dynamic window on."""
+    """Training reads raw bit-generator words only."""
     def refuse(*args, **kwargs):
         raise AssertionError("training made a numpy Generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    matrix = train(_barbell_corpus(), TrainConfig(dimension=8, epochs=2, seed=5,
-                                                  subsample_threshold=0.05))
+    matrix = train(_barbell_corpus(), TrainConfig(dimension=8, epochs=2, seed=5))
     assert np.isfinite(matrix.vectors).all() and len(matrix.epoch_losses) == 2
 
 
@@ -322,8 +300,8 @@ def test_training_calls_no_generator(monkeypatch):
 
 def reference_train(corpus: WalkCorpus, cfg: TrainConfig, width: int = 1) -> EmbeddingMatrix:
     """SGNS one (center, context) pair at a time: each walk reads its PCG64
-    stream in training order (subsampling, reaches, then per pair the slot
-    and alias uniforms, resolved through the negative table).
+    stream in training order (reaches, then per pair the slot and alias
+    uniforms, resolved through the negative table).
 
     At ``width`` 1 each pair makes one ``pair_loss_and_grads`` call and one
     ``np.add.at`` at once. At a larger width a walk's pairs go in batches of
@@ -374,13 +352,7 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig, width: int = 1) -> Emb
     if epoch_pairs == 0:
         return matrix
     total_progress = epoch_pairs * cfg.epochs
-    counts = np.bincount(np.concatenate(walks), minlength=len(ids))
-    table = negative_table(counts)
-    keep_probability = None
-    if cfg.subsample_threshold > 0:
-        with np.errstate(divide="ignore"):
-            keep_probability = np.clip(
-                np.sqrt(cfg.subsample_threshold / (counts / counts.sum())), 0.0, 1.0)
+    table = negative_table(np.bincount(np.concatenate(walks), minlength=len(ids)))
     span = cfg.initial_lr - cfg.min_lr
     offset = 0
     pending = []
@@ -390,11 +362,8 @@ def reference_train(corpus: WalkCorpus, cfg: TrainConfig, width: int = 1) -> Emb
             stream = np.random.PCG64(substream_seed(cfg.seed, epoch, walk_index))
             progress = offset
             offset += walk_pairs(len(walk))
-            if keep_probability is not None:
-                walk = walk[np.array(uniforms(stream, len(walk))) < keep_probability[walk]]
             length = len(walk)
-            reaches = [1 + int(u * cfg.window) for u in uniforms(stream, length)] \
-                if cfg.dynamic_window else [cfg.window] * length
+            reaches = [1 + int(u * cfg.window) for u in uniforms(stream, length)]
             loss_sum = 0.0
             for pos in range(length):
                 full = full_pairs(length, pos)
@@ -494,24 +463,22 @@ def test_batch_width_table():
         assert sgns._batch_width(lr) == 32 or lr * (sgns._batch_width(lr) + 1) > 0.8
 
 
-@pytest.mark.parametrize("dynamic_window", [True, False], ids=["dynamic", "fixed"])
 @pytest.mark.parametrize("window", [1, 3, 10])
 @pytest.mark.parametrize("corpus_name", sorted(_IDENTITY_CORPORA))
-def test_train_equals_per_pair_reference(corpus_name, window, dynamic_window):
+def test_train_equals_per_pair_reference(corpus_name, window):
     """At width 1 (initial_lr above 0.4), vectors, context vectors and epoch
-    losses are byte-identical to the per-pair trainer's over subsampling,
-    negatives, epochs and learning rates; on star5 negatives often equal the
-    positive and repeat, and the round corpora also vary the dimension."""
+    losses are byte-identical to the per-pair trainer's over negatives,
+    epochs and learning rates; on star5 negatives often equal the positive
+    and repeat, and the round corpora also vary the dimension."""
     corpus = _IDENTITY_CORPORA[corpus_name]()
     # the round corpora take each dimension at both learning rates in turn
     dimensions = [1, 8, 64] if corpus_name in _ROUND_CORPORA else [8]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (threshold, negatives, epochs, initial_lr) in enumerate(itertools.product(
-                [0.0, 0.05], [1, 5, 7], [1, 2, 3], [0.5, 1.0])):
+        for n, (negatives, epochs, initial_lr) in enumerate(itertools.product(
+                [1, 5, 7], [1, 2, 3], [0.5, 1.0])):
             cfg = TrainConfig(dimension=dimensions[n % len(dimensions)], window=window,
                               negatives=negatives, epochs=epochs, initial_lr=initial_lr,
-                              seed=window + negatives, dynamic_window=dynamic_window,
-                              subsample_threshold=threshold)
+                              seed=window + negatives)
             assert sgns._batch_width(initial_lr) == 1
             assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg), cfg
 
@@ -520,15 +487,12 @@ def test_train_equals_per_pair_reference(corpus_name, window, dynamic_window):
 @pytest.mark.parametrize("corpus_name", sorted(_IDENTITY_CORPORA))
 def test_train_equals_batched_reference(corpus_name, initial_lr, width):
     """Below initial_lr 0.4, training is byte-identical to the batched
-    reference at the width the learning rate gives: over windows, the
-    dynamic window, subsampling, negatives (on star5 they often equal the
-    positive and repeat) and epochs."""
+    reference at the width the learning rate gives: over windows, negatives
+    (on star5 they often equal the positive and repeat) and epochs."""
     corpus = _IDENTITY_CORPORA[corpus_name]()
-    for window, dynamic_window, threshold, negatives, epochs in itertools.product(
-            [1, 3, 10], [True, False], [0.0, 0.05], [1, 5], [1, 2]):
+    for window, negatives, epochs in itertools.product([1, 3, 10], [1, 5], [1, 2]):
         cfg = TrainConfig(dimension=8, window=window, negatives=negatives,
-                          epochs=epochs, initial_lr=initial_lr, seed=window + negatives,
-                          dynamic_window=dynamic_window, subsample_threshold=threshold)
+                          epochs=epochs, initial_lr=initial_lr, seed=window + negatives)
         assert _outcome(train, corpus, cfg) == _outcome(
             reference_train, corpus, cfg, width), cfg
 
@@ -601,12 +565,12 @@ def test_rounds_share_no_row(vocab_size, pairs):
 
 
 def test_train_with_empty_blocks_equals_per_pair_reference(monkeypatch):
-    """With blocks of a few pairs and heavy subsampling, some blocks keep no
-    pair and others do; training still equals the per-pair trainer."""
+    """With blocks of a few pairs, a corpus that starts with single-node
+    walks has a first block of no pair before blocks that have some;
+    training still equals the per-pair trainer."""
     monkeypatch.setattr(sgns, "_BLOCK_PAIRS", 8)
-    corpus = _hub_corpus()
-    cfg = TrainConfig(dimension=8, window=2, negatives=5, epochs=2, initial_lr=0.5, seed=2,
-                      subsample_threshold=0.002)
+    corpus = WalkCorpus([["hub"], ["s1"], ["solo"], *_hub_corpus().walks])
+    cfg = TrainConfig(dimension=8, window=2, negatives=5, epochs=2, initial_lr=0.5, seed=2)
     sizes = [len(counts) for _, counts, _ in _kernel_groups(monkeypatch, corpus, cfg)]
     assert 0 in sizes and max(sizes) > 0
     assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg)
@@ -623,9 +587,8 @@ def _outcome(trainer, corpus, cfg, *width):
 
 def _block_corpus():
     """Walks of 1 to 40 tokens, so that blocks of a few pairs end in
-    mid-epoch and hold several walks, some of them left with 0 or 1 tokens
-    after subsampling, and a walk longer than the budget is a block by
-    itself."""
+    mid-epoch and hold several walks, some of them of 1 token, and a walk
+    longer than the budget is a block by itself."""
     walks = _barbell_corpus(walk_length=40, walks_per_node=2).walks
     return WalkCorpus([walk[:length] for walk, length in zip(
         walks, itertools.cycle([1, 2, 3, 1, 2, 5, 40, 4, 2]))])
@@ -638,8 +601,7 @@ def test_train_equals_reference_across_block_boundaries(monkeypatch, block_pairs
     monkeypatch.setattr(sgns, "_BLOCK_PAIRS", block_pairs)
     corpus = _block_corpus()
     lengths = np.array([len(walk) for walk in corpus.walks])
-    for window, dynamic_window, threshold, epochs in itertools.product(
-            [1, 3], [True, False], [0.0, 0.05], [1, 2, 3]):
+    for window, epochs in itertools.product([1, 3], [1, 2, 3]):
         walk_pairs = np.diff(sgns._context_counts(lengths, window)[2])
         blocks = sgns._blocks(walk_pairs)
         assert len(blocks) > 1
@@ -648,8 +610,7 @@ def test_train_equals_reference_across_block_boundaries(monkeypatch, block_pairs
         assert any(stop - first == 1 and walk_pairs[first] > block_pairs
                    for first, stop in blocks)
         cfg = TrainConfig(dimension=8, window=window, negatives=5, epochs=epochs,
-                          initial_lr=0.5, seed=window + epochs,
-                          dynamic_window=dynamic_window, subsample_threshold=threshold)
+                          initial_lr=0.5, seed=window + epochs)
         assert _outcome(train, corpus, cfg) == _outcome(reference_train, corpus, cfg), cfg
 
 
@@ -659,10 +620,8 @@ def test_batched_train_is_independent_of_blocks(monkeypatch, block_pairs, part_b
     and parts of a few batches in the kernel, give the bytes of the default
     budgets and of the batched reference."""
     corpus = _block_corpus()
-    configs = [TrainConfig(dimension=8, window=window, negatives=5, epochs=2, seed=window,
-                           dynamic_window=dynamic_window, subsample_threshold=threshold)
-               for window, dynamic_window, threshold in itertools.product(
-                   [1, 3], [True, False], [0.0, 0.05])]
+    configs = [TrainConfig(dimension=8, window=window, negatives=5, epochs=2, seed=window)
+               for window in [1, 3]]
     outcomes = [[_outcome(train, corpus, cfg) for cfg in configs]]
     monkeypatch.setattr(sgns, "_BLOCK_PAIRS", block_pairs)
     monkeypatch.setattr(sgns, "_PART_BATCHES", part_batches)

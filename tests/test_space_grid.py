@@ -104,6 +104,23 @@ def test_invalid_polygons_rejected():
         Footprint("s", clockwise_bowtie)
 
 
+# Positive-area footprints where an end of one edge lies on an edge that
+# shares no vertex with it, so that two edges overlap along a line or one
+# ends on another. Each reaches one of the four collinear checks of
+# _segments_cross: an earlier edge's start or end on a later edge, or a
+# later edge's start or end on an earlier one.
+@pytest.mark.parametrize("polygon", [
+    ((0, 0), (0, 1), (3, 0), (0, 2)),
+    ((0, 0), (2, 2), (3, 2), (0, 2)),
+    ((0, 0), (3, 0), (2, 0), (0, 2)),
+    ((0, 0), (3, 0), (0, 2), (1, 0)),
+], ids=["start-on-later-edge", "end-on-later-edge", "later-start-on-edge", "later-end-on-edge"])
+def test_touching_or_overlapping_edges_are_self_intersecting(polygon):
+    assert space_grid.signed_area(polygon) > 0
+    with pytest.raises(BimvecError, match="^footprint for 's' is self-intersecting$"):
+        Footprint("s", polygon)
+
+
 def test_cell_size_must_be_positive():
     with pytest.raises(ValueError):
         discretize(SQUARE_4, 0.0)

@@ -116,6 +116,16 @@ def test_missing_end_sentinel_is_malformed():
         parse_step("ISO-10303-21; DATA; #1=IFCX(0); ENDSEC;")
 
 
+@pytest.mark.parametrize("head", ["ISO-10303-21;\nHEADER\n",
+                                  "ISO-10303-21;\nHEADER;FILE_DESCRIPTION((''),'2;1')\n"],
+                         ids=["section-keyword", "header-record"])
+def test_missing_semicolon_names_the_next_token(head):
+    text = head + "FILE_NAME('x');\nENDSEC;\nDATA;\n#1=IFCX(0);\nENDSEC;\nEND-ISO-10303-21;"
+    with pytest.raises(BimvecError) as exc_info:
+        parse_step(text)
+    assert str(exc_info.value) == "expected ';', found 'FILE_NAME' (line 3, column 1)"
+
+
 def test_unterminated_string_position():
     text = "ISO-10303-21;\nDATA;\n#1=IFCWALL('oops);\nENDSEC;\nEND-ISO-10303-21;"
     with pytest.raises(BimvecError, match=r"^unterminated string \(line 3, column 12\)$"):

@@ -129,6 +129,17 @@ def test_alias_uniform_has_unit_probs():
     assert table.prob == (1.0, 1.0, 1.0, 1.0)
 
 
+def test_alias_table_totals_left_to_right():
+    """Weights are totalled left to right, as sum() did before Python 3.12,
+    so the table has these bits on every Python. 3.12's compensated sum()
+    totals them to 2.2222222222222223, not 2.222222222222222, which gives a
+    table of exact sixteenths and so other walks."""
+    table = AliasTable.build([1.0, 1 / 36, 5 / 36, 1.0, 2 / 36])
+    assert table.prob == (1.0, 0.06250000000000001, 0.31250000000000006, 0.6875000000000004,
+                          0.12500000000000003)
+    assert table.alias == (0, 0, 3, 0, 3)
+
+
 def test_alias_single_outcome():
     table = AliasTable.build([1.0])
     assert len(table) == 1
